@@ -54,8 +54,6 @@ from .optima import (
     eta_omega_se,
     omega_value,
     optimize,
-    printed_omega_maximizer_sc,
-    printed_omega_maximizer_se,
     work_crossing_z,
     z_star_eta_sc,
     z_star_eta_se,
@@ -142,8 +140,6 @@ __all__ = [
     "eta_mw_se",
     "omega_value",
     "engine_window",
-    "printed_omega_maximizer_sc",
-    "printed_omega_maximizer_se",
     "z_star_omega_sc",
     "z_star_omega_se",
     "eta_omega_sc",

@@ -6,13 +6,15 @@ and CSV files begin with the comment line `# otto-rel schema v1`.
 
 Exit status: 0 on success, 2 on input/domain-validation errors, 3 when
 the request is well-formed but the physics says no (no engine window,
-no interior optimum).
+no interior optimum) or the arithmetic does (division by zero, overflow,
+a non-finite result).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -119,6 +121,9 @@ def _record(args, z: float, cap: float) -> dict:
 
 
 def _render_mapping(mapping: dict, fmt: str, output: Optional[str]) -> None:
+    for key, value in mapping.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FloatingPointError(f"{key} is not finite ({value!r})")
     if fmt == "json":
         _emit(json.dumps(mapping) + "\n", output)
     else:
@@ -282,6 +287,12 @@ def _figure_phase(token: str, v_list, resolution: int) -> str:
 
 def _cmd_figure(args) -> int:
     v_list = _parse_v_list(args.v_list)
+    if args.points is not None and args.points < 1:
+        raise ValueError(f"points must be at least 1, got {args.points}")
+    if args.resolution < 2 or args.resolution > 10_000:
+        raise ValueError(
+            f"resolution must lie in [2, 10000], got {args.resolution}"
+        )
     if args.id == 2:
         points = args.points if args.points is not None else 100
         text = _figure_2(v_list, points)
@@ -387,6 +398,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except (NoEngineWindowError, NoInteriorOptimumError, OracleFailure) as exc:
         print(f"otto-rel: error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"otto-rel: error: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"otto-rel: error: {exc}", file=sys.stderr)

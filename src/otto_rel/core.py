@@ -37,10 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
-    from .phase_diagram import OperationalMode
+from typing import Optional
 
 __all__ = [
     "StrokeProtocol",
@@ -160,16 +157,12 @@ class PerformanceRecord:
 
     ``eta`` is populated only when q_h > 0 (the cycle draws heat from the
     hot bath); otherwise the cycle is not an engine and the field is None.
-    ``omega_value`` and ``mode`` are filled in by callers that have the
-    required context (an eta_max target, a mode classifier).
     """
 
     q_h: float
     q_c: float
     w_ext: float
     eta: Optional[float] = None
-    omega_value: Optional[float] = None
-    mode: "Optional[OperationalMode]" = None
 
 
 def relativistic_factor(v: float) -> float:
@@ -256,7 +249,7 @@ def heats_and_work(params: CycleParams, scenario: Scenario) -> PerformanceRecord
     """Per-cycle heats and net work from the exact corner energies.
 
     Returns a record with q_h, q_c, w_ext = q_h + q_c and, when q_h > 0,
-    the engine efficiency w_ext / q_h.  Mode and omega_value are left unset.
+    the engine efficiency w_ext / q_h.
     """
     book = corner_energies(params, scenario)
     q_h = book.h_c - book.h_b

@@ -1,23 +1,25 @@
-"""Optimal frequency ratios for three objectives, with oracle cross-checks.
+"""Optimal frequency ratios for three objectives, certified locally.
 
 For each asymmetric scenario the package optimizes the reduced cycle over
-the compression ratio z at fixed (tau, v):
+the compression ratio z at fixed (tau, v), with g = tau*f(v):
 
 * maximum efficiency    -- the stationarity condition is a cubic in z,
   solved exactly by the trigonometric method (see cubic module);
-* maximum work          -- z = (tau*f(v))**(1/3), shared by both
-  scenarios because the work expressions differ only by a z-independent
-  reparametrization of the stationarity condition;
-* maximum trade-off     -- the objective 2*W - eta_max*Q_h.  A printed
-  closed form for this maximizer circulates with a degenerate log term
-  (a combination that is identically zero) and does not withstand a
-  numeric check, so the maximizer is located by the grid oracle and the
-  transcribed formula is kept only for agreement reporting.
+* maximum work          -- z = g**(1/3), shared by both scenarios because
+  the work expressions differ only by a z-independent reparametrization
+  of the stationarity condition;
+* maximum trade-off     -- the objective 2*W - eta_max*Q_h of Hernandez
+  et al., Phys. Rev. E 63, 037102 (2001).  Both scenarios reduce its
+  stationarity condition to z**3 = g (1 - eta_max/2), so the maximizer is
+  (g (1 - eta_max/2))**(1/3).
 
-Every public optimum is validated against numeric_oracle-style search on
-the engine window before it is labeled closed-form; disagreement beyond
-ORACLE_AGREEMENT_TOL downgrades the result to an oracle fallback rather
-than raising, so corrupt closed forms stay visible instead of fatal.
+Every closed-form candidate passes a cheap certificate before it is
+labeled closed-form: it must be finite, lie strictly inside the engine
+window, and beat its two neighbours at a relative step of 1e-6.  A
+candidate that fails is replaced by the grid oracle's argmax and labeled
+oracle-fallback, so a corrupt closed form stays visible instead of fatal.
+The oracle verifies the closed forms in the tests, within
+ORACLE_AGREEMENT_TOL, and is not run when the certificate passes.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ __all__ = [
     "eta_mw_se",
     "omega_value",
     "engine_window",
-    "printed_omega_maximizer_sc",
-    "printed_omega_maximizer_se",
     "z_star_omega_sc",
     "z_star_omega_se",
     "eta_omega_sc",
@@ -66,7 +66,11 @@ __all__ = [
     "optimize",
 ]
 
+#: Largest gap in z allowed between a closed form and the grid oracle.
 ORACLE_AGREEMENT_TOL = 1e-6
+
+#: Relative step of the two probes of the closed-form certificate.
+CERTIFICATE_STEP = 1e-6
 
 
 class NoEngineWindowError(ValueError):
@@ -107,8 +111,8 @@ class OptimizationTarget:
 class OptimumReport:
     """Optimal ratio plus the objective value and efficiency reached there.
 
-    source is closed-form only when the analytic value agreed with the
-    independent numeric search within ORACLE_AGREEMENT_TOL.
+    source is closed-form when the analytic value passed the local
+    certificate and oracle-fallback when the grid oracle supplied z_star.
     """
 
     z_star: float
@@ -285,146 +289,54 @@ def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, floa
     raise ValueError(f"no engine window table for scenario {scenario}")
 
 
-def _window_scan(tau: float, v: float, scenario: Scenario) -> ScanSpec:
+def _certified(
+    candidate: float, tau: float, v: float, scenario: Scenario, objective
+) -> tuple[float, OptimumSource]:
+    """Accept a closed-form maximizer after a local check, else ask the oracle.
+
+    The candidate is kept when it is finite, it and its two probes
+    z* -/+ delta (delta = CERTIFICATE_STEP * z*) lie strictly inside the
+    engine window, and the objective there is no lower than at either
+    probe.  Otherwise the grid oracle's argmax on the window is returned.
+    """
     lo, hi = engine_window(tau, v, scenario)
-    return ScanSpec(lo=lo, hi=hi)
+    delta = CERTIFICATE_STEP * candidate
+    if math.isfinite(candidate) and lo < candidate - delta and candidate + delta < hi:
+        peak = objective(candidate)
+        if peak >= objective(candidate - delta) and peak >= objective(candidate + delta):
+            return candidate, OptimumSource.CLOSED_FORM
+    z_star, _ = maximize(objective, ScanSpec(lo=lo, hi=hi))
+    return z_star, OptimumSource.ORACLE_FALLBACK
 
 
-def _oracle_argmax(tau: float, v: float, scenario: Scenario, objective) -> float:
-    z_star, _ = maximize(objective, _window_scan(tau, v, scenario))
-    return z_star
+def _omega_problem(tau: float, v: float, scenario: Scenario, beta_h: float = 1.0):
+    """Closed-form trade-off maximizer and the objective it maximizes.
 
-
-def _real_cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _third_angle_cos(x: float, multiple: int) -> float:
-    """cos(multiple * arccos(x) / 3), continued through x > 1.
-
-    For x > 1 the arccos is imaginary and the expression continues as
-    cosh(multiple * arccosh(x) / 3).  Arguments below -1 do not occur for
-    the expressions in this module and are rejected.
+    Both stationarity conditions reduce to z**3 = g (1 - eta_max/2) with
+    g = tau*f(v); eta_max is computed once and shared with the objective.
     """
-    if x < -1.0 - 1e-12:
-        raise ValueError(f"argument {x} below -1 has no continuation here")
-    if x <= 1.0:
-        return math.cos(multiple * math.acos(max(x, -1.0)) / 3.0)
-    return math.cosh(multiple * math.acosh(x) / 3.0)
-
-
-def printed_omega_maximizer_sc(
-    tau: float, v: float, log_variant: str = "zero"
-) -> float:
-    """Literal transcription of the circulated trade-off maximizer (compression).
-
-    The source expression contains the combination ln[1/(1+v)] + ln(1+v),
-    which is identically zero; log_variant="zero" keeps that literal
-    reading and log_variant="rapidity" substitutes the doubled rapidity
-    ln[(1+v)/(1-v)] in its place, the most plausible intended symbol.
-    Returns whatever the formula yields (possibly out of (0, 1)); callers
-    compare against the numeric oracle instead of trusting it.
-    """
-    _validate_tau_v(tau, v)
-    if v == 0.0:
-        raise ValueError("the printed form degenerates at v = 0")
-    if log_variant == "zero":
-        log_term = 0.0
-    elif log_variant == "rapidity":
-        log_term = 2.0 * math.atanh(v)
-    else:
-        raise ValueError(f"unknown log_variant {log_variant!r}")
-
-    rap = 2.0 * math.atanh(v)
-    v2 = v * v
-    boost = math.sqrt(1.0 - v2)
-    quench_load = tau * rap * boost
-    angle_arg = -quench_load / (
-        2.0 * v * math.sqrt(quench_load / (4.0 * v - quench_load))
-    )
-    cos_one = _third_angle_cos(angle_arg, 1)
-    cos_two = _third_angle_cos(angle_arg, 2)
-
-    inner = (
-        2.0
-        * cos_two
-        * (
-            tau * log_term * (1.0 - v2) * (16.0 * v - 3.0 * tau * log_term * boost)
-            - 16.0 * v2 * boost
-        )
-        - 24.0 * v * angle_arg * cos_one * (4.0 * v * boost + tau * rap * (v2 - 1.0))
-        - 16.0 * v2 * boost
-        + tau * log_term * (1.0 - v2) * (40.0 * v - 9.0 * tau * log_term * boost)
-    )
-    numer = tau * rap * inner
-    denom = (
-        4.0
-        * v
-        * (1.0 + 2.0 * cos_two)
-        * (tau * rap * (tau * rap * (v2 - 1.0) + 8.0 * v * boost) - 16.0 * v2)
-    )
-    return _real_cbrt(numer) / _real_cbrt(denom)
-
-
-def printed_omega_maximizer_se(tau: float, v: float) -> float:
-    """Literal transcription of the circulated trade-off maximizer (expansion).
-
-    The inverse-cosine argument is real only for tau*f(v) >= 1/2; below
-    that the hyperbolic continuation is used, mirroring the efficiency
-    cubic.  As with the compression variant, the value is reported for
-    agreement bookkeeping, not trusted.
-    """
-    _validate_tau_v(tau, v)
-    if v == 0.0:
-        raise ValueError("the printed form degenerates at v = 0")
-    rap = 2.0 * math.atanh(v)
-    v2 = v * v
-    boost = math.sqrt(1.0 - v2)
-    quench_load = tau * rap * boost
-    angle_arg = 1.0 - 8.0 * v * (v - quench_load) / (tau * tau * rap * rap * (v2 - 1.0))
-    cos_one = _third_angle_cos(angle_arg, 1)
-    cos_two = _third_angle_cos(angle_arg, 2)
-
-    inner = rap * (
-        3.0 * rap * tau * tau * (v2 - 1.0) * (2.0 * cos_two + 3.0)
-        - 32.0 * tau * v * boost
-    ) + 4.0 * (
-        tau * rap * (3.0 * tau * rap * (v2 - 1.0) + 8.0 * v * boost) - 24.0 * v2
-    ) * cos_one
-    numer = tau * rap * boost * inner
-    denom = 4.0 * v * _real_cbrt(2.0 * (1.0 - 2.0 * cos_one))
-    return _real_cbrt(numer) / denom
-
-
-def _omega_closure(tau: float, v: float, scenario: Scenario, beta_h: float = 1.0):
     cap = _eta_max(tau, v, scenario)
 
     def objective(z: float) -> float:
         r = ReducedParams(z=z, tau=tau, v=v, beta_h=beta_h)
         return 2.0 * work(r, scenario) - cap * qh(r, scenario)
 
-    return objective
+    return (_load(tau, v) * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), objective
 
 
-def _z_star_omega(tau: float, v: float, scenario: Scenario) -> tuple[float, OptimumSource]:
-    z_oracle = _oracle_argmax(tau, v, scenario, _omega_closure(tau, v, scenario))
-    if scenario == SUDDEN_COMPRESSION:
-        candidate = printed_omega_maximizer_sc(tau, v)
-    else:
-        candidate = printed_omega_maximizer_se(tau, v)
-    if math.isfinite(candidate) and abs(candidate - z_oracle) <= ORACLE_AGREEMENT_TOL:
-        return candidate, OptimumSource.CLOSED_FORM
-    return z_oracle, OptimumSource.ORACLE_FALLBACK
+def _z_star_omega(tau: float, v: float, scenario: Scenario) -> float:
+    candidate, objective = _omega_problem(tau, v, scenario)
+    return _certified(candidate, tau, v, scenario, objective)[0]
 
 
 def z_star_omega_sc(tau: float, v: float) -> float:
-    """Trade-off-maximizing ratio, compression quench (oracle-backed)."""
-    return _z_star_omega(tau, v, SUDDEN_COMPRESSION)[0]
+    """Trade-off-maximizing ratio, compression quench: (g (1 - eta_max/2))**(1/3)."""
+    return _z_star_omega(tau, v, SUDDEN_COMPRESSION)
 
 
 def z_star_omega_se(tau: float, v: float) -> float:
-    """Trade-off-maximizing ratio, expansion quench (oracle-backed)."""
-    return _z_star_omega(tau, v, SUDDEN_EXPANSION)[0]
+    """Trade-off-maximizing ratio, expansion quench: (g (1 - eta_max/2))**(1/3)."""
+    return _z_star_omega(tau, v, SUDDEN_EXPANSION)
 
 
 def eta_omega_sc(eta_c: float, v: float) -> float:
@@ -461,10 +373,11 @@ def work_crossing_z(tau: float, v: float) -> float:
 def optimize(
     target: OptimizationTarget, tau: float, v: float, beta_h: float = 1.0
 ) -> OptimumReport:
-    """Run one objective end to end and report the checked optimum.
+    """Run one objective end to end and report the certified optimum.
 
-    The closed-form candidate is always compared against the grid oracle
-    on the engine window; the report's source says which one is returned.
+    The closed-form candidate is returned when it passes the local
+    certificate; otherwise the grid oracle's argmax on the engine window
+    is returned, and the report's source says which one it is.
     """
     _validate_tau_v(tau, v)
     if not beta_h > 0.0:
@@ -477,49 +390,26 @@ def optimize(
             if scenario == SUDDEN_COMPRESSION
             else z_star_eta_se(tau, v)
         )
-        oracle_z = _oracle_argmax(
-            tau, v, scenario, lambda z: _eta_or_nan(z, tau, v, scenario)
-        )
-        z_star, source = _reconcile(candidate, oracle_z)
-        value = _eta_at(z_star, tau, v, scenario)
-        return OptimumReport(z_star=z_star, value_at_opt=value, eta_at_opt=value, source=source)
-
-    if target.objective == Objective.WORK:
+        objective = lambda z: _eta_or_nan(z, tau, v, scenario)
+    elif target.objective == Objective.WORK:
         candidate = z_star_work(tau, v)
-        oracle_z = _oracle_argmax(
-            tau,
-            v,
-            scenario,
-            lambda z: work(ReducedParams(z=z, tau=tau, v=v, beta_h=beta_h), scenario),
+        objective = lambda z: work(
+            ReducedParams(z=z, tau=tau, v=v, beta_h=beta_h), scenario
         )
-        z_star, source = _reconcile(candidate, oracle_z)
-        value = work(ReducedParams(z=z_star, tau=tau, v=v, beta_h=beta_h), scenario)
-        return OptimumReport(
-            z_star=z_star,
-            value_at_opt=value,
-            eta_at_opt=_eta_at(z_star, tau, v, scenario),
-            source=source,
-        )
+    elif target.objective == Objective.OMEGA:
+        candidate, objective = _omega_problem(tau, v, scenario, beta_h)
+    else:
+        raise ValueError(f"unknown objective {target.objective}")
 
-    if target.objective == Objective.OMEGA:
-        z_star, source = _z_star_omega(tau, v, scenario)
-        value = _omega_closure(tau, v, scenario, beta_h)(z_star)
-        return OptimumReport(
-            z_star=z_star,
-            value_at_opt=value,
-            eta_at_opt=_eta_at(z_star, tau, v, scenario),
-            source=source,
-        )
-
-    raise ValueError(f"unknown objective {target.objective}")
+    z_star, source = _certified(candidate, tau, v, scenario, objective)
+    return OptimumReport(
+        z_star=z_star,
+        value_at_opt=objective(z_star),
+        eta_at_opt=_eta_at(z_star, tau, v, scenario),
+        source=source,
+    )
 
 
 def _eta_or_nan(z: float, tau: float, v: float, scenario: Scenario) -> float:
     value = eta(ReducedParams(z=z, tau=tau, v=v), scenario)
     return math.nan if value is None else value
-
-
-def _reconcile(candidate: float, oracle_z: float) -> tuple[float, OptimumSource]:
-    if math.isfinite(candidate) and abs(candidate - oracle_z) <= ORACLE_AGREEMENT_TOL:
-        return candidate, OptimumSource.CLOSED_FORM
-    return oracle_z, OptimumSource.ORACLE_FALLBACK

@@ -151,7 +151,7 @@ def test_optimize_closed_form_objectives(capsys):
     assert data["value"] == pytest.approx(want["work_max_sc"], rel=1e-12)
 
 
-def test_optimize_trade_off_reports_fallback(capsys):
+def test_optimize_trade_off_reports_closed_form(capsys):
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
     code, out, _ = run(
         capsys, "optimize", "--objective", "omega", "--scenario", "sc",
@@ -159,8 +159,8 @@ def test_optimize_trade_off_reports_fallback(capsys):
     )
     assert code == 0
     data = json.loads(out)
-    assert data["source"] == "oracle-fallback"
-    assert data["z_star"] == pytest.approx(want["z_omega_sc"], abs=1e-8)
+    assert data["source"] == "closed-form"
+    assert data["z_star"] == pytest.approx(want["z_omega_sc"], rel=1e-13)
     assert data["value"] == pytest.approx(want["omega_max_sc"], rel=1e-11)
 
 
@@ -184,6 +184,29 @@ def test_window_failures_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "no engine window" in err
+
+
+def test_arithmetic_failure_exits_3_without_traceback(capsys):
+    # z**2 underflows to zero inside the hot-bath heat
+    code, out, err = run(
+        capsys, "evaluate", "--scenario", "sc", "--z", "1e-300", "--tau", "0.5", "--v", "0.5"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("otto-rel: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_result_exits_3_with_no_output(capsys, fmt):
+    # 1/beta_h overflows, so the heats are infinite
+    code, out, err = run(
+        capsys, "evaluate", "--scenario", "se", "--z", "0.5", "--tau", "0.5",
+        "--v", "0.5", "--beta-h", "1e-310", "--format", fmt,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("otto-rel: error:") and err.count("\n") == 1
+    assert "not finite" in err
 
 
 # -- sweep ---------------------------------------------------------------------
@@ -353,6 +376,24 @@ def test_figure_rejects_unknown_id(capsys):
         cli.main(["figure", "--id", "7"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_figure_rejects_empty_axis(capsys, points):
+    code, out, err = run(capsys, "figure", "--id", "3", "--points", points)
+    assert code == 2
+    assert out == ""
+    assert "points" in err
+
+
+@pytest.mark.parametrize("resolution", ["1", "20000"])
+def test_figure_rejects_resolution_out_of_range(capsys, resolution):
+    code, out, err = run(
+        capsys, "figure", "--id", "5", "--resolution", resolution, "--v-list", "0.35"
+    )
+    assert code == 2
+    assert out == ""
+    assert "resolution" in err
 
 
 def test_figure_rejects_bad_v_list(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from otto_rel import (
     BOTH_SUDDEN,
+    ORACLE_AGREEMENT_TOL,
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
     NoEngineWindowError,
@@ -17,6 +18,7 @@ from otto_rel import (
     OptimumReport,
     OptimumSource,
     ReducedParams,
+    ScanSpec,
     derivative_check,
     efficiency_cubic,
     engine_window,
@@ -27,10 +29,10 @@ from otto_rel import (
     eta_mw_se,
     eta_omega_sc,
     eta_omega_se,
+    maximize,
     omega_value,
     optimize,
-    printed_omega_maximizer_sc,
-    printed_omega_maximizer_se,
+    qh,
     relativistic_factor,
     work,
     work_crossing_z,
@@ -40,6 +42,8 @@ from otto_rel import (
     z_star_omega_se,
     z_star_work,
 )
+from otto_rel import optima
+from _printed_forms import printed_omega_maximizer_sc, printed_omega_maximizer_se
 from _reference import REFERENCE
 
 POINTS = {
@@ -86,11 +90,10 @@ def test_frozen_trade_off_optima(key):
     want = REFERENCE["optima"][key]
     eta_c = 1.0 - tau
 
-    # oracle-refined quantities carry the refinement noise (~1e-9 in z)
-    assert z_star_omega_sc(tau, v) == pytest.approx(want["z_omega_sc"], abs=1e-8)
-    assert z_star_omega_se(tau, v) == pytest.approx(want["z_omega_se"], abs=1e-8)
-    assert eta_omega_sc(eta_c, v) == pytest.approx(want["eta_omega_sc"], abs=1e-8)
-    assert eta_omega_se(eta_c, v) == pytest.approx(want["eta_omega_se"], abs=1e-8)
+    assert z_star_omega_sc(tau, v) == pytest.approx(want["z_omega_sc"], rel=1e-13)
+    assert z_star_omega_se(tau, v) == pytest.approx(want["z_omega_se"], rel=1e-13)
+    assert eta_omega_sc(eta_c, v) == pytest.approx(want["eta_omega_sc"], rel=1e-13)
+    assert eta_omega_se(eta_c, v) == pytest.approx(want["eta_omega_se"], rel=1e-13)
 
     r = lambda z: ReducedParams(z=z, tau=tau, v=v)
     assert omega_value(r(z_star_omega_sc(tau, v)), SUDDEN_COMPRESSION) == pytest.approx(
@@ -103,9 +106,9 @@ def test_frozen_trade_off_optima(key):
 
 def test_frozen_trade_off_efficiency_spots():
     spots = REFERENCE["trade_off_efficiency"]
-    assert eta_omega_sc(0.99, 0.95) == pytest.approx(spots["sc_eta_c=0.99,v=0.95"], abs=1e-7)
-    assert eta_omega_sc(0.999, 0.95) == pytest.approx(spots["sc_eta_c=0.999,v=0.95"], abs=1e-7)
-    assert eta_omega_se(0.99, 0.95) == pytest.approx(spots["se_eta_c=0.99,v=0.95"], abs=1e-7)
+    assert eta_omega_sc(0.99, 0.95) == pytest.approx(spots["sc_eta_c=0.99,v=0.95"], rel=1e-13)
+    assert eta_omega_sc(0.999, 0.95) == pytest.approx(spots["sc_eta_c=0.999,v=0.95"], rel=1e-13)
+    assert eta_omega_se(0.99, 0.95) == pytest.approx(spots["se_eta_c=0.99,v=0.95"], rel=1e-13)
     # the compression quench escapes the 1/2 ceiling, the expansion one cannot
     assert eta_omega_sc(0.999, 0.95) > 0.9
     assert eta_omega_se(0.99, 0.95) <= 0.5
@@ -135,7 +138,7 @@ def test_peak_efficiency_equals_efficiency_at_peak(tau, v):
 @pytest.mark.parametrize("tau,v", [(0.5, 0.5), (0.3, 0.75), (0.6, 0.9)])
 def test_trade_off_maximizer_satisfies_stationarity_identity(tau, v):
     # differentiating the trade-off objective gives z**3 = g (2 - eta_max)/2
-    # for both scenarios; an algebraic route independent of the grid search
+    # for both scenarios
     g = tau * relativistic_factor(v)
     for z_fn, cap_fn in (
         (z_star_omega_sc, eta_max_sc),
@@ -143,7 +146,7 @@ def test_trade_off_maximizer_satisfies_stationarity_identity(tau, v):
     ):
         z = z_fn(tau, v)
         cap = cap_fn(1.0 - tau, v)
-        assert z**3 == pytest.approx(g * (2.0 - cap) / 2.0, abs=1e-8)
+        assert z**3 == pytest.approx(g * (2.0 - cap) / 2.0, rel=1e-13)
 
 
 def test_figure_of_merit_ordering():
@@ -206,6 +209,8 @@ def test_optima_are_stationary_and_concave(tau, v):
 
 
 def test_printed_trade_off_forms_disagree_with_oracle():
+    # the package maximizers are checked against the oracle in
+    # test_trade_off_closed_form_agrees_with_oracle
     tau, v = 0.5, 0.5
     z_sc = z_star_omega_sc(tau, v)
     z_se = z_star_omega_se(tau, v)
@@ -252,16 +257,64 @@ def test_optimize_work_report_scales_with_temperature():
     assert colder.z_star == base.z_star
 
 
-def test_optimize_trade_off_uses_oracle():
+def test_optimize_trade_off_uses_closed_form():
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
     for scenario, z_key, w_key in (
         (SUDDEN_COMPRESSION, "z_omega_sc", "omega_max_sc"),
         (SUDDEN_EXPANSION, "z_omega_se", "omega_max_se"),
     ):
         report = optimize(OptimizationTarget(Objective.OMEGA, scenario), 0.5, 0.5)
-        assert report.source is OptimumSource.ORACLE_FALLBACK
-        assert report.z_star == pytest.approx(want[z_key], abs=1e-8)
+        assert report.source is OptimumSource.CLOSED_FORM
+        assert report.z_star == pytest.approx(want[z_key], rel=1e-13)
         assert report.value_at_opt == pytest.approx(want[w_key], rel=1e-12)
+
+
+GRID_10 = [0.05 + 0.9 * i / 9 for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "scenario,z_fn,cap_fn",
+    [
+        (SUDDEN_COMPRESSION, z_star_omega_sc, eta_max_sc),
+        (SUDDEN_EXPANSION, z_star_omega_se, eta_max_se),
+    ],
+)
+def test_trade_off_closed_form_agrees_with_oracle(scenario, z_fn, cap_fn):
+    # the grid oracle verifies the closed form; it does not compute it
+    for tau in GRID_10:
+        for v in GRID_10:
+            cap = cap_fn(1.0 - tau, v)
+
+            def omega(z):
+                r = ReducedParams(z=z, tau=tau, v=v)
+                return 2.0 * work(r, scenario) - cap * qh(r, scenario)
+
+            lo, hi = engine_window(tau, v, scenario)
+            z_oracle, _ = maximize(omega, ScanSpec(lo=lo, hi=hi))
+            assert abs(z_fn(tau, v) - z_oracle) <= ORACLE_AGREEMENT_TOL, (tau, v)
+
+
+def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
+    want = REFERENCE["optima"]["tau=0.5,v=0.5"]
+    lo, _ = engine_window(0.5, 0.5, SUDDEN_COMPRESSION)
+    # inside the window, but on the rising flank below the true maximizer
+    monkeypatch.setattr(optima, "z_star_work", lambda tau, v: 0.5 * (lo + want["z_work"]))
+    report = optimize(OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION), 0.5, 0.5)
+    assert report.source is OptimumSource.ORACLE_FALLBACK
+    assert report.z_star == pytest.approx(want["z_work"], abs=1e-8)
+    assert report.value_at_opt == pytest.approx(want["work_max_sc"], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["below-window", 1.5, math.nan, math.inf])
+def test_optimize_falls_back_when_candidate_leaves_window(monkeypatch, bad):
+    want = REFERENCE["optima"]["tau=0.5,v=0.5"]
+    lo, _ = engine_window(0.5, 0.5, SUDDEN_EXPANSION)
+    candidate = 0.5 * lo if bad == "below-window" else bad
+    monkeypatch.setattr(optima, "z_star_work", lambda tau, v: candidate)
+    report = optimize(OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION), 0.5, 0.5)
+    assert report.source is OptimumSource.ORACLE_FALLBACK
+    assert report.z_star == pytest.approx(want["z_work"], abs=1e-8)
+    assert report.value_at_opt == pytest.approx(want["work_max_se"], rel=1e-12)
 
 
 def test_target_rejects_symmetric_scenarios():
