@@ -22,9 +22,8 @@ from .core import (
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
     CycleParams,
-    Scenario,
-    corner_energies,
     heats_and_work,
+    omega_function,
 )
 from .high_temperature import ReducedParams, performance
 from .optima import (
@@ -32,11 +31,10 @@ from .optima import (
     NoInteriorOptimumError,
     Objective,
     OptimizationTarget,
-    eta_max_sc,
-    eta_max_se,
     eta_omega_sc,
     eta_omega_se,
     optimize,
+    peak_efficiency,
 )
 from .oracle import OracleFailure
 from .phase_diagram import classify_signs, mode_fractions, rasterize
@@ -69,8 +67,17 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_finite(pairs: Iterable[tuple[str, object]], error=FloatingPointError) -> None:
+    """Raise error at the first named float that is inf or nan."""
+    for key, value in pairs:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{key} is not finite ({value!r})")
+
+
 def _check_domain(args, *, z: bool = False) -> None:
     """Validate numeric flags before any dispatch, naming the domain."""
+    flags = vars(args).items()
+    _require_finite(((name.replace("_", "-"), value) for name, value in flags), ValueError)
     if not 0.0 < args.tau < 1.0:
         raise ValueError(f"tau must lie in (0,1), got {args.tau}")
     if not 0.0 < args.v < 1.0:
@@ -79,12 +86,6 @@ def _check_domain(args, *, z: bool = False) -> None:
         raise ValueError(f"beta-h must be positive, got {args.beta_h}")
     if z and not 0.0 < args.z <= 1.0:
         raise ValueError(f"z must lie in (0,1], got {args.z}")
-
-
-def _scenario_cap(scenario: Scenario, tau: float, v: float) -> float:
-    if scenario == SUDDEN_COMPRESSION:
-        return eta_max_sc(1.0 - tau, v)
-    return eta_max_se(1.0 - tau, v)
 
 
 def _record(args, z: float, cap: float) -> dict:
@@ -103,7 +104,7 @@ def _record(args, z: float, cap: float) -> dict:
         rec = performance(
             ReducedParams(z=z, tau=args.tau, v=args.v, beta_h=args.beta_h), scenario
         )
-    omega = 2.0 * rec.w_ext - cap * rec.q_h
+    omega = omega_function(rec, cap)
     mode = classify_signs(rec.w_ext, rec.q_h, rec.q_c)
     return {
         "z": z,
@@ -121,9 +122,7 @@ def _record(args, z: float, cap: float) -> dict:
 
 
 def _render_mapping(mapping: dict, fmt: str, output: Optional[str]) -> None:
-    for key, value in mapping.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise FloatingPointError(f"{key} is not finite ({value!r})")
+    _require_finite(mapping.items())
     if fmt == "json":
         _emit(json.dumps(mapping) + "\n", output)
     else:
@@ -134,7 +133,7 @@ def _cmd_evaluate(args) -> int:
     _check_domain(args, z=True)
     if args.exact and not args.omega_h > 0.0:
         raise ValueError(f"omega-h must be positive, got {args.omega_h}")
-    cap = _scenario_cap(_SCENARIOS[args.scenario], args.tau, args.v)
+    cap = peak_efficiency(args.tau, args.v, _SCENARIOS[args.scenario])
     _render_mapping(_record(args, args.z, cap), args.format, args.output)
     return 0
 
@@ -183,31 +182,38 @@ def _cmd_sweep(args) -> int:
         raise ValueError(
             f"z-max {args.z_max} must not be below z-min {args.z_min}"
         )
-    if args.z_max == args.z_min or args.points == 1:
-        grid = [args.z_min]
-    else:
-        step = (args.z_max - args.z_min) / (args.points - 1)
-        grid = [args.z_min + step * i for i in range(args.points)]
-    cap = _scenario_cap(_SCENARIOS[args.scenario], args.tau, args.v)
+    points = 1 if args.z_max == args.z_min else args.points
+    grid = _linspace(args.z_min, args.z_max, points)
+    cap = peak_efficiency(args.tau, args.v, _SCENARIOS[args.scenario])
     rows = [[_record(args, z, cap)[key] for key in _EVAL_HEADER] for z in grid]
+    for row in rows:
+        _require_finite(zip(_EVAL_HEADER, row))
     _emit(_csv(_EVAL_HEADER, rows), args.output)
     return 0
+
+
+def _check_resolution(resolution: int) -> None:
+    if resolution < 2 or resolution > 10_000:
+        raise ValueError(f"resolution must lie in [2, 10000], got {resolution}")
+
+
+_RASTER_HEADER = ("z", "tau", "v", "scenario", "mode")
+
+
+def _raster_rows(phase_map, token: str) -> list[list[object]]:
+    return [
+        [z, tau, phase_map.v, token, mode.value]
+        for z, row in zip(phase_map.z_axis, phase_map.cells)
+        for tau, mode in zip(phase_map.tau_axis, row)
+    ]
 
 
 def _cmd_phase_map(args) -> int:
     if not 0.0 < args.v < 1.0:
         raise ValueError(f"v must lie in (0,1), got {args.v}")
-    if args.resolution < 2 or args.resolution > 10_000:
-        raise ValueError(
-            f"resolution must lie in [2, 10000], got {args.resolution}"
-        )
-    scenario = _SCENARIOS[args.scenario]
-    phase_map = rasterize(scenario, args.v, args.resolution)
-    rows = []
-    for i, z in enumerate(phase_map.z_axis):
-        for j, tau in enumerate(phase_map.tau_axis):
-            rows.append([z, tau, args.v, args.scenario, phase_map.cells[i][j].value])
-    _emit(_csv(("z", "tau", "v", "scenario", "mode"), rows), args.output)
+    _check_resolution(args.resolution)
+    phase_map = rasterize(_SCENARIOS[args.scenario], args.v, args.resolution)
+    _emit(_csv(_RASTER_HEADER, _raster_rows(phase_map, args.scenario)), args.output)
     summary = {
         "mode_fractions": mode_fractions(phase_map),
         "v": args.v,
@@ -230,8 +236,8 @@ def _parse_v_list(raw: str) -> tuple[float, ...]:
     return values
 
 
-def _eta_c_axis(points: int) -> list[float]:
-    lo, hi = 0.01, 0.99
+def _linspace(lo: float, hi: float, points: int) -> list[float]:
+    """points evenly spaced values from lo to hi; [lo] when points is 1."""
     if points == 1:
         return [lo]
     step = (hi - lo) / (points - 1)
@@ -240,10 +246,11 @@ def _eta_c_axis(points: int) -> list[float]:
 
 def _figure_2(v_list, points: int) -> str:
     rows = []
-    for token in ("sc", "se"):
-        fn = eta_omega_sc if token == "sc" else eta_omega_se
+    # The public per-scenario functions, which the benchmark's tracer
+    # rebinds by name to time every figure-2 optimum.
+    for token, fn in (("sc", eta_omega_sc), ("se", eta_omega_se)):
         for v in v_list:
-            for eta_c in _eta_c_axis(points):
+            for eta_c in _linspace(0.01, 0.99, points):
                 rows.append([eta_c, v, token, fn(eta_c, v)])
     return _csv(("eta_c", "v", "scenario", "eta_omega"), rows)
 
@@ -252,58 +259,42 @@ def _z_axis(points: int) -> list[float]:
     return [(i + 1) / points for i in range(points)]
 
 
-def _figure_3(v_list, tau: float, points: int) -> str:
+def _figure_z(v_list, tau: float, points: int, columns: tuple[str, ...]) -> str:
+    """Figures 3 and 4: hot-limit "eta"/"work" columns along the z axis."""
     rows = []
-    for token in ("sc", "se"):
-        scenario = _SCENARIOS[token]
+    for token, scenario in _SCENARIOS.items():
         for v in v_list:
             for z in _z_axis(points):
                 rec = performance(ReducedParams(z=z, tau=tau, v=v), scenario)
-                rows.append([z, v, token, rec.w_ext])
-    return _csv(("z", "v", "scenario", "work"), rows)
-
-
-def _figure_4(v_list, tau: float, points: int) -> str:
-    rows = []
-    for token in ("sc", "se"):
-        scenario = _SCENARIOS[token]
-        for v in v_list:
-            for z in _z_axis(points):
-                rec = performance(ReducedParams(z=z, tau=tau, v=v), scenario)
-                rows.append([z, v, token, rec.eta, rec.w_ext])
-    return _csv(("z", "v", "scenario", "eta", "work"), rows)
+                cells = {"eta": rec.eta, "work": rec.w_ext}
+                rows.append([z, v, token, *(cells[column] for column in columns)])
+    return _csv(("z", "v", "scenario", *columns), rows)
 
 
 def _figure_phase(token: str, v_list, resolution: int) -> str:
     scenario = _SCENARIOS[token]
     rows = []
     for v in v_list:
-        phase_map = rasterize(scenario, v, resolution)
-        for i, z in enumerate(phase_map.z_axis):
-            for j, tau in enumerate(phase_map.tau_axis):
-                rows.append([z, tau, v, token, phase_map.cells[i][j].value])
-    return _csv(("z", "tau", "v", "scenario", "mode"), rows)
+        rows += _raster_rows(rasterize(scenario, v, resolution), token)
+    return _csv(_RASTER_HEADER, rows)
 
 
 def _cmd_figure(args) -> int:
     v_list = _parse_v_list(args.v_list)
     if args.points is not None and args.points < 1:
         raise ValueError(f"points must be at least 1, got {args.points}")
-    if args.resolution < 2 or args.resolution > 10_000:
-        raise ValueError(
-            f"resolution must lie in [2, 10000], got {args.resolution}"
-        )
+    _check_resolution(args.resolution)
     if args.id == 2:
         points = args.points if args.points is not None else 100
         text = _figure_2(v_list, points)
     elif args.id == 3:
         points = args.points if args.points is not None else 200
         tau = args.tau if args.tau is not None else 0.5
-        text = _figure_3(v_list, tau, points)
+        text = _figure_z(v_list, tau, points, ("work",))
     elif args.id == 4:
         points = args.points if args.points is not None else 200
         tau = args.tau if args.tau is not None else 0.4
-        text = _figure_4(v_list, tau, points)
+        text = _figure_z(v_list, tau, points, ("eta", "work"))
     elif args.id in (5, 6):
         token = "sc" if args.id == 5 else "se"
         text = _figure_phase(token, v_list, args.resolution)

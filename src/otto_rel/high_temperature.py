@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     SUDDEN_COMPRESSION,
@@ -47,14 +47,8 @@ from .core import (
 
 __all__ = [
     "ReducedParams",
-    "qh_sc",
-    "qc_sc",
-    "work_sc",
-    "eta_sc",
-    "qh_se",
-    "qc_se",
-    "work_se",
-    "eta_se",
+    "ScenarioForms",
+    "scenario_forms",
     "qh",
     "qc",
     "work",
@@ -91,111 +85,6 @@ def _g(r: ReducedParams) -> float:
     return r.tau * relativistic_factor(r.v)
 
 
-# -- sudden compression -----------------------------------------------------
-
-
-def qh_sc(r: ReducedParams) -> float:
-    """Hot-bath heat for the sudden-compression cycle."""
-    g = _g(r)
-    return (2.0 * r.z * r.z - g * (r.z * r.z + 1.0)) / (2.0 * r.z * r.z * r.beta_h)
-
-
-def qc_sc(r: ReducedParams) -> float:
-    """Cold-bath heat for the sudden-compression cycle."""
-    return (_g(r) - r.z) / r.beta_h
-
-
-def work_sc(r: ReducedParams) -> float:
-    """Net extracted work for the sudden-compression cycle."""
-    g = _g(r)
-    return (1.0 - r.z) * (2.0 * r.z * r.z - g * (1.0 + r.z)) / (2.0 * r.z * r.z * r.beta_h)
-
-
-def eta_sc(r: ReducedParams) -> Optional[float]:
-    """Efficiency work/q_h of the sudden-compression cycle, None if q_h <= 0."""
-    heat = qh_sc(r)
-    if heat <= 0.0:
-        return None
-    return work_sc(r) / heat
-
-
-# -- sudden expansion -------------------------------------------------------
-
-
-def qh_se(r: ReducedParams) -> float:
-    """Hot-bath heat for the sudden-expansion cycle."""
-    return (r.z - _g(r)) / (r.z * r.beta_h)
-
-
-def qc_se(r: ReducedParams) -> float:
-    """Cold-bath heat for the sudden-expansion cycle."""
-    return (_g(r) - 0.5 * (1.0 + r.z * r.z)) / r.beta_h
-
-
-def work_se(r: ReducedParams) -> float:
-    """Net extracted work for the sudden-expansion cycle."""
-    g = _g(r)
-    return (1.0 - r.z) * (r.z * (1.0 + r.z) - 2.0 * g) / (2.0 * r.z * r.beta_h)
-
-
-def eta_se(r: ReducedParams) -> Optional[float]:
-    """Efficiency work/q_h of the sudden-expansion cycle, None if q_h <= 0.
-
-    Bounded above by 1/2 everywhere: the quenched expansion stroke wastes
-    at least half of the extractable work at any operating point.
-    """
-    heat = qh_se(r)
-    if heat <= 0.0:
-        return None
-    return work_se(r) / heat
-
-
-# -- scenario dispatch ------------------------------------------------------
-
-_DISPATCH = {
-    SUDDEN_COMPRESSION: (qh_sc, qc_sc, work_sc, eta_sc),
-    SUDDEN_EXPANSION: (qh_se, qc_se, work_se, eta_se),
-}
-
-
-def _table(scenario: Scenario):
-    try:
-        return _DISPATCH[scenario]
-    except KeyError:
-        raise ValueError(
-            "hot-limit closed forms cover only the two asymmetric scenarios "
-            f"(one sudden stroke, one adiabatic), got {scenario}"
-        ) from None
-
-
-def qh(r: ReducedParams, scenario: Scenario) -> float:
-    """Hot-bath heat for either asymmetric scenario."""
-    return _table(scenario)[0](r)
-
-
-def qc(r: ReducedParams, scenario: Scenario) -> float:
-    """Cold-bath heat for either asymmetric scenario."""
-    return _table(scenario)[1](r)
-
-
-def work(r: ReducedParams, scenario: Scenario) -> float:
-    """Net extracted work for either asymmetric scenario."""
-    return _table(scenario)[2](r)
-
-
-def eta(r: ReducedParams, scenario: Scenario) -> Optional[float]:
-    """Efficiency for either asymmetric scenario, None when q_h <= 0."""
-    return _table(scenario)[3](r)
-
-
-def performance(r: ReducedParams, scenario: Scenario) -> PerformanceRecord:
-    """Assemble the full hot-limit performance record at one point."""
-    fn_qh, fn_qc, fn_work, fn_eta = _table(scenario)
-    return PerformanceRecord(
-        q_h=fn_qh(r), q_c=fn_qc(r), w_ext=fn_work(r), eta=fn_eta(r)
-    )
-
-
 # -- engine windows ---------------------------------------------------------
 
 
@@ -218,3 +107,114 @@ def engine_lower_z_se(g: float) -> float:
     if not 0.0 < g <= 1.0:
         raise ValueError(f"reduced coupling must lie in (0, 1], got {g}")
     return 0.5 * (math.sqrt(1.0 + 8.0 * g) - 1.0)
+
+
+# -- one record per scenario ------------------------------------------------
+
+
+class ScenarioForms(NamedTuple):
+    """Every closed form that tells one asymmetric scenario from the other.
+
+    The heats and the work take (z, g, beta_h) with g = tau * f(v); the
+    other forms take g alone, except eta_at_max_work, which takes the
+    work-maximizing ratio z = g**(1/3).
+
+    efficiency_cubic gives the coefficients (a2, a1, a0) of the monic
+    cubic whose largest real root maximizes the efficiency.  The mode
+    edges in z are fridge_top (refrigerator/heater, None where the
+    refrigerator region is absent), heater_top (heater/accelerator) and
+    engine_lower_z (accelerator/engine).  A NamedTuple rather than a
+    frozen dataclass: it is as immutable and costs a third of the import
+    time.
+    """
+
+    qh: Callable[[float, float, float], float]
+    qc: Callable[[float, float, float], float]
+    work: Callable[[float, float, float], float]
+    engine_lower_z: Callable[[float], float]
+    efficiency_cubic: Callable[[float], tuple[float, float, float]]
+    fridge_top: Callable[[float], Optional[float]]
+    heater_top: Callable[[float], float]
+    eta_at_max_work: Callable[[float], float]
+
+
+_FORMS = {
+    # Quenched A->B stroke.
+    SUDDEN_COMPRESSION: ScenarioForms(
+        qh=lambda z, g, beta_h: (2.0 * z * z - g * (z * z + 1.0)) / (2.0 * z * z * beta_h),
+        qc=lambda z, g, beta_h: (g - z) / beta_h,
+        work=lambda z, g, beta_h: (1.0 - z) * (2.0 * z * z - g * (1.0 + z)) / (2.0 * z * z * beta_h),
+        engine_lower_z=engine_lower_z_sc,
+        efficiency_cubic=lambda g: (0.0, -3.0 * g / (2.0 - g), 2.0 * g * g / (2.0 - g)),
+        fridge_top=lambda g: g,
+        heater_top=lambda g: math.sqrt(g / (2.0 - g)),
+        eta_at_max_work=lambda z: (1.0 - z) ** 2 * (2.0 + z) / (2.0 - z - z**3),
+    ),
+    # Quenched C->D stroke.  The efficiency is bounded above by 1/2
+    # everywhere: the quenched expansion stroke wastes at least half of the
+    # extractable work at any operating point.  The refrigerator edge
+    # z**2 = 2g - 1 has no real solution when g <= 1/2.
+    SUDDEN_EXPANSION: ScenarioForms(
+        qh=lambda z, g, beta_h: (z - g) / (z * beta_h),
+        qc=lambda z, g, beta_h: (g - 0.5 * (1.0 + z * z)) / beta_h,
+        work=lambda z, g, beta_h: (1.0 - z) * (z * (1.0 + z) - 2.0 * g) / (2.0 * z * beta_h),
+        engine_lower_z=engine_lower_z_se,
+        efficiency_cubic=lambda g: (-1.5 * g, 0.0, -0.5 * g * (1.0 - 2.0 * g)),
+        fridge_top=lambda g: math.sqrt(2.0 * g - 1.0) if 2.0 * g > 1.0 else None,
+        heater_top=lambda g: g,
+        eta_at_max_work=lambda z: (1.0 - z) * (1.0 + 2.0 * z) / (2.0 * (1.0 + z)),
+    ),
+}
+
+
+def scenario_forms(scenario: Scenario) -> ScenarioForms:
+    """The closed-form record of one of the two asymmetric scenarios."""
+    try:
+        return _FORMS[scenario]
+    except KeyError:
+        raise ValueError(
+            "hot-limit closed forms cover only the two asymmetric scenarios "
+            f"(one sudden stroke, one adiabatic), got {scenario}"
+        ) from None
+
+
+# -- either scenario at one reduced point -----------------------------------
+
+
+def qh(r: ReducedParams, scenario: Scenario) -> float:
+    """Hot-bath heat for either asymmetric scenario."""
+    return scenario_forms(scenario).qh(r.z, _g(r), r.beta_h)
+
+
+def qc(r: ReducedParams, scenario: Scenario) -> float:
+    """Cold-bath heat for either asymmetric scenario."""
+    return scenario_forms(scenario).qc(r.z, _g(r), r.beta_h)
+
+
+def work(r: ReducedParams, scenario: Scenario) -> float:
+    """Net extracted work for either asymmetric scenario."""
+    return scenario_forms(scenario).work(r.z, _g(r), r.beta_h)
+
+
+def eta(r: ReducedParams, scenario: Scenario) -> Optional[float]:
+    """Efficiency work/q_h for either asymmetric scenario, None when q_h <= 0."""
+    forms = scenario_forms(scenario)
+    g = _g(r)
+    heat = forms.qh(r.z, g, r.beta_h)
+    if heat <= 0.0:
+        return None
+    return forms.work(r.z, g, r.beta_h) / heat
+
+
+def performance(r: ReducedParams, scenario: Scenario) -> PerformanceRecord:
+    """Assemble the full hot-limit performance record at one point."""
+    forms = scenario_forms(scenario)
+    g = _g(r)
+    q_h = forms.qh(r.z, g, r.beta_h)
+    w_ext = forms.work(r.z, g, r.beta_h)
+    return PerformanceRecord(
+        q_h=q_h,
+        q_c=forms.qc(r.z, g, r.beta_h),
+        w_ext=w_ext,
+        eta=w_ext / q_h if q_h > 0.0 else None,
+    )

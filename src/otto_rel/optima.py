@@ -28,16 +28,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SUDDEN_COMPRESSION, SUDDEN_EXPANSION, Scenario, relativistic_factor
-from .cubic import MonicCubic, principal_trig_root
-from .high_temperature import (
-    ReducedParams,
-    engine_lower_z_sc,
-    engine_lower_z_se,
-    eta,
-    qh,
-    work,
+from .core import (
+    SUDDEN_COMPRESSION,
+    SUDDEN_EXPANSION,
+    Scenario,
+    omega_function,
+    relativistic_factor,
 )
+from .cubic import MonicCubic, principal_trig_root
+from .high_temperature import ReducedParams, eta, performance, scenario_forms, work
 from .oracle import ScanSpec, maximize
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "z_star_eta_se",
     "eta_max_sc",
     "eta_max_se",
+    "peak_efficiency",
     "z_star_work",
     "eta_mw_sc",
     "eta_mw_se",
@@ -100,11 +100,7 @@ class OptimizationTarget:
     scenario: Scenario
 
     def __post_init__(self) -> None:
-        if self.scenario not in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-            raise ValueError(
-                "optimization is defined for the asymmetric scenarios only, "
-                f"got {self.scenario}"
-            )
+        scenario_forms(self.scenario)
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,16 @@ def _load(tau: float, v: float) -> float:
     return tau * relativistic_factor(v)
 
 
+def _engine_load(tau: float, v: float) -> float:
+    """The load g = tau * f(v), after checking that it leaves an engine window."""
+    g = _load(tau, v)
+    if g >= 1.0:
+        raise NoEngineWindowError(
+            f"reduced load tau*f(v) = {g} >= 1 leaves no engine window"
+        )
+    return g
+
+
 def efficiency_cubic(g: float, scenario: Scenario) -> MonicCubic:
     """Monic cubic whose largest real root is the efficiency-optimal ratio.
 
@@ -148,11 +154,8 @@ def efficiency_cubic(g: float, scenario: Scenario) -> MonicCubic:
     """
     if not 0.0 <= g < 1.0:
         raise ValueError(f"reduced load must lie in [0, 1), got {g}")
-    if scenario == SUDDEN_COMPRESSION:
-        return MonicCubic(a2=0.0, a1=-3.0 * g / (2.0 - g), a0=2.0 * g * g / (2.0 - g))
-    if scenario == SUDDEN_EXPANSION:
-        return MonicCubic(a2=-1.5 * g, a1=0.0, a0=-0.5 * g * (1.0 - 2.0 * g))
-    raise ValueError(f"no efficiency cubic for scenario {scenario}")
+    a2, a1, a0 = scenario_forms(scenario).efficiency_cubic(g)
+    return MonicCubic(a2=a2, a1=a1, a0=a0)
 
 
 def _interior(z: float) -> float:
@@ -163,11 +166,14 @@ def _interior(z: float) -> float:
     return z
 
 
+def _z_star_eta(tau: float, v: float, scenario: Scenario) -> float:
+    _validate_tau_v(tau, v, allow_zero_tau=True)
+    return _interior(principal_trig_root(efficiency_cubic(_load(tau, v), scenario)))
+
+
 def z_star_eta_sc(tau: float, v: float) -> float:
     """Efficiency-maximizing ratio, compression quench."""
-    _validate_tau_v(tau, v, allow_zero_tau=True)
-    root = principal_trig_root(efficiency_cubic(_load(tau, v), SUDDEN_COMPRESSION))
-    return _interior(root)
+    return _z_star_eta(tau, v, SUDDEN_COMPRESSION)
 
 
 def z_star_eta_se(tau: float, v: float) -> float:
@@ -176,9 +182,7 @@ def z_star_eta_se(tau: float, v: float) -> float:
     The cubic's trigonometric argument exceeds 1 when tau*f(v) < 1/2 and
     the solver continues through the hyperbolic branch automatically.
     """
-    _validate_tau_v(tau, v, allow_zero_tau=True)
-    root = principal_trig_root(efficiency_cubic(_load(tau, v), SUDDEN_EXPANSION))
-    return _interior(root)
+    return _z_star_eta(tau, v, SUDDEN_EXPANSION)
 
 
 def _eta_at(z: float, tau: float, v: float, scenario: Scenario) -> float:
@@ -190,20 +194,26 @@ def _eta_at(z: float, tau: float, v: float, scenario: Scenario) -> float:
     return value
 
 
-def eta_max_sc(eta_c: float, v: float) -> float:
-    """Maximum efficiency against Carnot efficiency, compression quench."""
+def _carnot_tau(eta_c: float) -> float:
+    """Temperature ratio tau = 1 - eta_c of a Carnot efficiency eta_c."""
     if not 0.0 < eta_c < 1.0:
         raise ValueError(f"Carnot efficiency must lie in (0, 1), got {eta_c}")
-    tau = 1.0 - eta_c
-    return _eta_at(z_star_eta_sc(tau, v), tau, v, SUDDEN_COMPRESSION)
+    return 1.0 - eta_c
+
+
+def peak_efficiency(tau: float, v: float, scenario: Scenario) -> float:
+    """Maximum efficiency over z at (tau, v): eta_max at eta_c = 1 - tau."""
+    return _eta_at(_z_star_eta(tau, v, scenario), tau, v, scenario)
+
+
+def eta_max_sc(eta_c: float, v: float) -> float:
+    """Maximum efficiency against Carnot efficiency, compression quench."""
+    return peak_efficiency(_carnot_tau(eta_c), v, SUDDEN_COMPRESSION)
 
 
 def eta_max_se(eta_c: float, v: float) -> float:
     """Maximum efficiency against Carnot efficiency, expansion quench."""
-    if not 0.0 < eta_c < 1.0:
-        raise ValueError(f"Carnot efficiency must lie in (0, 1), got {eta_c}")
-    tau = 1.0 - eta_c
-    return _eta_at(z_star_eta_se(tau, v), tau, v, SUDDEN_EXPANSION)
+    return peak_efficiency(_carnot_tau(eta_c), v, SUDDEN_EXPANSION)
 
 
 def z_star_work(tau: float, v: float) -> float:
@@ -223,12 +233,12 @@ def z_star_work(tau: float, v: float) -> float:
         raise ValueError(f"tau must be positive, got {tau}")
     if not 0.0 <= v < 1.0:
         raise ValueError(f"v must lie in [0, 1), got {v}")
-    g = _load(tau, v)
-    if g >= 1.0:
-        raise NoEngineWindowError(
-            f"reduced load tau*f(v) = {g} >= 1 leaves no engine window"
-        )
-    return g ** (1.0 / 3.0)
+    return _engine_load(tau, v) ** (1.0 / 3.0)
+
+
+def _eta_mw(eta_c: float, v: float, scenario: Scenario) -> float:
+    z = z_star_work(_carnot_tau(eta_c), v)
+    return scenario_forms(scenario).eta_at_max_work(z)
 
 
 def eta_mw_sc(eta_c: float, v: float) -> float:
@@ -238,10 +248,7 @@ def eta_mw_sc(eta_c: float, v: float) -> float:
     to (1-z)**2 (2+z) / (2 - z - z**3); the v-dependence enters only
     through z.
     """
-    if not 0.0 < eta_c < 1.0:
-        raise ValueError(f"Carnot efficiency must lie in (0, 1), got {eta_c}")
-    z = z_star_work(1.0 - eta_c, v)
-    return (1.0 - z) ** 2 * (2.0 + z) / (2.0 - z - z**3)
+    return _eta_mw(eta_c, v, SUDDEN_COMPRESSION)
 
 
 def eta_mw_se(eta_c: float, v: float) -> float:
@@ -250,18 +257,7 @@ def eta_mw_se(eta_c: float, v: float) -> float:
     Same substitution as eta_mw_sc; here the ratio collapses to
     (1-z)(1+2z) / (2(1+z)).
     """
-    if not 0.0 < eta_c < 1.0:
-        raise ValueError(f"Carnot efficiency must lie in (0, 1), got {eta_c}")
-    z = z_star_work(1.0 - eta_c, v)
-    return (1.0 - z) * (1.0 + 2.0 * z) / (2.0 * (1.0 + z))
-
-
-def _eta_max(tau: float, v: float, scenario: Scenario) -> float:
-    if scenario == SUDDEN_COMPRESSION:
-        return eta_max_sc(1.0 - tau, v)
-    if scenario == SUDDEN_EXPANSION:
-        return eta_max_se(1.0 - tau, v)
-    raise ValueError(f"no maximum-efficiency form for scenario {scenario}")
+    return _eta_mw(eta_c, v, SUDDEN_EXPANSION)
 
 
 def omega_value(r: ReducedParams, scenario: Scenario) -> float:
@@ -270,23 +266,13 @@ def omega_value(r: ReducedParams, scenario: Scenario) -> float:
     eta_max is the scenario's maximum efficiency at (tau, v), recomputed
     per call; use a local closure when sweeping z at fixed (tau, v).
     """
-    cap = _eta_max(r.tau, r.v, scenario)
-    return 2.0 * work(r, scenario) - cap * qh(r, scenario)
+    return omega_function(performance(r, scenario), peak_efficiency(r.tau, r.v, scenario))
 
 
 def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, float]:
     """The interval of ratios with nonnegative work output, (z_low, 1)."""
     _validate_tau_v(tau, v)
-    g = _load(tau, v)
-    if g >= 1.0:
-        raise NoEngineWindowError(
-            f"reduced load tau*f(v) = {g} >= 1 leaves no engine window"
-        )
-    if scenario == SUDDEN_COMPRESSION:
-        return engine_lower_z_sc(g), 1.0
-    if scenario == SUDDEN_EXPANSION:
-        return engine_lower_z_se(g), 1.0
-    raise ValueError(f"no engine window table for scenario {scenario}")
+    return scenario_forms(scenario).engine_lower_z(_engine_load(tau, v)), 1.0
 
 
 def _certified(
@@ -315,11 +301,11 @@ def _omega_problem(tau: float, v: float, scenario: Scenario, beta_h: float = 1.0
     Both stationarity conditions reduce to z**3 = g (1 - eta_max/2) with
     g = tau*f(v); eta_max is computed once and shared with the objective.
     """
-    cap = _eta_max(tau, v, scenario)
+    cap = peak_efficiency(tau, v, scenario)
 
     def objective(z: float) -> float:
         r = ReducedParams(z=z, tau=tau, v=v, beta_h=beta_h)
-        return 2.0 * work(r, scenario) - cap * qh(r, scenario)
+        return omega_function(performance(r, scenario), cap)
 
     return (_load(tau, v) * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), objective
 
@@ -339,12 +325,14 @@ def z_star_omega_se(tau: float, v: float) -> float:
     return _z_star_omega(tau, v, SUDDEN_EXPANSION)
 
 
+def _eta_omega(eta_c: float, v: float, scenario: Scenario) -> float:
+    tau = _carnot_tau(eta_c)
+    return _eta_at(_z_star_omega(tau, v, scenario), tau, v, scenario)
+
+
 def eta_omega_sc(eta_c: float, v: float) -> float:
     """Efficiency at the trade-off optimum, compression quench."""
-    if not 0.0 < eta_c < 1.0:
-        raise ValueError(f"Carnot efficiency must lie in (0, 1), got {eta_c}")
-    tau = 1.0 - eta_c
-    return _eta_at(z_star_omega_sc(tau, v), tau, v, SUDDEN_COMPRESSION)
+    return _eta_omega(eta_c, v, SUDDEN_COMPRESSION)
 
 
 def eta_omega_se(eta_c: float, v: float) -> float:
@@ -354,10 +342,7 @@ def eta_omega_se(eta_c: float, v: float) -> float:
     least half the absorbed heat on parasitic excitation at this
     operating point.
     """
-    if not 0.0 < eta_c < 1.0:
-        raise ValueError(f"Carnot efficiency must lie in (0, 1), got {eta_c}")
-    tau = 1.0 - eta_c
-    return _eta_at(z_star_omega_se(tau, v), tau, v, SUDDEN_EXPANSION)
+    return _eta_omega(eta_c, v, SUDDEN_EXPANSION)
 
 
 def work_crossing_z(tau: float, v: float) -> float:
@@ -385,11 +370,7 @@ def optimize(
     scenario = target.scenario
 
     if target.objective == Objective.EFFICIENCY:
-        candidate = (
-            z_star_eta_sc(tau, v)
-            if scenario == SUDDEN_COMPRESSION
-            else z_star_eta_se(tau, v)
-        )
+        candidate = _z_star_eta(tau, v, scenario)
         objective = lambda z: _eta_or_nan(z, tau, v, scenario)
     elif target.objective == Objective.WORK:
         candidate = z_star_work(tau, v)

@@ -16,15 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .core import SUDDEN_COMPRESSION, SUDDEN_EXPANSION, Scenario, relativistic_factor
-from .high_temperature import (
-    ReducedParams,
-    engine_lower_z_sc,
-    engine_lower_z_se,
-    qc,
-    qh,
-    work,
-)
+from .core import Scenario, relativistic_factor
+from .high_temperature import ReducedParams, performance, scenario_forms
 
 __all__ = [
     "BOUNDARY_EPS",
@@ -90,7 +83,8 @@ def classify_by_signs(
     r: ReducedParams, scenario: Scenario, eps: float = BOUNDARY_EPS
 ) -> OperationalMode:
     """Classify one reduced point by evaluating the heats and work."""
-    return classify_signs(work(r, scenario), qh(r, scenario), qc(r, scenario), eps)
+    rec = performance(r, scenario)
+    return classify_signs(rec.w_ext, rec.q_h, rec.q_c, eps)
 
 
 def _edges(g: float, scenario: Scenario) -> tuple[Optional[float], float, float]:
@@ -100,12 +94,8 @@ def _edges(g: float, scenario: Scenario) -> tuple[Optional[float], float, float]
     tau*f(v) <= 1/2: the required z**2 = 2*tau*f(v) - 1 has no real
     solution and the refrigerator region is absent.
     """
-    if scenario == SUDDEN_COMPRESSION:
-        return g, math.sqrt(g / (2.0 - g)), engine_lower_z_sc(g)
-    if scenario == SUDDEN_EXPANSION:
-        fridge = math.sqrt(2.0 * g - 1.0) if 2.0 * g > 1.0 else None
-        return fridge, g, engine_lower_z_se(g)
-    raise ValueError(f"no interval table for scenario {scenario}")
+    forms = scenario_forms(scenario)
+    return forms.fridge_top(g), forms.heater_top(g), forms.engine_lower_z(g)
 
 
 def classify_by_table(
@@ -143,37 +133,23 @@ def boundary_curves(
     Curves return nan where the edge does not exist (the expansion-quench
     qc_zero below tau*f(v) = 1/2).
     """
-    if scenario not in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        raise ValueError(f"no boundary curves for scenario {scenario}")
+    forms = scenario_forms(scenario)
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v}")
     factor = relativistic_factor(v)
 
-    if scenario == SUDDEN_COMPRESSION:
+    def curve(edge: Callable[[float], Optional[float]]) -> Callable[[float], float]:
+        def z_at(tau: float) -> float:
+            z = edge(tau * factor)
+            return math.nan if z is None else z
 
-        def qc_zero(tau: float) -> float:
-            return tau * factor
+        return z_at
 
-        def qh_zero(tau: float) -> float:
-            g = tau * factor
-            return math.sqrt(g / (2.0 - g))
-
-        def engine_min(tau: float) -> float:
-            return engine_lower_z_sc(tau * factor)
-
-    else:
-
-        def qc_zero(tau: float) -> float:
-            g = tau * factor
-            return math.sqrt(2.0 * g - 1.0) if 2.0 * g > 1.0 else math.nan
-
-        def qh_zero(tau: float) -> float:
-            return tau * factor
-
-        def engine_min(tau: float) -> float:
-            return engine_lower_z_se(tau * factor)
-
-    return {"qc_zero": qc_zero, "qh_zero": qh_zero, "engine_min": engine_min}
+    return {
+        "qc_zero": curve(forms.fridge_top),
+        "qh_zero": curve(forms.heater_top),
+        "engine_min": curve(forms.engine_lower_z),
+    }
 
 
 @dataclass(frozen=True)
@@ -205,12 +181,19 @@ def rasterize(scenario: Scenario, v: float, resolution: int = 200) -> PhaseMap:
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"velocity v must lie in (0, 1), got {v}")
+    forms = scenario_forms(scenario)
     axis = tuple((i + 0.5) / resolution for i in range(resolution))
+    # Every cell sits inside the reduced domain, so the forms are read
+    # directly with g = tau * f(v) computed once per tau column.
+    factor = relativistic_factor(v)
+    loads = [tau * factor for tau in axis]
+    qh, qc, work = forms.qh, forms.qc, forms.work
     rows = []
     for z in axis:
         row = tuple(
-            classify_by_signs(ReducedParams(z=z, tau=tau, v=v), scenario)
-            for tau in axis
+            classify_signs(work(z, g, 1.0), qh(z, g, 1.0), qc(z, g, 1.0)) for g in loads
         )
         rows.append(row)
     return PhaseMap(v=v, z_axis=axis, tau_axis=axis, cells=tuple(rows), scenario=scenario)

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, reproducibility."""
 
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -112,6 +113,9 @@ def test_evaluate_csv_format(capsys):
         (("--z", "0.5", "--tau", "1.0", "--v", "0.5"), "(0,1)"),
         (("--z", "0.5", "--tau", "0.5", "--v", "0.5", "--beta-h", "-1"), "positive"),
         (("--z", "0.5", "--tau", "0.5", "--v", "0.5", "--exact", "--omega-h", "0"), "positive"),
+        (("--z", "0.5", "--tau", "0.5", "--v", "0.5", "--beta-h", "inf"), "beta-h is not finite"),
+        (("--z", "0.5", "--tau", "0.5", "--v", "0.5", "--exact", "--omega-h", "inf"),
+         "omega-h is not finite"),
     ],
 )
 def test_evaluate_rejects_out_of_domain(capsys, flags, needle):
@@ -170,6 +174,11 @@ def test_optimize_domain_error_exits_2(capsys):
         "--tau", "1.2", "--v", "0.5",
     )
     assert code == 2 and "tau" in err
+    code, out, err = run(
+        capsys, "optimize", "--objective", "work", "--scenario", "sc",
+        "--tau", "0.5", "--v", "0.5", "--beta-h", "inf",
+    )
+    assert code == 2 and out == "" and "beta-h is not finite" in err
 
 
 def test_window_failures_exit_3(capsys, monkeypatch):
@@ -196,13 +205,27 @@ def test_arithmetic_failure_exits_3_without_traceback(capsys):
     assert err.startswith("otto-rel: error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_non_finite_result_exits_3_with_no_output(capsys, fmt):
+_EVALUATE_TINY_BETA = (
+    "evaluate", "--scenario", "se", "--z", "0.5", "--tau", "0.5", "--v", "0.5",
+    "--beta-h", "1e-310",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_EVALUATE_TINY_BETA + ("--format", "json"), id="json"),
+        pytest.param(_EVALUATE_TINY_BETA + ("--format", "csv"), id="csv"),
+        pytest.param(
+            ("sweep", "--scenario", "se", "--tau", "0.5", "--v", "0.5", "--z-min", "0.1",
+             "--z-max", "0.9", "--points", "2", "--beta-h", "1e-310"),
+            id="sweep",
+        ),
+    ],
+)
+def test_non_finite_result_exits_3_with_no_output(capsys, argv):
     # 1/beta_h overflows, so the heats are infinite
-    code, out, err = run(
-        capsys, "evaluate", "--scenario", "se", "--z", "0.5", "--tau", "0.5",
-        "--v", "0.5", "--beta-h", "1e-310", "--format", fmt,
-    )
+    code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("otto-rel: error:") and err.count("\n") == 1
@@ -369,6 +392,35 @@ def test_figure_outputs_are_reproducible(capsys, tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# Frozen SHA-256 of small figure and sweep outputs.  Criterion 9 compares two
+# runs of one tree; these pins catch a bit that moves across a refactor.
+FROZEN_OUTPUTS = {
+    ("figure", "--id", "2", "--points", "7", "--v-list", "0.35,0.75"):
+        "326e4befb5c7338d517e6320f827157979087ec7e8210e0fed00ae8c1e76af9b",
+    ("figure", "--id", "3", "--points", "7", "--v-list", "0.35,0.75"):
+        "6bb89e0c0e023b86cce59ff22997f9c11402225a04d1b5b81b6240f4864383b7",
+    ("figure", "--id", "4", "--points", "7", "--v-list", "0.35,0.75"):
+        "55a4bbb643292a50d3c5ac5d9990448647d84f0f6a2b6dcc5f47c8dbfee7395c",
+    ("figure", "--id", "5", "--resolution", "9", "--v-list", "0.35,0.75"):
+        "e58e4e3954cf63298ba36d136b5f10ba3d42ca976159bf0fd7e237205b164b25",
+    ("figure", "--id", "6", "--resolution", "9", "--v-list", "0.35,0.75"):
+        "ce1220df346f8bcfc99a9ac773a13429e8eda5f0c74dfc5c456f26411420b805",
+    ("sweep", "--scenario", "sc", "--tau", "0.5", "--v", "0.5",
+     "--z-min", "0.05", "--z-max", "1", "--points", "25"):
+        "d04fd02bfd3e306c6cd977a5a043e31e62de604a512925a13f2626fe6d16be21",
+    ("sweep", "--scenario", "se", "--tau", "0.25", "--v", "0.75",
+     "--z-min", "0.05", "--z-max", "1", "--points", "25"):
+        "e5c890ead07d5721931f7df41266ac8dc4433f2b5133280ff363a3b197a3706a",
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_OUTPUTS), ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_outputs_match_frozen_digests(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_OUTPUTS[argv]
 
 
 def test_figure_rejects_unknown_id(capsys):

@@ -19,6 +19,7 @@ from otto_rel import (
     qc,
     qh,
     relativistic_factor,
+    scenario_forms,
     work,
 )
 from _reference import REFERENCE
@@ -128,8 +129,9 @@ def test_work_changes_sign_at_window_edge(edge_fn, scenario):
 
 def test_symmetric_scenarios_are_rejected():
     for scenario in (BOTH_ADIABATIC, BOTH_SUDDEN):
-        with pytest.raises(ValueError):
-            qh(SPOT, scenario)
+        for call in (scenario_forms, lambda s: qh(SPOT, s), lambda s: performance(SPOT, s)):
+            with pytest.raises(ValueError, match="asymmetric scenarios"):
+                call(scenario)
 
 
 def test_reduced_params_validation():

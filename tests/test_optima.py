@@ -32,6 +32,7 @@ from otto_rel import (
     maximize,
     omega_value,
     optimize,
+    peak_efficiency,
     qh,
     relativistic_factor,
     work,
@@ -62,6 +63,8 @@ def test_frozen_closed_form_optima(key):
     assert z_star_eta_se(tau, v) == pytest.approx(want["z_eta_se"], rel=1e-13)
     assert eta_max_sc(eta_c, v) == pytest.approx(want["eta_max_sc"], rel=1e-13)
     assert eta_max_se(eta_c, v) == pytest.approx(want["eta_max_se"], rel=1e-13)
+    for scenario, name in ((SUDDEN_COMPRESSION, "eta_max_sc"), (SUDDEN_EXPANSION, "eta_max_se")):
+        assert peak_efficiency(tau, v, scenario) == pytest.approx(want[name], rel=1e-13)
 
     assert z_star_work(tau, v) == pytest.approx(want["z_work"], rel=1e-15)
     assert eta_mw_sc(eta_c, v) == pytest.approx(want["eta_mw_sc"], rel=1e-13)

@@ -180,6 +180,19 @@ def test_rasterize_layout_and_determinism():
     assert rasterize(SUDDEN_COMPRESSION, 0.5, resolution=24) == pm
     with pytest.raises(ValueError):
         rasterize(SUDDEN_COMPRESSION, 0.5, resolution=1)
+    with pytest.raises(ValueError):
+        rasterize(SUDDEN_COMPRESSION, 1.0, resolution=24)
+    with pytest.raises(ValueError):
+        rasterize(BOTH_SUDDEN, 0.5, resolution=24)
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
+@pytest.mark.parametrize("v", [0.35, 0.95])
+def test_rasterize_matches_per_point_classifier(scenario, v):
+    pm = rasterize(scenario, v, resolution=40)
+    for z, row in zip(pm.z_axis, pm.cells):
+        for tau, mode in zip(pm.tau_axis, row):
+            assert mode is classify_by_signs(ReducedParams(z=z, tau=tau, v=v), scenario)
 
 
 def test_phase_map_shape_validation():
