@@ -13,10 +13,11 @@ a non-finite result).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 from .core import (
     SUDDEN_COMPRESSION,
@@ -37,7 +38,7 @@ from .optima import (
     peak_efficiency,
 )
 from .oracle import OracleFailure
-from .phase_diagram import classify_signs, mode_fractions, rasterize
+from .phase_diagram import OperationalMode, PhaseMap, classify_signs, mode_fractions, rasterize
 
 SCHEMA_LINE = "# otto-rel schema v1"
 
@@ -52,12 +53,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _output(output: Optional[str]) -> contextlib.AbstractContextManager[TextIO]:
+    """The text stream for --output: stdout when None (left open), else the file."""
     if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(output, "w", encoding="utf-8", newline="\n")
+
+
+def _emit(text: str, output: Optional[str]) -> None:
+    with _output(output) as handle:
+        handle.write(text)
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -198,14 +203,19 @@ def _check_resolution(resolution: int) -> None:
 
 
 _RASTER_HEADER = ("z", "tau", "v", "scenario", "mode")
+_MODE_ENDINGS = {mode: mode.value + "\n" for mode in OperationalMode}
 
 
-def _raster_rows(phase_map, token: str) -> list[list[object]]:
-    return [
-        [z, tau, phase_map.v, token, mode.value]
-        for z, row in zip(phase_map.z_axis, phase_map.cells)
-        for tau, mode in zip(phase_map.tau_axis, row)
-    ]
+def _write_raster(handle: TextIO, token: str, phase_maps: Iterable[PhaseMap]) -> None:
+    """Raster CSV, one write per z row; each axis value is formatted once."""
+    handle.write(_csv(_RASTER_HEADER, ()))
+    for phase_map in phase_maps:
+        v = repr(phase_map.v)
+        suffixes = [f"{tau!r},{v},{token}," for tau in phase_map.tau_axis]
+        for z, row in zip(phase_map.z_axis, phase_map.cells):
+            head = repr(z) + ","
+            handle.write("".join([head + suffix + _MODE_ENDINGS[mode]
+                                  for suffix, mode in zip(suffixes, row)]))
 
 
 def _cmd_phase_map(args) -> int:
@@ -213,7 +223,8 @@ def _cmd_phase_map(args) -> int:
         raise ValueError(f"v must lie in (0,1), got {args.v}")
     _check_resolution(args.resolution)
     phase_map = rasterize(_SCENARIOS[args.scenario], args.v, args.resolution)
-    _emit(_csv(_RASTER_HEADER, _raster_rows(phase_map, args.scenario)), args.output)
+    with _output(args.output) as handle:
+        _write_raster(handle, args.scenario, [phase_map])
     summary = {
         "mode_fractions": mode_fractions(phase_map),
         "v": args.v,
@@ -271,14 +282,6 @@ def _figure_z(v_list, tau: float, points: int, columns: tuple[str, ...]) -> str:
     return _csv(("z", "v", "scenario", *columns), rows)
 
 
-def _figure_phase(token: str, v_list, resolution: int) -> str:
-    scenario = _SCENARIOS[token]
-    rows = []
-    for v in v_list:
-        rows += _raster_rows(rasterize(scenario, v, resolution), token)
-    return _csv(_RASTER_HEADER, rows)
-
-
 def _cmd_figure(args) -> int:
     v_list = _parse_v_list(args.v_list)
     if args.points is not None and args.points < 1:
@@ -296,8 +299,12 @@ def _cmd_figure(args) -> int:
         tau = args.tau if args.tau is not None else 0.4
         text = _figure_z(v_list, tau, points, ("eta", "work"))
     elif args.id in (5, 6):
+        # v-list and resolution are validated, so no raster raises mid-file
         token = "sc" if args.id == 5 else "se"
-        text = _figure_phase(token, v_list, args.resolution)
+        maps = (rasterize(_SCENARIOS[token], v, args.resolution) for v in v_list)
+        with _output(args.output) as handle:
+            _write_raster(handle, token, maps)
+        return 0
     else:  # argparse choices make this unreachable
         raise ValueError(f"unknown figure id {args.id}")
     _emit(text, args.output)

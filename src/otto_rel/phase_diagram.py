@@ -51,9 +51,13 @@ _SIGN_TABLE = {
 
 
 def _sign(x: float, eps: float) -> int:
-    if abs(x) <= eps:
+    if x > eps:
+        return 1
+    if x < -eps:
+        return -1
+    if x == x:
         return 0
-    return 1 if x > 0.0 else -1
+    raise FloatingPointError(f"cannot classify a quantity that is not finite ({x!r})")
 
 
 def classify_signs(
@@ -65,7 +69,7 @@ def classify_signs(
     patterns outside the four-mode table (for example W > 0 with both
     heats positive) cannot occur while the hot bath is hotter than the
     cold one; they indicate corrupted inputs and raise instead of
-    guessing.
+    guessing.  A nan quantity has no sign and raises FloatingPointError.
     """
     triple = (_sign(w_ext, eps), _sign(q_h, eps), _sign(q_c, eps))
     if 0 in triple:
@@ -201,10 +205,7 @@ def rasterize(scenario: Scenario, v: float, resolution: int = 200) -> PhaseMap:
 
 def mode_fractions(phase_map: PhaseMap) -> dict[str, float]:
     """Fraction of cells per mode, keyed by mode token, all keys present."""
-    counts = {mode.value: 0 for mode in OperationalMode}
-    total = 0
-    for row in phase_map.cells:
-        for mode in row:
-            counts[mode.value] += 1
-            total += 1
+    cells = phase_map.cells
+    counts = {mode.value: sum(row.count(mode) for row in cells) for mode in OperationalMode}
+    total = sum(counts.values())
     return {token: count / total for token, count in counts.items()}

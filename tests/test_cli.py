@@ -1,15 +1,20 @@
 """Command-line interface: schemas, exit codes, reproducibility."""
 
+import contextlib
 import hashlib
 import importlib.metadata
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import otto_rel
 from otto_rel import (
@@ -413,14 +418,53 @@ FROZEN_OUTPUTS = {
     ("sweep", "--scenario", "se", "--tau", "0.25", "--v", "0.75",
      "--z-min", "0.05", "--z-max", "1", "--points", "25"):
         "e5c890ead07d5721931f7df41266ac8dc4433f2b5133280ff363a3b197a3706a",
+    # phase-map: (CSV file, JSON summary on stdout)
+    ("phase-map", "--scenario", "sc", "--v", "0.35", "--resolution", "9"): (
+        "318d301690e8b9d5b455619d294b5590f6e75301c679a06752dcbd6d05df39e6",
+        "a29707748e39d15e2218d2764daaedcf1558e45c528c6e96f8d7365b57d437cb",
+    ),
+    ("phase-map", "--scenario", "se", "--v", "0.35", "--resolution", "9"): (
+        "3b3d32f11f2e7236f34ebf5618f8da05a7849ecd49ce159275b9063b2d954395",
+        "7c375c4d78efbec88412dedd14f80b4c74e8059d13b544f8ab630bdfd6448416",
+    ),
 }
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("argv", list(FROZEN_OUTPUTS), ids=lambda argv: f"{argv[0]}-{argv[2]}")
-def test_outputs_match_frozen_digests(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_outputs_match_frozen_digests(capsys, tmp_path, argv):
+    if argv[0] == "phase-map":
+        path = tmp_path / "map.csv"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        digest = (_sha256(path.read_bytes()), _sha256(out.encode("utf-8")))
+    else:
+        code, out, err = run(capsys, *argv)
+        digest = _sha256(out.encode("utf-8"))
     assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_OUTPUTS[argv]
+    assert digest == FROZEN_OUTPUTS[argv]
+
+
+def test_phase_map_memory_is_not_proportional_to_output(capsys, tmp_path):
+    # The raster is written row by row: the traced peak stays far below the
+    # size of the CSV it writes, where building the whole text would exceed it.
+    path = tmp_path / "map.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "phase-map", "--scenario", "se", "--v", "0.6",
+            "--resolution", "300", "--output", str(path),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < size / 2, f"traced peak {peak} B for a {size} B raster"
 
 
 def test_figure_rejects_unknown_id(capsys):
@@ -453,6 +497,104 @@ def test_figure_rejects_bad_v_list(capsys):
     assert code == 2 and "v-list" in err
     code, _, err = run(capsys, "figure", "--id", "2", "--v-list", "1.5")
     assert code == 2
+
+
+# -- contract over the argument space -------------------------------------------
+
+# Mostly values in (0, 1), so that many draws are valid; one draw in six is
+# an edge value: nan, +-inf, zero, negative, above 1, subnormal, huge.
+_UNIT_FLOAT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_EDGE_FLOAT = st.one_of(
+    st.sampled_from(
+        (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 1.5, 1e-300, 1e-310, 1e308)
+    ),
+    st.floats(),
+)
+_COUNT_FLAG = st.integers(min_value=-3, max_value=30)
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand with drawn flags, each as --name=value so '-inf' parses."""
+
+    def number():
+        return draw(_EDGE_FLOAT if draw(st.integers(0, 5)) == 0 else _UNIT_FLOAT)
+
+    command = draw(st.sampled_from(("evaluate", "optimize", "sweep", "phase-map")))
+    flags = {"scenario": draw(st.sampled_from(("sc", "se"))), "v": number()}
+    if command == "phase-map":
+        flags["resolution"] = draw(_COUNT_FLAG)
+    else:
+        flags.update(tau=number(), beta_h=number())
+    if command == "evaluate":
+        flags.update(z=number(), format=draw(st.sampled_from(("json", "csv"))))
+        if draw(st.booleans()):
+            flags.update(exact=True, omega_h=number())
+    elif command == "optimize":
+        flags.update(
+            objective=draw(st.sampled_from(("eta", "work", "omega"))),
+            format=draw(st.sampled_from(("json", "csv"))),
+        )
+    elif command == "sweep":
+        flags.update(z_min=number(), z_max=number(), points=draw(_COUNT_FLAG))
+    argv = [command]
+    for name, value in flags.items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={value if isinstance(value, str) else repr(value)}")
+    return argv
+
+
+def _reject_constant(token):
+    raise AssertionError(f"JSON constant {token} in output")
+
+
+def _assert_finite_csv(text: str) -> None:
+    lines = text.splitlines()
+    assert lines[0] == SCHEMA
+    for line in lines[2:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), line
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_cli_argv())
+# Inputs that once printed a traceback or non-finite numbers with exit 0.
+@example(argv=["evaluate", "--scenario=sc", "--v=0.5", "--tau=0.5", "--z=1e-300"])
+@example(argv=["evaluate", "--scenario=se", "--v=0.5", "--tau=0.5", "--z=0.5",
+               "--beta-h=1e-310"])
+@example(argv=["evaluate", "--scenario=se", "--v=0.5", "--tau=0.5", "--z=0.5",
+               "--beta-h=1e-320", "--exact"])
+@example(argv=["sweep", "--scenario=se", "--v=0.5", "--tau=0.5", "--z-min=0.1",
+               "--z-max=0.9", "--points=2", "--beta-h=1e-310"])
+def test_every_accepted_input_ends_in_output_or_one_line_error(tmp_path_factory, argv):
+    raster = tmp_path_factory.getbasetemp() / "contract-map.csv"
+    raster.unlink(missing_ok=True)
+    if argv[0] == "phase-map":
+        argv = argv + [f"--output={raster}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{argv[0]} exit {code}")
+    if code == 0:
+        assert err == ""
+        if out.startswith(SCHEMA):
+            _assert_finite_csv(out)
+        else:
+            json.loads(out, parse_constant=_reject_constant)
+        if argv[0] == "phase-map":
+            _assert_finite_csv(raster.read_text())
+    else:
+        assert code in (2, 3)
+        assert out == ""
+        assert err.startswith("otto-rel: error:") and err.count("\n") == 1, err
 
 
 # -- declared entry point ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Mode classification: sign route vs interval route, rasters, curves."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -53,6 +54,26 @@ def test_impossible_sign_patterns_raise():
         classify_signs(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         classify_signs(-1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "triple", [(math.nan, math.nan, math.nan), (math.nan, 1.0, -1.0), (1.0, 1.0, math.nan)]
+)
+def test_nan_is_refused_not_classified(triple):
+    # nan has no sign; FloatingPointError is an ArithmeticError (CLI exit 3)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        classify_signs(*triple)
+
+
+def test_infinite_quantities_keep_their_sign():
+    inf = math.inf
+    assert classify_signs(inf, inf, -inf) is E
+    assert classify_signs(-inf, -inf, inf) is R
+    assert classify_signs(-inf, -1.0, -inf) is H
+    assert classify_signs(-1.0, inf, -1.0) is T
+    assert classify_signs(0.0, inf, -inf) is B
+    with pytest.raises(ValueError):
+        classify_signs(inf, inf, inf)
 
 
 def test_known_mode_points_compression():
@@ -213,6 +234,17 @@ def test_mode_fractions_complete_and_normalized():
     assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-12)
     assert fractions["engine"] > 0.0
     assert fractions["boundary"] <= 0.01
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
+@pytest.mark.parametrize("v,resolution", [(0.05, 17), (0.35, 40), (0.75, 33), (0.95, 64)])
+def test_mode_fractions_equal_per_cell_count(scenario, v, resolution):
+    pm = rasterize(scenario, v, resolution=resolution)
+    counts = Counter(mode for row in pm.cells for mode in row)
+    want = {mode.value: counts[mode] / resolution**2 for mode in OperationalMode}
+    fractions = mode_fractions(pm)
+    assert fractions == want
+    assert list(fractions) == [mode.value for mode in OperationalMode]
 
 
 def test_engine_share_grows_with_velocity():
