@@ -37,7 +37,6 @@ from .optima import (
     optimize,
     peak_efficiency,
 )
-from .oracle import OracleFailure
 from .phase_diagram import OperationalMode, PhaseMap, classify_signs, mode_fractions, rasterize
 
 SCHEMA_LINE = "# otto-rel schema v1"
@@ -158,7 +157,7 @@ def _cmd_optimize(args) -> int:
         "z_star": report.z_star,
         "value": report.value_at_opt,
         "eta": report.eta_at_opt,
-        "source": report.source.value,
+        "source": "closed-form",
     }
     _render_mapping(mapping, args.format, args.output)
     return 0
@@ -394,7 +393,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (NoEngineWindowError, NoInteriorOptimumError, OracleFailure) as exc:
+    except (NoEngineWindowError, NoInteriorOptimumError) as exc:
         print(f"otto-rel: error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:

@@ -10,16 +10,17 @@ the compression ratio z at fixed (tau, v), with g = tau*f(v):
   of the stationarity condition;
 * maximum trade-off     -- the objective 2*W - eta_max*Q_h of Hernandez
   et al., Phys. Rev. E 63, 037102 (2001).  Both scenarios reduce its
-  stationarity condition to z**3 = g (1 - eta_max/2), so the maximizer is
+  stationarity condition to z**3 = g (1 - eta_max/2), so the optimum is
   (g (1 - eta_max/2))**(1/3).
 
-Every closed-form candidate passes a cheap certificate before it is
-labeled closed-form: it must be finite, lie strictly inside the engine
-window, and beat its two neighbours at a relative step of 1e-6.  A
-candidate that fails is replaced by the grid oracle's argmax and labeled
-oracle-fallback, so a corrupt closed form stays visible instead of fatal.
-The oracle verifies the closed forms in the tests, within
-ORACLE_AGREEMENT_TOL, and is not run when the certificate passes.
+Every closed-form candidate, the efficiency root behind eta_max included,
+passes a cheap certificate before it is returned: it must lie strictly
+inside the engine window, and the objective there must be no lower than
+at z* -/+ ORACLE_AGREEMENT_TOL (each probe checked when it lies inside the
+window).  For a unimodal objective this puts the true argmax within
+ORACLE_AGREEMENT_TOL of z*, the bound to which the tests verify the closed
+forms against the grid oracle.  A candidate that fails raises
+NoInteriorOptimumError; no numeric search stands in for it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ from .core import (
 )
 from .cubic import MonicCubic, principal_trig_root
 from .high_temperature import ReducedParams, eta, performance, scenario_forms, work
-from .oracle import ScanSpec, maximize
 
 __all__ = [
     "ORACLE_AGREEMENT_TOL",
     "Objective",
-    "OptimumSource",
     "OptimizationTarget",
     "OptimumReport",
     "NoEngineWindowError",
@@ -66,11 +65,9 @@ __all__ = [
     "optimize",
 ]
 
-#: Largest gap in z allowed between a closed form and the grid oracle.
+#: Largest gap in z allowed between a closed form and the true argmax;
+#: also the step of the two probes of the closed-form certificate.
 ORACLE_AGREEMENT_TOL = 1e-6
-
-#: Relative step of the two probes of the closed-form certificate.
-CERTIFICATE_STEP = 1e-6
 
 
 class NoEngineWindowError(ValueError):
@@ -87,11 +84,6 @@ class Objective(str, Enum):
     OMEGA = "omega"
 
 
-class OptimumSource(str, Enum):
-    CLOSED_FORM = "closed-form"
-    ORACLE_FALLBACK = "oracle-fallback"
-
-
 @dataclass(frozen=True)
 class OptimizationTarget:
     """An objective paired with one of the two asymmetric scenarios."""
@@ -105,16 +97,11 @@ class OptimizationTarget:
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Optimal ratio plus the objective value and efficiency reached there.
-
-    source is closed-form when the analytic value passed the local
-    certificate and oracle-fallback when the grid oracle supplied z_star.
-    """
+    """Certified optimal ratio plus the objective value and efficiency there."""
 
     z_star: float
     value_at_opt: float
     eta_at_opt: float
-    source: OptimumSource
 
     def __post_init__(self) -> None:
         if not 0.0 < self.z_star < 1.0:
@@ -140,6 +127,10 @@ def _engine_load(tau: float, v: float) -> float:
     if g >= 1.0:
         raise NoEngineWindowError(
             f"reduced load tau*f(v) = {g} >= 1 leaves no engine window"
+        )
+    if g == 0.0:
+        raise NoInteriorOptimumError(
+            f"reduced load tau*f(v) underflows to 0 at tau={tau}, v={v}"
         )
     return g
 
@@ -202,8 +193,9 @@ def _carnot_tau(eta_c: float) -> float:
 
 
 def peak_efficiency(tau: float, v: float, scenario: Scenario) -> float:
-    """Maximum efficiency over z at (tau, v): eta_max at eta_c = 1 - tau."""
-    return _eta_at(_z_star_eta(tau, v, scenario), tau, v, scenario)
+    """Maximum efficiency over z at (tau, v), eta_c = 1 - tau, at the certified cubic root."""
+    objective = lambda z: _eta_at(z, tau, v, scenario)
+    return _certified(_z_star_eta(tau, v, scenario), tau, v, scenario, objective)[1]
 
 
 def eta_max_sc(eta_c: float, v: float) -> float:
@@ -220,7 +212,7 @@ def z_star_work(tau: float, v: float) -> float:
     """Work-maximizing ratio (tau*f(v))**(1/3), valid for both scenarios.
 
     Differentiating either work expression gives the same stationarity
-    condition z**3 = tau*f(v), so the maximizer is shared.
+    condition z**3 = tau*f(v), so the optimum is shared.
 
     Raises
     ------
@@ -277,26 +269,30 @@ def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, floa
 
 def _certified(
     candidate: float, tau: float, v: float, scenario: Scenario, objective
-) -> tuple[float, OptimumSource]:
-    """Accept a closed-form maximizer after a local check, else ask the oracle.
+) -> tuple[float, float]:
+    """A closed-form optimal ratio and its objective value, once certified.
 
-    The candidate is kept when it is finite, it and its two probes
-    z* -/+ delta (delta = CERTIFICATE_STEP * z*) lie strictly inside the
-    engine window, and the objective there is no lower than at either
-    probe.  Otherwise the grid oracle's argmax on the window is returned.
+    The candidate must lie strictly inside the engine window, and the
+    objective there must be no lower than at z* -/+ ORACLE_AGREEMENT_TOL
+    (a probe outside the window is not checked; NaN fails).  Either
+    failure raises NoInteriorOptimumError.
     """
     lo, hi = engine_window(tau, v, scenario)
-    delta = CERTIFICATE_STEP * candidate
-    if math.isfinite(candidate) and lo < candidate - delta and candidate + delta < hi:
-        peak = objective(candidate)
-        if peak >= objective(candidate - delta) and peak >= objective(candidate + delta):
-            return candidate, OptimumSource.CLOSED_FORM
-    z_star, _ = maximize(objective, ScanSpec(lo=lo, hi=hi))
-    return z_star, OptimumSource.ORACLE_FALLBACK
+    if not lo < candidate < hi:
+        raise NoInteriorOptimumError(
+            f"stationary ratio {candidate} is outside the engine window ({lo}, {hi})"
+        )
+    peak = objective(candidate)
+    for probe in (candidate - ORACLE_AGREEMENT_TOL, candidate + ORACLE_AGREEMENT_TOL):
+        if lo < probe < hi and not objective(probe) <= peak:
+            raise NoInteriorOptimumError(
+                f"stationary ratio {candidate} is not a local maximum at tau={tau}, v={v}"
+            )
+    return candidate, peak
 
 
 def _omega_problem(tau: float, v: float, scenario: Scenario, beta_h: float = 1.0):
-    """Closed-form trade-off maximizer and the objective it maximizes.
+    """Closed-form trade-off optimum and the objective it optimizes.
 
     Both stationarity conditions reduce to z**3 = g (1 - eta_max/2) with
     g = tau*f(v); eta_max is computed once and shared with the objective.
@@ -360,9 +356,7 @@ def optimize(
 ) -> OptimumReport:
     """Run one objective end to end and report the certified optimum.
 
-    The closed-form candidate is returned when it passes the local
-    certificate; otherwise the grid oracle's argmax on the engine window
-    is returned, and the report's source says which one it is.
+    Raises NoInteriorOptimumError when the closed form fails its certificate.
     """
     _validate_tau_v(tau, v)
     if not beta_h > 0.0:
@@ -371,7 +365,7 @@ def optimize(
 
     if target.objective == Objective.EFFICIENCY:
         candidate = _z_star_eta(tau, v, scenario)
-        objective = lambda z: _eta_or_nan(z, tau, v, scenario)
+        objective = lambda z: _eta_at(z, tau, v, scenario)
     elif target.objective == Objective.WORK:
         candidate = z_star_work(tau, v)
         objective = lambda z: work(
@@ -382,15 +376,9 @@ def optimize(
     else:
         raise ValueError(f"unknown objective {target.objective}")
 
-    z_star, source = _certified(candidate, tau, v, scenario, objective)
+    z_star, value = _certified(candidate, tau, v, scenario, objective)
     return OptimumReport(
         z_star=z_star,
-        value_at_opt=objective(z_star),
+        value_at_opt=value,
         eta_at_opt=_eta_at(z_star, tau, v, scenario),
-        source=source,
     )
-
-
-def _eta_or_nan(z: float, tau: float, v: float, scenario: Scenario) -> float:
-    value = eta(ReducedParams(z=z, tau=tau, v=v), scenario)
-    return math.nan if value is None else value

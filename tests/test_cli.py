@@ -210,6 +210,46 @@ def test_arithmetic_failure_exits_3_without_traceback(capsys):
     assert err.startswith("otto-rel: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the cubic root leaves the engine window, so eta_max would be negative
+        pytest.param(
+            ("optimize", "--objective", "omega", "--scenario", "sc",
+             "--tau", "0.9999999819051079", "--v", "1e-190"),
+            id="omega-negative-eta-max",
+        ),
+        pytest.param(
+            ("evaluate", "--scenario", "sc", "--z", "0.9999999999",
+             "--tau", "0.9999999999999979", "--v", "1e-12"),
+            id="evaluate-negative-eta-max",
+        ),
+        # the cubic root lands just below an engine window 6.7e-10 wide
+        pytest.param(
+            ("optimize", "--objective", "eta", "--scenario", "sc",
+             "--tau", "0.999999999", "--v", "1e-6"),
+            id="eta-flat-narrow-window",
+        ),
+        # tau * f(v) underflows to zero
+        pytest.param(
+            ("optimize", "--objective", "work", "--scenario", "sc",
+             "--tau", "5e-324", "--v", "0.99"),
+            id="work-sc-zero-load",
+        ),
+        pytest.param(
+            ("optimize", "--objective", "work", "--scenario", "se",
+             "--tau", "5e-324", "--v", "0.99"),
+            id="work-se-zero-load",
+        ),
+    ],
+)
+def test_uncertified_optimum_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("otto-rel: error:") and err.count("\n") == 1, err
+
+
 _EVALUATE_TINY_BETA = (
     "evaluate", "--scenario", "se", "--z", "0.5", "--tau", "0.5", "--v", "0.5",
     "--beta-h", "1e-310",

@@ -16,7 +16,6 @@ from otto_rel import (
     Objective,
     OptimizationTarget,
     OptimumReport,
-    OptimumSource,
     ReducedParams,
     ScanSpec,
     derivative_check,
@@ -242,7 +241,6 @@ def test_optimize_efficiency_report():
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
     report = optimize(OptimizationTarget(Objective.EFFICIENCY, SUDDEN_COMPRESSION), 0.5, 0.5)
     assert isinstance(report, OptimumReport)
-    assert report.source is OptimumSource.CLOSED_FORM
     assert report.z_star == pytest.approx(want["z_eta_sc"], rel=1e-13)
     assert report.value_at_opt == report.eta_at_opt
     assert report.eta_at_opt == pytest.approx(want["eta_max_sc"], rel=1e-12)
@@ -252,7 +250,6 @@ def test_optimize_work_report_scales_with_temperature():
     want = REFERENCE["optima"]["tau=0.3,v=0.75"]
     target = OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION)
     base = optimize(target, 0.3, 0.75)
-    assert base.source is OptimumSource.CLOSED_FORM
     assert base.z_star == pytest.approx(want["z_work"], rel=1e-13)
     assert base.value_at_opt == pytest.approx(want["work_max_se"], rel=1e-12)
     colder = optimize(target, 0.3, 0.75, beta_h=2.0)
@@ -267,7 +264,6 @@ def test_optimize_trade_off_uses_closed_form():
         (SUDDEN_EXPANSION, "z_omega_se", "omega_max_se"),
     ):
         report = optimize(OptimizationTarget(Objective.OMEGA, scenario), 0.5, 0.5)
-        assert report.source is OptimumSource.CLOSED_FORM
         assert report.z_star == pytest.approx(want[z_key], rel=1e-13)
         assert report.value_at_opt == pytest.approx(want[w_key], rel=1e-12)
 
@@ -297,27 +293,58 @@ def test_trade_off_closed_form_agrees_with_oracle(scenario, z_fn, cap_fn):
             assert abs(z_fn(tau, v) - z_oracle) <= ORACLE_AGREEMENT_TOL, (tau, v)
 
 
+# A closed form that fails its certificate raises; the CLI turns that into
+# exit 3.
+
+
 def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
     lo, _ = engine_window(0.5, 0.5, SUDDEN_COMPRESSION)
     # inside the window, but on the rising flank below the true maximizer
     monkeypatch.setattr(optima, "z_star_work", lambda tau, v: 0.5 * (lo + want["z_work"]))
-    report = optimize(OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION), 0.5, 0.5)
-    assert report.source is OptimumSource.ORACLE_FALLBACK
-    assert report.z_star == pytest.approx(want["z_work"], abs=1e-8)
-    assert report.value_at_opt == pytest.approx(want["work_max_sc"], rel=1e-12)
+    with pytest.raises(NoInteriorOptimumError, match="not a local maximum"):
+        optimize(OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION), 0.5, 0.5)
 
 
 @pytest.mark.parametrize("bad", ["below-window", 1.5, math.nan, math.inf])
 def test_optimize_falls_back_when_candidate_leaves_window(monkeypatch, bad):
-    want = REFERENCE["optima"]["tau=0.5,v=0.5"]
     lo, _ = engine_window(0.5, 0.5, SUDDEN_EXPANSION)
     candidate = 0.5 * lo if bad == "below-window" else bad
     monkeypatch.setattr(optima, "z_star_work", lambda tau, v: candidate)
-    report = optimize(OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION), 0.5, 0.5)
-    assert report.source is OptimumSource.ORACLE_FALLBACK
-    assert report.z_star == pytest.approx(want["z_work"], abs=1e-8)
-    assert report.value_at_opt == pytest.approx(want["work_max_se"], rel=1e-12)
+    with pytest.raises(NoInteriorOptimumError, match="is outside the engine window"):
+        optimize(OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION), 0.5, 0.5)
+
+
+def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
+    # eta_max feeds every trade-off value, so its cubic root is certified too
+    z_eta = z_star_eta_sc(0.5, 0.5)
+    monkeypatch.setattr(optima, "_z_star_eta", lambda tau, v, scenario: 0.9 * z_eta)
+    with pytest.raises(NoInteriorOptimumError):
+        peak_efficiency(0.5, 0.5, SUDDEN_COMPRESSION)
+    with pytest.raises(NoInteriorOptimumError):
+        z_star_omega_sc(0.5, 0.5)
+
+
+EDGE_AXIS = [1e-6] + [k / 65 for k in range(1, 65)] + [0.999999]
+
+
+@pytest.mark.parametrize("tau", [1e-6, 0.999999])
+def test_optimize_returns_the_closed_form_on_edge_rows(tau):
+    # at tau = 1e-6 the se objectives are flat to rounding; at tau = 0.999999
+    # the engine window can be narrower than the pair of certificate probes
+    z_eta_fns = {SUDDEN_COMPRESSION: z_star_eta_sc, SUDDEN_EXPANSION: z_star_eta_se}
+    for v in EDGE_AXIS:
+        g = tau * relativistic_factor(v)
+        for scenario, z_eta_fn in z_eta_fns.items():
+            cap = peak_efficiency(tau, v, scenario)
+            want = {
+                Objective.EFFICIENCY: z_eta_fn(tau, v),
+                Objective.WORK: z_star_work(tau, v),
+                Objective.OMEGA: (g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0),
+            }
+            for objective, z_want in want.items():
+                report = optimize(OptimizationTarget(objective, scenario), tau, v)
+                assert report.z_star == z_want, (tau, v, scenario, objective)
 
 
 def test_target_rejects_symmetric_scenarios():
@@ -327,7 +354,7 @@ def test_target_rejects_symmetric_scenarios():
 
 def test_report_validates_ratio():
     with pytest.raises(ValueError):
-        OptimumReport(z_star=1.2, value_at_opt=0.1, eta_at_opt=0.1, source=OptimumSource.CLOSED_FORM)
+        OptimumReport(z_star=1.2, value_at_opt=0.1, eta_at_opt=0.1)
 
 
 # -- domain guards -----------------------------------------------------------------
