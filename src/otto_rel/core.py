@@ -153,16 +153,21 @@ class EnergyBook:
 
 @dataclass(frozen=True)
 class PerformanceRecord:
-    """Per-cycle heats, net extracted work, and derived figures of merit.
-
-    ``eta`` is populated only when q_h > 0 (the cycle draws heat from the
-    hot bath); otherwise the cycle is not an engine and the field is None.
-    """
+    """Per-cycle heats, net extracted work, and derived figures of merit."""
 
     q_h: float
     q_c: float
     w_ext: float
-    eta: Optional[float] = None
+
+    @property
+    def eta(self) -> Optional[float]:
+        """Efficiency w_ext / q_h, or None when q_h <= 0 (not an engine)."""
+        return _efficiency(self.w_ext, self.q_h)
+
+
+def _efficiency(w_ext: float, q_h: float) -> Optional[float]:
+    # the one place the engine efficiency is formed
+    return w_ext / q_h if q_h > 0.0 else None
 
 
 def relativistic_factor(v: float) -> float:
@@ -254,9 +259,7 @@ def heats_and_work(params: CycleParams, scenario: Scenario) -> PerformanceRecord
     book = corner_energies(params, scenario)
     q_h = book.h_c - book.h_b
     q_c = book.h_a - book.h_d
-    w_ext = q_h + q_c
-    eta = w_ext / q_h if q_h > 0.0 else None
-    return PerformanceRecord(q_h=q_h, q_c=q_c, w_ext=w_ext, eta=eta)
+    return PerformanceRecord(q_h=q_h, q_c=q_c, w_ext=q_h + q_c)
 
 
 def efficiency(record: PerformanceRecord) -> Optional[float]:
@@ -266,9 +269,7 @@ def efficiency(record: PerformanceRecord) -> Optional[float]:
     that outcome is signalled by the None return rather than an exception
     so sweeps can consume every sign combination.
     """
-    if record.q_h <= 0.0:
-        return None
-    return record.w_ext / record.q_h
+    return record.eta
 
 
 def omega_function(record: PerformanceRecord, eta_max: float) -> float:

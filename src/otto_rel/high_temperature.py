@@ -42,6 +42,7 @@ from .core import (
     SUDDEN_EXPANSION,
     PerformanceRecord,
     Scenario,
+    _efficiency,
     relativistic_factor,
 )
 
@@ -200,21 +201,15 @@ def eta(r: ReducedParams, scenario: Scenario) -> Optional[float]:
     """Efficiency work/q_h for either asymmetric scenario, None when q_h <= 0."""
     forms = scenario_forms(scenario)
     g = _g(r)
-    heat = forms.qh(r.z, g, r.beta_h)
-    if heat <= 0.0:
-        return None
-    return forms.work(r.z, g, r.beta_h) / heat
+    return _efficiency(forms.work(r.z, g, r.beta_h), forms.qh(r.z, g, r.beta_h))
 
 
 def performance(r: ReducedParams, scenario: Scenario) -> PerformanceRecord:
     """Assemble the full hot-limit performance record at one point."""
     forms = scenario_forms(scenario)
     g = _g(r)
-    q_h = forms.qh(r.z, g, r.beta_h)
-    w_ext = forms.work(r.z, g, r.beta_h)
     return PerformanceRecord(
-        q_h=q_h,
+        q_h=forms.qh(r.z, g, r.beta_h),
         q_c=forms.qc(r.z, g, r.beta_h),
-        w_ext=w_ext,
-        eta=w_ext / q_h if q_h > 0.0 else None,
+        w_ext=forms.work(r.z, g, r.beta_h),
     )

@@ -21,6 +21,10 @@ window).  For a unimodal objective this puts the true argmax within
 ORACLE_AGREEMENT_TOL of z*, the bound to which the tests verify the closed
 forms against the grid oracle.  A candidate that fails raises
 NoInteriorOptimumError; no numeric search stands in for it.
+
+Each call builds the load g and the engine window once; every candidate,
+probe and efficiency reads them, and the trade-off optimum shares its
+window with the eta_max it needs.
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ from enum import Enum
 from .core import (
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
+    PerformanceRecord,
     Scenario,
+    _efficiency,
     omega_function,
     relativistic_factor,
 )
 from .cubic import MonicCubic, principal_trig_root
-from .high_temperature import ReducedParams, eta, performance, scenario_forms, work
+from .high_temperature import ReducedParams, performance, scenario_forms
 
 __all__ = [
     "ORACLE_AGREEMENT_TOL",
@@ -108,22 +114,16 @@ class OptimumReport:
             raise ValueError(f"z_star must lie in (0, 1), got {self.z_star}")
 
 
-def _validate_tau_v(tau: float, v: float, *, allow_zero_tau: bool = False) -> None:
-    lo_ok = tau >= 0.0 if allow_zero_tau else tau > 0.0
-    if not (lo_ok and tau < 1.0):
+def _validate_tau_v(tau: float, v: float) -> None:
+    if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     if not 0.0 <= v < 1.0:
         raise ValueError(f"v must lie in [0, 1), got {v}")
 
 
-def _load(tau: float, v: float) -> float:
-    """Reduced cold-bath load g = tau * f(v)."""
-    return tau * relativistic_factor(v)
-
-
 def _engine_load(tau: float, v: float) -> float:
     """The load g = tau * f(v), after checking that it leaves an engine window."""
-    g = _load(tau, v)
+    g = tau * relativistic_factor(v)
     if g >= 1.0:
         raise NoEngineWindowError(
             f"reduced load tau*f(v) = {g} >= 1 leaves no engine window"
@@ -133,6 +133,48 @@ def _engine_load(tau: float, v: float) -> float:
             f"reduced load tau*f(v) underflows to 0 at tau={tau}, v={v}"
         )
     return g
+
+
+class _Window:
+    """Load g, closed forms and engine window (lo, 1) of a validated (tau, v)."""
+
+    def __init__(self, tau: float, v: float, scenario: Scenario) -> None:
+        self.tau, self.v = tau, v
+        self.forms = scenario_forms(scenario)
+        self.g = _engine_load(tau, v)
+        self.lo = self.forms.engine_lower_z(self.g)
+
+    def eta(self, z: float) -> float:
+        """Efficiency at z, with beta_h = 1 (it cancels)."""
+        value = _efficiency(self.forms.work(z, self.g, 1.0), self.forms.qh(z, self.g, 1.0))
+        # q_h > 0 is not implied by lo < z: the expansion quench's lo rounds to 0 for g < 1.4e-17
+        if value is None:
+            raise NoInteriorOptimumError(
+                f"ratio {z} fell outside the engine window at tau={self.tau}, v={self.v}"
+            )
+        return value
+
+    def certified(self, candidate: float, objective) -> tuple[float, float]:
+        """A closed-form optimal ratio and its objective value, once certified.
+
+        The candidate must lie strictly inside the engine window, and the
+        objective there must be no lower than at z* -/+ ORACLE_AGREEMENT_TOL
+        (a probe outside the window is not checked; NaN fails).  Either
+        failure raises NoInteriorOptimumError.
+        """
+        lo, hi = self.lo, 1.0
+        if not lo < candidate < hi:
+            raise NoInteriorOptimumError(
+                f"stationary ratio {candidate} is outside the engine window ({lo}, {hi})"
+            )
+        peak = objective(candidate)
+        for probe in (candidate - ORACLE_AGREEMENT_TOL, candidate + ORACLE_AGREEMENT_TOL):
+            if lo < probe < hi and not objective(probe) <= peak:
+                raise NoInteriorOptimumError(
+                    f"stationary ratio {candidate} is not a local maximum "
+                    f"at tau={self.tau}, v={self.v}"
+                )
+        return candidate, peak
 
 
 def efficiency_cubic(g: float, scenario: Scenario) -> MonicCubic:
@@ -149,17 +191,14 @@ def efficiency_cubic(g: float, scenario: Scenario) -> MonicCubic:
     return MonicCubic(a2=a2, a1=a1, a0=a0)
 
 
-def _interior(z: float) -> float:
-    if not 0.0 < z < 1.0 or not math.isfinite(z):
-        raise NoInteriorOptimumError(
-            f"stationary ratio {z} is not interior to (0, 1)"
-        )
-    return z
-
-
 def _z_star_eta(tau: float, v: float, scenario: Scenario) -> float:
-    _validate_tau_v(tau, v, allow_zero_tau=True)
-    return _interior(principal_trig_root(efficiency_cubic(_load(tau, v), scenario)))
+    """The largest root of the efficiency cubic, once it is interior to (0, 1)."""
+    # checked before (tau, v): tau = 0 puts the root at 0, so it has no interior optimum
+    z = principal_trig_root(efficiency_cubic(tau * relativistic_factor(v), scenario))
+    if not 0.0 < z < 1.0:
+        raise NoInteriorOptimumError(f"stationary ratio {z} is not interior to (0, 1)")
+    _validate_tau_v(tau, v)
+    return z
 
 
 def z_star_eta_sc(tau: float, v: float) -> float:
@@ -176,15 +215,6 @@ def z_star_eta_se(tau: float, v: float) -> float:
     return _z_star_eta(tau, v, SUDDEN_EXPANSION)
 
 
-def _eta_at(z: float, tau: float, v: float, scenario: Scenario) -> float:
-    value = eta(ReducedParams(z=z, tau=tau, v=v), scenario)
-    if value is None:
-        raise NoInteriorOptimumError(
-            f"ratio {z} fell outside the engine window at tau={tau}, v={v}"
-        )
-    return value
-
-
 def _carnot_tau(eta_c: float) -> float:
     """Temperature ratio tau = 1 - eta_c of a Carnot efficiency eta_c."""
     if not 0.0 < eta_c < 1.0:
@@ -192,10 +222,16 @@ def _carnot_tau(eta_c: float) -> float:
     return 1.0 - eta_c
 
 
+def _peak(tau: float, v: float, scenario: Scenario) -> tuple[_Window, float, float]:
+    """The window, the certified efficiency root and eta_max there."""
+    z_eta = _z_star_eta(tau, v, scenario)
+    w = _Window(tau, v, scenario)
+    return (w, *w.certified(z_eta, w.eta))
+
+
 def peak_efficiency(tau: float, v: float, scenario: Scenario) -> float:
     """Maximum efficiency over z at (tau, v), eta_c = 1 - tau, at the certified cubic root."""
-    objective = lambda z: _eta_at(z, tau, v, scenario)
-    return _certified(_z_star_eta(tau, v, scenario), tau, v, scenario, objective)[1]
+    return _peak(tau, v, scenario)[2]
 
 
 def eta_max_sc(eta_c: float, v: float) -> float:
@@ -264,66 +300,42 @@ def omega_value(r: ReducedParams, scenario: Scenario) -> float:
 def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, float]:
     """The interval of ratios with nonnegative work output, (z_low, 1)."""
     _validate_tau_v(tau, v)
-    return scenario_forms(scenario).engine_lower_z(_engine_load(tau, v)), 1.0
+    return _Window(tau, v, scenario).lo, 1.0
 
 
-def _certified(
-    candidate: float, tau: float, v: float, scenario: Scenario, objective
-) -> tuple[float, float]:
-    """A closed-form optimal ratio and its objective value, once certified.
-
-    The candidate must lie strictly inside the engine window, and the
-    objective there must be no lower than at z* -/+ ORACLE_AGREEMENT_TOL
-    (a probe outside the window is not checked; NaN fails).  Either
-    failure raises NoInteriorOptimumError.
-    """
-    lo, hi = engine_window(tau, v, scenario)
-    if not lo < candidate < hi:
-        raise NoInteriorOptimumError(
-            f"stationary ratio {candidate} is outside the engine window ({lo}, {hi})"
-        )
-    peak = objective(candidate)
-    for probe in (candidate - ORACLE_AGREEMENT_TOL, candidate + ORACLE_AGREEMENT_TOL):
-        if lo < probe < hi and not objective(probe) <= peak:
-            raise NoInteriorOptimumError(
-                f"stationary ratio {candidate} is not a local maximum at tau={tau}, v={v}"
-            )
-    return candidate, peak
-
-
-def _omega_problem(tau: float, v: float, scenario: Scenario, beta_h: float = 1.0):
-    """Closed-form trade-off optimum and the objective it optimizes.
+def _omega_optimum(
+    tau: float, v: float, scenario: Scenario, beta_h: float
+) -> tuple[_Window, float, float]:
+    """The window, the certified trade-off optimum and the objective there.
 
     Both stationarity conditions reduce to z**3 = g (1 - eta_max/2) with
-    g = tau*f(v); eta_max is computed once and shared with the objective.
+    g = tau*f(v); eta_max is certified on the same window.
     """
-    cap = peak_efficiency(tau, v, scenario)
+    w, _, cap = _peak(tau, v, scenario)
+    forms, g = w.forms, w.g
 
     def objective(z: float) -> float:
-        r = ReducedParams(z=z, tau=tau, v=v, beta_h=beta_h)
-        return omega_function(performance(r, scenario), cap)
+        record = PerformanceRecord(
+            q_h=forms.qh(z, g, beta_h), q_c=forms.qc(z, g, beta_h), w_ext=forms.work(z, g, beta_h)
+        )
+        return omega_function(record, cap)
 
-    return (_load(tau, v) * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), objective
-
-
-def _z_star_omega(tau: float, v: float, scenario: Scenario) -> float:
-    candidate, objective = _omega_problem(tau, v, scenario)
-    return _certified(candidate, tau, v, scenario, objective)[0]
+    return (w, *w.certified((g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), objective))
 
 
 def z_star_omega_sc(tau: float, v: float) -> float:
     """Trade-off-maximizing ratio, compression quench: (g (1 - eta_max/2))**(1/3)."""
-    return _z_star_omega(tau, v, SUDDEN_COMPRESSION)
+    return _omega_optimum(tau, v, SUDDEN_COMPRESSION, 1.0)[1]
 
 
 def z_star_omega_se(tau: float, v: float) -> float:
     """Trade-off-maximizing ratio, expansion quench: (g (1 - eta_max/2))**(1/3)."""
-    return _z_star_omega(tau, v, SUDDEN_EXPANSION)
+    return _omega_optimum(tau, v, SUDDEN_EXPANSION, 1.0)[1]
 
 
 def _eta_omega(eta_c: float, v: float, scenario: Scenario) -> float:
-    tau = _carnot_tau(eta_c)
-    return _eta_at(_z_star_omega(tau, v, scenario), tau, v, scenario)
+    w, z_star, _ = _omega_optimum(_carnot_tau(eta_c), v, scenario, 1.0)
+    return w.eta(z_star)
 
 
 def eta_omega_sc(eta_c: float, v: float) -> float:
@@ -348,7 +360,7 @@ def work_crossing_z(tau: float, v: float) -> float:
     compression quench does.
     """
     _validate_tau_v(tau, v)
-    return math.sqrt(_load(tau, v))
+    return math.sqrt(tau * relativistic_factor(v))
 
 
 def optimize(
@@ -364,21 +376,14 @@ def optimize(
     scenario = target.scenario
 
     if target.objective == Objective.EFFICIENCY:
-        candidate = _z_star_eta(tau, v, scenario)
-        objective = lambda z: _eta_at(z, tau, v, scenario)
+        w, z_star, value = _peak(tau, v, scenario)
     elif target.objective == Objective.WORK:
         candidate = z_star_work(tau, v)
-        objective = lambda z: work(
-            ReducedParams(z=z, tau=tau, v=v, beta_h=beta_h), scenario
-        )
+        w = _Window(tau, v, scenario)
+        z_star, value = w.certified(candidate, lambda z: w.forms.work(z, w.g, beta_h))
     elif target.objective == Objective.OMEGA:
-        candidate, objective = _omega_problem(tau, v, scenario, beta_h)
+        w, z_star, value = _omega_optimum(tau, v, scenario, beta_h)
     else:
         raise ValueError(f"unknown objective {target.objective}")
 
-    z_star, value = _certified(candidate, tau, v, scenario, objective)
-    return OptimumReport(
-        z_star=z_star,
-        value_at_opt=value,
-        eta_at_opt=_eta_at(z_star, tau, v, scenario),
-    )
+    return OptimumReport(z_star=z_star, value_at_opt=value, eta_at_opt=w.eta(z_star))

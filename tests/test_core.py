@@ -189,17 +189,20 @@ def test_params_validation():
 
 def test_efficiency_none_without_heat_uptake():
     rec = PerformanceRecord(q_h=-0.2, q_c=0.1, w_ext=-0.1)
-    assert efficiency(rec) is None
+    assert efficiency(rec) is None and rec.eta is None
     rec = PerformanceRecord(q_h=0.0, q_c=0.1, w_ext=0.1)
-    assert efficiency(rec) is None
+    assert efficiency(rec) is None and rec.eta is None
     rec = PerformanceRecord(q_h=0.5, q_c=-0.4, w_ext=0.1)
     assert efficiency(rec) == pytest.approx(0.2)
+    # a hand-built record carries the same ratio as efficiency()
+    assert rec.eta == efficiency(rec)
 
 
 def test_efficiency_can_be_negative():
     # heat in, work in: accelerator-like bookkeeping keeps the ratio defined
     rec = PerformanceRecord(q_h=0.5, q_c=-0.7, w_ext=-0.2)
     assert efficiency(rec) == pytest.approx(-0.4)
+    assert rec.eta == efficiency(rec)
 
 
 def test_omega_function_arithmetic_and_domain():

@@ -1,6 +1,7 @@
 """Closed-form optima against the frozen references and the grid oracle."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +324,44 @@ def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
         peak_efficiency(0.5, 0.5, SUDDEN_COMPRESSION)
     with pytest.raises(NoInteriorOptimumError):
         z_star_omega_sc(0.5, 0.5)
+    # below the load the expansion quench draws no heat; at g < 1.4e-17 its
+    # window floor rounds to 0, so only the q_h > 0 check refuses this root
+    g = 1e-20 * relativistic_factor(0.5)
+    monkeypatch.setattr(optima, "_z_star_eta", lambda tau, v, scenario: 0.5 * g)
+    with pytest.raises(NoInteriorOptimumError, match="fell outside the engine window"):
+        peak_efficiency(1e-20, 0.5, SUDDEN_EXPANSION)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: optimize(OptimizationTarget(Objective.OMEGA, SUDDEN_COMPRESSION), 0.5, 0.5),
+            id="optimize-omega",
+        ),
+        pytest.param(lambda: eta_omega_sc(0.5, 0.5), id="eta_omega_sc"),
+    ],
+)
+def test_trade_off_optimum_builds_its_load_once(monkeypatch, call):
+    # one f(v) for the shared load and engine window, one inside the
+    # efficiency root behind eta_max; no per-probe ReducedParams
+    real = relativistic_factor
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "otto_rel" and vars(module).get("relativistic_factor") is real:
+            monkeypatch.setattr(module, "relativistic_factor", counted)
+
+    def refuse(self):
+        raise AssertionError("ReducedParams built")
+
+    monkeypatch.setattr(ReducedParams, "__post_init__", refuse)
+    call()
+    assert 1 <= len(calls) <= 2
 
 
 EDGE_AXIS = [1e-6] + [k / 65 for k in range(1, 65)] + [0.999999]
@@ -375,6 +414,41 @@ def test_no_interior_optimum_at_zero_load():
         z_star_eta_se(0.0, 0.5)
 
 
+_SC, _SE = SUDDEN_COMPRESSION, SUDDEN_EXPANSION
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: z_star_eta_sc(0.0, 0.5), NoInteriorOptimumError, id="z_star_eta_sc"),
+        pytest.param(lambda: z_star_eta_se(0.0, 0.5), NoInteriorOptimumError, id="z_star_eta_se"),
+        pytest.param(lambda: peak_efficiency(0.0, 0.5, _SC), NoInteriorOptimumError, id="peak-sc"),
+        pytest.param(lambda: peak_efficiency(0.0, 0.5, _SE), NoInteriorOptimumError, id="peak-se"),
+        pytest.param(lambda: z_star_omega_sc(0.0, 0.5), NoInteriorOptimumError, id="z_star_omega_sc"),
+        pytest.param(lambda: z_star_omega_se(0.0, 0.5), NoInteriorOptimumError, id="z_star_omega_se"),
+        pytest.param(lambda: engine_window(0.0, 0.5, _SC), ValueError, id="engine_window-sc"),
+        pytest.param(lambda: engine_window(0.0, 0.5, _SE), ValueError, id="engine_window-se"),
+        *(
+            pytest.param(
+                lambda objective=objective: optimize(OptimizationTarget(objective, _SC), 0.0, 0.5),
+                ValueError,
+                id=f"optimize-{objective.value}",
+            )
+            for objective in Objective
+        ),
+        pytest.param(lambda: z_star_work(0.0, 0.5), ValueError, id="z_star_work"),
+        pytest.param(lambda: work_crossing_z(0.0, 0.5), ValueError, id="work_crossing_z"),
+    ],
+)
+def test_zero_tau_exception_classes(call, error):
+    # tau = 0 is a zero load: the efficiency root sits at z = 0, so the
+    # entry points built on it find no interior optimum; the others refuse
+    # tau outside (0, 1) as bad input
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error
+
+
 def test_domain_validation_errors():
     with pytest.raises(ValueError):
         eta_max_sc(1.0, 0.5)
@@ -382,6 +456,8 @@ def test_domain_validation_errors():
         eta_mw_se(0.0, 0.5)
     with pytest.raises(ValueError):
         eta_omega_sc(-0.1, 0.5)
+    with pytest.raises(ValueError):  # tau > 1 with a load below 1
+        z_star_eta_sc(1.2, 0.9)
     with pytest.raises(ValueError):
         work_crossing_z(1.2, 0.5)
     with pytest.raises(ValueError):
@@ -397,6 +473,12 @@ def test_stationary_velocity_limit():
     assert z_star_work(0.5, 0.0) == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
     assert work_crossing_z(0.5, 0.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
     assert eta_mw_sc(0.5, 0.0) > 0.0
+    # every optimum accepts the v = 0 limit that its domain [0, 1) admits
+    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
+        assert peak_efficiency(0.5, 0.0, scenario) == peak_efficiency(0.5, 1e-12, scenario)
+        target = OptimizationTarget(Objective.OMEGA, scenario)
+        assert optimize(target, 0.5, 0.0).z_star == optimize(target, 0.5, 1e-12).z_star
+    assert eta_omega_sc(0.5, 0.0) == eta_omega_sc(0.5, 1e-12)
 
 
 def test_work_dominance_swaps_at_crossing():
