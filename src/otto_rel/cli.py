@@ -37,7 +37,7 @@ from .optima import (
     optimize,
     peak_efficiency,
 )
-from .phase_diagram import OperationalMode, PhaseMap, classify_signs, mode_fractions, rasterize
+from .phase_diagram import PhaseMap, classify_signs, mode_fractions, rasterize
 
 SCHEMA_LINE = "# otto-rel schema v1"
 
@@ -202,19 +202,31 @@ def _check_resolution(resolution: int) -> None:
 
 
 _RASTER_HEADER = ("z", "tau", "v", "scenario", "mode")
-_MODE_ENDINGS = {mode: mode.value + "\n" for mode in OperationalMode}
 
 
 def _write_raster(handle: TextIO, token: str, phase_maps: Iterable[PhaseMap]) -> None:
-    """Raster CSV, one write per z row; each axis value is formatted once."""
+    """Raster CSV, one write per z row.
+
+    Each column keeps its tail "tau,v,scenario,mode" and changes it only
+    where its next run starts, so a row is its z joined to the tails.
+    """
     handle.write(_csv(_RASTER_HEADER, ()))
     for phase_map in phase_maps:
         v = repr(phase_map.v)
-        suffixes = [f"{tau!r},{v},{token}," for tau in phase_map.tau_axis]
-        for z, row in zip(phase_map.z_axis, phase_map.cells):
+        taus, columns = phase_map.tau_axis, phase_map.runs
+        tails = [""] * len(columns)
+        next_run = [0] * len(columns)
+        # Row index -> columns whose next run starts there.
+        due = {0: list(range(len(columns)))}
+        for i, z in enumerate(phase_map.z_axis):
+            for j in due.pop(i, ()):
+                column, k = columns[j], next_run[j]
+                tails[j] = f"{taus[j]!r},{v},{token},{column[k][1].value}\n"
+                if k + 1 < len(column):
+                    next_run[j] = k + 1
+                    due.setdefault(column[k + 1][0], []).append(j)
             head = repr(z) + ","
-            handle.write("".join([head + suffix + _MODE_ENDINGS[mode]
-                                  for suffix, mode in zip(suffixes, row)]))
+            handle.write(head + head.join(tails))
 
 
 def _cmd_phase_map(args) -> int:

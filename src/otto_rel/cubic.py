@@ -26,6 +26,7 @@ raised rather than returning a silently wrong value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -122,7 +123,14 @@ def principal_trig_root(cubic: MonicCubic, residual_tol: float = RESIDUAL_TOL) -
         root = _bisect_monotone(cubic)
     else:
         half = math.sqrt(spread)
-        x = -(2.0 * a2 * a2 * a2 - 9.0 * a2 * a1 + 27.0 * a0) / (2.0 * spread * half)
+        numerator = 2.0 * a2 * a2 * a2 - 9.0 * a2 * a1 + 27.0 * a0
+        scale = 2.0 * spread * half
+        if scale < sys.float_info.min:
+            # A subnormal load makes the product underflow (to 0 at worst);
+            # dividing in two steps keeps the ratio, which is O(1).
+            x = -(numerator / spread) / (2.0 * half)
+        else:
+            x = -numerator / scale
         if abs(x) <= 1.0:
             factor = math.cos(math.acos(x) / 3.0)
         elif abs(x) <= 1.0 + CLAMP_EPS:

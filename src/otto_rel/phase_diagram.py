@@ -12,6 +12,7 @@ agree away from the boundaries.  Quantities within BOUNDARY_EPS of zero
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -41,6 +42,9 @@ class OperationalMode(str, Enum):
     THERMAL_ACCELERATOR = "accelerator"
     BOUNDARY = "boundary"
 
+
+#: A run of equal mode along z: its first z index and its mode.
+_Run = tuple[int, OperationalMode]
 
 _SIGN_TABLE = {
     (1, 1, -1): OperationalMode.ENGINE,
@@ -160,52 +164,124 @@ def boundary_curves(
 class PhaseMap:
     """Immutable mode raster over the open unit square of (z, tau).
 
-    cells[i][j] is the mode at (z_axis[i], tau_axis[j]).
+    runs[j] holds tau column j as runs of equal mode along z: (start, mode)
+    pairs with rising starts, the first at 0, each run ending where the
+    next starts (the last at the end of z_axis).  Adjacent runs differ in
+    mode, so equal rasters have equal runs.
     """
 
     v: float
     z_axis: tuple[float, ...]
     tau_axis: tuple[float, ...]
-    cells: tuple[tuple[OperationalMode, ...], ...]
+    runs: tuple[tuple[_Run, ...], ...]
     scenario: Scenario
 
     def __post_init__(self) -> None:
-        if len(self.cells) != len(self.z_axis):
-            raise ValueError("cells row count must match z_axis length")
-        if any(len(row) != len(self.tau_axis) for row in self.cells):
-            raise ValueError("cells column count must match tau_axis length")
+        if len(self.runs) != len(self.tau_axis):
+            raise ValueError("runs column count must match tau_axis length")
+        size = len(self.z_axis)
+        for column in self.runs:
+            if not column or column[0][0] != 0 or column[-1][0] >= size:
+                raise ValueError("each column's runs must start at 0 and inside z_axis")
+            for (start, mode), (after, next_mode) in zip(column, column[1:]):
+                if after <= start or next_mode is mode:
+                    raise ValueError("run starts must rise and adjacent modes differ")
+
+    @property
+    def cells(self) -> tuple[tuple[OperationalMode, ...], ...]:
+        """cells[i][j] is the mode at (z_axis[i], tau_axis[j]), expanded from the runs."""
+        size = len(self.z_axis)
+        columns = []
+        for column in self.runs:
+            ends = [start for start, _ in column[1:]] + [size]
+            cells: list[OperationalMode] = []
+            for (start, mode), end in zip(column, ends):
+                cells += [mode] * (end - start)
+            columns.append(cells)
+        return tuple(zip(*columns))
+
+
+def _merge(classified: list[_Run]) -> Optional[list[_Run]]:
+    """Runs from (index, mode) pairs in ascending index, the first at 0.
+
+    None when the mode changes across unclassified cells, where its edge
+    is unknown.
+    """
+    runs = [classified[0]]
+    for (before, _), (i, mode) in zip(classified, classified[1:]):
+        if mode is not runs[-1][1]:
+            if i != before + 1:
+                return None
+            runs.append((i, mode))
+    return runs
+
+
+def _column_runs(scenario: Scenario, axis: tuple[float, ...], g: float) -> tuple[_Run, ...]:
+    """Runs of one tau column at load g, certified cell by cell at each edge.
+
+    Q_h and Q_c are monotone in z, and W rises up to the maximum-work
+    ratio g**(1/3) and falls after it to 0 at z = 1, so each comes near
+    zero only at its one sign change (and W also near z = 1): the
+    closed-form edges predict every run end.  The cells on both sides of each predicted edge and the first and
+    last cells are classified exactly from the forms, widening outward
+    while they are Boundary.  No predicted edge lies between two
+    neighbouring classified cells, so their modes must agree; where they
+    do not, the whole column is classified cell by cell instead.
+    """
+    forms = scenario_forms(scenario)
+
+    def mode_at(i: int) -> OperationalMode:
+        z = axis[i]
+        return classify_signs(forms.work(z, g, 1.0), forms.qh(z, g, 1.0), forms.qc(z, g, 1.0))
+
+    last = len(axis) - 1
+    pending = [0, last]
+    for edge in _edges(g, scenario):
+        if edge is not None:
+            i = bisect_left(axis, edge)
+            pending += [i - 1, i]
+    known: dict[int, OperationalMode] = {}
+    while pending:
+        i = pending.pop()
+        if 0 <= i <= last and i not in known:
+            known[i] = mode_at(i)
+            if known[i] is OperationalMode.BOUNDARY:
+                pending += [i - 1, i + 1]
+    runs = _merge(sorted(known.items()))
+    if runs is None:
+        runs = _merge([(i, mode_at(i)) for i in range(len(axis))])
+    return tuple(runs)
 
 
 def rasterize(scenario: Scenario, v: float, resolution: int = 200) -> PhaseMap:
     """Classify cell centers of a resolution x resolution grid on (0,1)^2.
 
     Centers sit at (i + 0.5)/resolution, so the degenerate edges z = 0,
-    tau = 0, and tau = 1 are never sampled.  Deterministic: same inputs,
-    same map.
+    tau = 0, and tau = 1 are never sampled.  Each tau column is found as
+    a few runs along z (see _column_runs) equal to the per-cell
+    classification, at O(resolution) classifications per map.
+    Deterministic: same inputs, same map.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if not 0.0 < v < 1.0:
         raise ValueError(f"velocity v must lie in (0, 1), got {v}")
-    forms = scenario_forms(scenario)
     axis = tuple((i + 0.5) / resolution for i in range(resolution))
     # Every cell sits inside the reduced domain, so the forms are read
     # directly with g = tau * f(v) computed once per tau column.
     factor = relativistic_factor(v)
-    loads = [tau * factor for tau in axis]
-    qh, qc, work = forms.qh, forms.qc, forms.work
-    rows = []
-    for z in axis:
-        row = tuple(
-            classify_signs(work(z, g, 1.0), qh(z, g, 1.0), qc(z, g, 1.0)) for g in loads
-        )
-        rows.append(row)
-    return PhaseMap(v=v, z_axis=axis, tau_axis=axis, cells=tuple(rows), scenario=scenario)
+    runs = tuple(_column_runs(scenario, axis, tau * factor) for tau in axis)
+    return PhaseMap(v=v, z_axis=axis, tau_axis=axis, runs=runs, scenario=scenario)
 
 
 def mode_fractions(phase_map: PhaseMap) -> dict[str, float]:
     """Fraction of cells per mode, keyed by mode token, all keys present."""
-    cells = phase_map.cells
-    counts = {mode.value: sum(row.count(mode) for row in cells) for mode in OperationalMode}
+    counts = dict.fromkeys(OperationalMode, 0)
+    size = len(phase_map.z_axis)
+    for column in phase_map.runs:
+        end = size
+        for start, mode in reversed(column):
+            counts[mode] += end - start
+            end = start
     total = sum(counts.values())
-    return {token: count / total for token, count in counts.items()}
+    return {mode.value: count / total for mode, count in counts.items()}

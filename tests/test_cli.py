@@ -210,6 +210,18 @@ def test_arithmetic_failure_exits_3_without_traceback(capsys):
     assert err.startswith("otto-rel: error:") and err.count("\n") == 1
 
 
+def test_subnormal_load_optimum_is_certified(capsys):
+    # tau * f(v) is subnormal; the efficiency cubic still has its root
+    code, out, err = run(
+        capsys, "optimize", "--objective", "eta", "--scenario", "sc",
+        "--tau", "1e-310", "--v", "0.99",
+    )
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["z_star"] == 7.521245344491325e-156
+    assert record["source"] == "closed-form"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -505,6 +517,35 @@ def test_phase_map_memory_is_not_proportional_to_output(capsys, tmp_path):
     size = path.stat().st_size
     assert size > 4_000_000
     assert peak < size / 2, f"traced peak {peak} B for a {size} B raster"
+
+
+def _traced_phase_map_peak(tmp_path, scenario, v, resolution):
+    path = tmp_path / f"map-{resolution}.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "phase-map", "--scenario", scenario, "--v", v,
+            "--resolution", str(resolution), "--output", str(path),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    path.unlink()
+    return peak
+
+
+@pytest.mark.parametrize("scenario,v", [("sc", "1e-6"), ("se", "0.6")])
+def test_phase_map_memory_grows_with_columns_not_cells(capsys, tmp_path, scenario, v):
+    # The raster is held as a few runs per tau column and written with one
+    # tail string per column, so the traced peak may grow linearly with the
+    # resolution R (4x here, up to about 5x as the small map's runs come
+    # from allocator free lists) but not with the R**2 cells: holding one
+    # mode per cell gives about 14x.
+    small = _traced_phase_map_peak(tmp_path, scenario, v, 300)
+    large = _traced_phase_map_peak(tmp_path, scenario, v, 1200)
+    capsys.readouterr()
+    assert large < 2 * 4 * small, f"traced peak {large} B at 1200**2, {small} B at 300**2"
 
 
 def test_figure_rejects_unknown_id(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from otto_rel import (
     relativistic_factor,
 )
 from otto_rel.optima import efficiency_cubic
-from otto_rel import SUDDEN_EXPANSION
+from otto_rel import SUDDEN_COMPRESSION, SUDDEN_EXPANSION
 from _reference import REFERENCE
 
 
@@ -137,6 +138,29 @@ def test_expansion_efficiency_cubic_uses_hyperbolic_branch():
     assert x == pytest.approx((g * g - 4 * g + 2) / (g * g), rel=1e-12)
     root = principal_trig_root(cubic)
     assert root == pytest.approx(REFERENCE["optima"]["tau=0.5,v=0.5"]["z_eta_se"], rel=1e-13)
+
+
+def test_subnormal_load_keeps_the_principal_root():
+    # At a subnormal load 2 * spread * sqrt(spread) underflows to 0, yet the
+    # arccos argument is O(1) and the root sqrt(3g/(2-g)) exists.
+    g = 1e-310 * relativistic_factor(0.99)
+    cubic = efficiency_cubic(g, SUDDEN_COMPRESSION)
+    spread = cubic.a2 ** 2 - 3.0 * cubic.a1
+    assert spread > 0.0 and 2.0 * spread * math.sqrt(spread) == 0.0
+    root = principal_trig_root(cubic)
+    assert root == pytest.approx(math.sqrt(3.0 * g / (2.0 - g)), rel=1e-12)
+
+
+def test_normal_scale_keeps_the_one_step_division():
+    # Away from underflow the arccos argument is the single division it
+    # always was; dividing in two steps here moves the root by an ulp.
+    cubic = efficiency_cubic(0.3, SUDDEN_COMPRESSION)
+    a2, a1, a0 = cubic.a2, cubic.a1, cubic.a0
+    spread = a2 * a2 - 3.0 * a1
+    half = math.sqrt(spread)
+    x = -(2.0 * a2 * a2 * a2 - 9.0 * a2 * a1 + 27.0 * a0) / (2.0 * spread * half)
+    root = -a2 / 3.0 + (2.0 / 3.0) * half * math.cos(math.acos(x) / 3.0)
+    assert principal_trig_root(cubic) == root
 
 
 def test_determinism():

@@ -4,7 +4,11 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import otto_rel.high_temperature as high_temperature
+import otto_rel.phase_diagram as phase_diagram
 from otto_rel import (
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
@@ -21,6 +25,7 @@ from otto_rel import (
     qh,
     rasterize,
     relativistic_factor,
+    scenario_forms,
 )
 
 E = OperationalMode.ENGINE
@@ -217,14 +222,145 @@ def test_rasterize_matches_per_point_classifier(scenario, v):
 
 
 def test_phase_map_shape_validation():
-    with pytest.raises(ValueError):
-        PhaseMap(
-            v=0.5,
-            z_axis=(0.25, 0.75),
-            tau_axis=(0.25, 0.75),
-            cells=((E,),),
-            scenario=SUDDEN_COMPRESSION,
+    mismatched = {
+        "too few columns": (((0, E),),),
+        "start past z_axis": (((0, E),), ((0, R), (2, E))),
+        "first start not 0": (((0, E),), ((1, E),)),
+        "empty column": (((0, E),), ()),
+        "starts not rising": (((0, R), (1, E)), ((0, R), (0, E))),
+        "equal adjacent modes": (((0, R), (1, E)), ((0, E), (1, E))),
+    }
+    for runs in mismatched.values():
+        with pytest.raises(ValueError):
+            PhaseMap(
+                v=0.5,
+                z_axis=(0.25, 0.75),
+                tau_axis=(0.25, 0.75),
+                runs=runs,
+                scenario=SUDDEN_COMPRESSION,
+            )
+
+
+def test_phase_map_cells_expand_the_runs():
+    pm = PhaseMap(
+        v=0.5,
+        z_axis=(0.1, 0.3, 0.5, 0.7, 0.9),
+        tau_axis=(0.25, 0.75),
+        runs=(((0, R), (2, T), (3, E)), ((0, H), (4, B))),
+        scenario=SUDDEN_COMPRESSION,
+    )
+    assert pm.cells == ((R, H), (R, H), (T, H), (E, H), (E, B))
+    with pytest.raises(AttributeError):
+        pm.cells = ()
+
+
+def _per_cell_raster(scenario, v, resolution):
+    """Every cell classified on its own: the raster the runs must equal."""
+    forms = scenario_forms(scenario)
+    axis = tuple((i + 0.5) / resolution for i in range(resolution))
+    factor = relativistic_factor(v)
+    loads = [tau * factor for tau in axis]
+    return tuple(
+        tuple(
+            classify_signs(forms.work(z, g, 1.0), forms.qh(z, g, 1.0), forms.qc(z, g, 1.0))
+            for g in loads
         )
+        for z in axis
+    )
+
+
+def _velocity_with_factor(target):
+    """The v in (0, 1) with f(v) = target, by bisection (f falls from 1 to 0)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if relativistic_factor(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@st.composite
+def _raster_requests(draw):
+    scenario = draw(st.sampled_from((SUDDEN_COMPRESSION, SUDDEN_EXPANSION)))
+    resolution = draw(st.integers(min_value=2, max_value=300))
+    kind = draw(st.sampled_from(("any", "slow", "fast", "half-load")))
+    if kind == "any":
+        v = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    elif kind == "slow":
+        v = draw(st.floats(min_value=1e-300, max_value=1e-3))
+    elif kind == "fast":
+        v = 1.0 - draw(st.floats(min_value=1.2e-16, max_value=1e-3))
+    else:
+        # put one tau column's load g = tau * f(v) right at 1/2, where the
+        # expansion-quench refrigerator edge sqrt(2g - 1) appears
+        j = draw(st.integers(min_value=resolution // 2, max_value=resolution - 1))
+        tau = (j + 0.5) / resolution
+        shift = draw(st.floats(min_value=-1e-9, max_value=1e-9))
+        v = _velocity_with_factor((0.5 + shift) / tau)
+    return scenario, v, resolution
+
+
+@settings(max_examples=100, deadline=None)
+@given(request=_raster_requests())
+@example(request=(SUDDEN_COMPRESSION, 1e-6, 300))
+@example(request=(SUDDEN_EXPANSION, 1e-6, 300))
+@example(request=(SUDDEN_COMPRESSION, 1e-6, 97))
+@example(request=(SUDDEN_EXPANSION, 1e-6, 97))
+def test_runs_equal_per_cell_classification(request):
+    # At v = 1e-6, f(v) is 1 to 1e-13: the diagonal cells tau = z sit on a
+    # heat's zero and come out Boundary in the middle of a column.
+    scenario, v, resolution = request
+    assert rasterize(scenario, v, resolution).cells == _per_cell_raster(scenario, v, resolution)
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
+@pytest.mark.parametrize(
+    "edges",
+    [
+        pytest.param(lambda g, scenario: (None, None, None), id="no-edges"),
+        pytest.param(lambda g, scenario: (None, 0.5 * g, 0.3), id="wrong-edges"),
+    ],
+)
+def test_unpredicted_mode_change_rescans_the_column(monkeypatch, scenario, edges):
+    # The edges only say where to look: a column whose checked cells
+    # disagree across a gap is classified cell by cell, so even wrong edges
+    # give the per-cell raster.
+    monkeypatch.setattr(phase_diagram, "_edges", edges)
+    for v in (1e-6, 0.6):
+        assert rasterize(scenario, v, 60).cells == _per_cell_raster(scenario, v, 60)
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
+def test_rasterize_evaluates_the_forms_order_resolution_times(monkeypatch, scenario):
+    # The work guard that wall-clock bounds cannot give on a loaded host:
+    # a raster of R**2 cells evaluates each form O(R) times, not R**2.
+    calls = Counter()
+
+    def counted(name, form):
+        def wrapper(*args):
+            calls[name] += 1
+            return form(*args)
+
+        return wrapper
+
+    forms = scenario_forms(scenario)
+    monkeypatch.setitem(
+        high_temperature._FORMS,
+        scenario,
+        forms._replace(
+            qh=counted("qh", forms.qh), qc=counted("qc", forms.qc), work=counted("work", forms.work)
+        ),
+    )
+    resolution = 1200
+    for v in (1e-6, 0.35, 0.9999):
+        calls.clear()
+        rasterize(scenario, v, resolution)
+        assert set(calls) == {"qh", "qc", "work"}
+        assert max(calls.values()) <= 40 * resolution, (v, calls)
 
 
 def test_mode_fractions_complete_and_normalized():
