@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 __all__ = [
     "StrokeProtocol",
@@ -68,6 +68,16 @@ _FACTOR_SERIES_V = 1e-4
 _RATIO_SERIES_V = 1e-5
 
 
+class _Validated:
+    """Base of a validating namedtuple: _make, and so _replace, call __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class StrokeProtocol(enum.Enum):
     """Driving protocol of a frequency work stroke."""
 
@@ -75,8 +85,7 @@ class StrokeProtocol(enum.Enum):
     SUDDEN = "sudden"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Protocol assignment for the two work strokes of the cycle."""
 
     compression: StrokeProtocol
@@ -93,8 +102,7 @@ BOTH_ADIABATIC = Scenario(StrokeProtocol.ADIABATIC, StrokeProtocol.ADIABATIC)
 BOTH_SUDDEN = Scenario(StrokeProtocol.SUDDEN, StrokeProtocol.SUDDEN)
 
 
-@dataclass(frozen=True)
-class CycleParams:
+class CycleParams(_Validated, namedtuple("CycleParams", "v beta_c beta_h omega_c omega_h")):
     """Physical parameters of one cycle.
 
     Attributes
@@ -109,26 +117,25 @@ class CycleParams:
         0 < omega_c <= omega_h.
     """
 
-    v: float
-    beta_c: float
-    beta_h: float
-    omega_c: float
-    omega_h: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.v < 1.0:
-            raise ValueError(f"velocity must lie in (0, 1), got {self.v}")
-        if not self.beta_c > 0.0:
-            raise ValueError(f"beta_c must be positive, got {self.beta_c}")
-        if not self.beta_h > 0.0:
-            raise ValueError(f"beta_h must be positive, got {self.beta_h}")
-        if not self.omega_c > 0.0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if not self.omega_h >= self.omega_c:
+    def __new__(
+        cls, v: float, beta_c: float, beta_h: float, omega_c: float, omega_h: float
+    ) -> CycleParams:
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"velocity must lie in (0, 1), got {v}")
+        if not beta_c > 0.0:
+            raise ValueError(f"beta_c must be positive, got {beta_c}")
+        if not beta_h > 0.0:
+            raise ValueError(f"beta_h must be positive, got {beta_h}")
+        if not omega_c > 0.0:
+            raise ValueError(f"omega_c must be positive, got {omega_c}")
+        if not omega_h >= omega_c:
             raise ValueError(
                 f"frequencies must satisfy omega_c <= omega_h, got "
-                f"omega_c={self.omega_c}, omega_h={self.omega_h}"
+                f"omega_c={omega_c}, omega_h={omega_h}"
             )
+        return tuple.__new__(cls, (v, beta_c, beta_h, omega_c, omega_h))
 
     @property
     def z(self) -> float:
@@ -141,8 +148,7 @@ class CycleParams:
         return self.beta_h / self.beta_c
 
 
-@dataclass(frozen=True)
-class EnergyBook:
+class EnergyBook(NamedTuple):
     """Mean oscillator energies at the four cycle corners."""
 
     h_a: float
@@ -151,8 +157,7 @@ class EnergyBook:
     h_d: float
 
 
-@dataclass(frozen=True)
-class PerformanceRecord:
+class PerformanceRecord(NamedTuple):
     """Per-cycle heats, net extracted work, and derived figures of merit."""
 
     q_h: float

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+
+from .core import _Validated
 
 __all__ = [
     "MonicCubic",
@@ -48,19 +50,17 @@ class CubicSolveError(RuntimeError):
     """Raised when a computed root fails the residual validation."""
 
 
-@dataclass(frozen=True)
-class MonicCubic:
+class MonicCubic(_Validated, namedtuple("MonicCubic", "a2 a1 a0")):
     """Monic cubic polynomial y^3 + a2 y^2 + a1 y + a0."""
 
-    a2: float
-    a1: float
-    a0: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a2", "a1", "a0"):
-            value = getattr(self, name)
+    def __new__(cls, a2: float, a1: float, a0: float) -> MonicCubic:
+        coefficients = (a2, a1, a0)
+        for name, value in zip(cls._fields, coefficients):
             if not math.isfinite(value):
                 raise ValueError(f"coefficient {name} must be finite, got {value}")
+        return tuple.__new__(cls, coefficients)
 
     def __call__(self, y: float) -> float:
         return ((y + self.a2) * y + self.a1) * y + self.a0

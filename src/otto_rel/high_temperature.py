@@ -34,7 +34,7 @@ z = [sqrt(1 + 8 g) - 1] / 2 for sudden expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -43,6 +43,7 @@ from .core import (
     PerformanceRecord,
     Scenario,
     _efficiency,
+    _Validated,
     relativistic_factor,
 )
 
@@ -60,24 +61,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReducedParams:
+class ReducedParams(_Validated, namedtuple("ReducedParams", "z tau v beta_h")):
     """Reduced operating point of the hot-limit cycle."""
 
-    z: float
-    tau: float
-    v: float
-    beta_h: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.z <= 1.0:
-            raise ValueError(f"frequency ratio z must lie in (0, 1], got {self.z}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"temperature ratio tau must lie in (0, 1), got {self.tau}")
-        if not 0.0 < self.v < 1.0:
-            raise ValueError(f"velocity v must lie in (0, 1), got {self.v}")
-        if not self.beta_h > 0.0:
-            raise ValueError(f"beta_h must be positive, got {self.beta_h}")
+    def __new__(cls, z: float, tau: float, v: float, beta_h: float = 1.0) -> ReducedParams:
+        if not 0.0 < z <= 1.0:
+            raise ValueError(f"frequency ratio z must lie in (0, 1], got {z}")
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"temperature ratio tau must lie in (0, 1), got {tau}")
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"velocity v must lie in (0, 1), got {v}")
+        if not beta_h > 0.0:
+            raise ValueError(f"beta_h must be positive, got {beta_h}")
+        return tuple.__new__(cls, (z, tau, v, beta_h))
 
 
 def _g(r: ReducedParams) -> float:
@@ -124,9 +122,7 @@ class ScenarioForms(NamedTuple):
     cubic whose largest real root maximizes the efficiency.  The mode
     edges in z are fridge_top (refrigerator/heater, None where the
     refrigerator region is absent), heater_top (heater/accelerator) and
-    engine_lower_z (accelerator/engine).  A NamedTuple rather than a
-    frozen dataclass: it is as immutable and costs a third of the import
-    time.
+    engine_lower_z (accelerator/engine).
     """
 
     qh: Callable[[float, float, float], float]

@@ -30,7 +30,7 @@ window with the eta_max it needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .core import (
@@ -39,6 +39,7 @@ from .core import (
     PerformanceRecord,
     Scenario,
     _efficiency,
+    _Validated,
     omega_function,
     relativistic_factor,
 )
@@ -90,28 +91,25 @@ class Objective(str, Enum):
     OMEGA = "omega"
 
 
-@dataclass(frozen=True)
-class OptimizationTarget:
+class OptimizationTarget(_Validated, namedtuple("OptimizationTarget", "objective scenario")):
     """An objective paired with one of the two asymmetric scenarios."""
 
-    objective: Objective
-    scenario: Scenario
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        scenario_forms(self.scenario)
+    def __new__(cls, objective: Objective, scenario: Scenario) -> OptimizationTarget:
+        scenario_forms(scenario)
+        return tuple.__new__(cls, (objective, scenario))
 
 
-@dataclass(frozen=True)
-class OptimumReport:
+class OptimumReport(_Validated, namedtuple("OptimumReport", "z_star value_at_opt eta_at_opt")):
     """Certified optimal ratio plus the objective value and efficiency there."""
 
-    z_star: float
-    value_at_opt: float
-    eta_at_opt: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.z_star < 1.0:
-            raise ValueError(f"z_star must lie in (0, 1), got {self.z_star}")
+    def __new__(cls, z_star: float, value_at_opt: float, eta_at_opt: float) -> OptimumReport:
+        if not 0.0 < z_star < 1.0:
+            raise ValueError(f"z_star must lie in (0, 1), got {z_star}")
+        return tuple.__new__(cls, (z_star, value_at_opt, eta_at_opt))
 
 
 def _validate_tau_v(tau: float, v: float) -> None:

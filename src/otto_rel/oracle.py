@@ -11,8 +11,10 @@ functions of their inputs so repeated runs produce bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Sequence
+
+from .core import _Validated
 
 __all__ = [
     "ScanSpec",
@@ -31,8 +33,7 @@ class OracleFailure(RuntimeError):
     """Raised when a scan produces no finite sample to refine."""
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(_Validated, namedtuple("ScanSpec", "lo hi grid_points refine_tol")):
     """Search window and resolution for maximize().
 
     grid_points samples are placed uniformly on [lo, hi] including the
@@ -40,20 +41,20 @@ class ScanSpec:
     is refined by golden section until its width drops below refine_tol.
     """
 
-    lo: float
-    hi: float
-    grid_points: int = 2048
-    refine_tol: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __new__(
+        cls, lo: float, hi: float, grid_points: int = 2048, refine_tol: float = 1e-10
+    ) -> ScanSpec:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("scan window must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"scan window is empty: [{self.lo}, {self.hi}]")
-        if self.grid_points < 16:
-            raise ValueError(f"grid_points must be at least 16, got {self.grid_points}")
-        if not self.refine_tol > 0.0:
-            raise ValueError(f"refine_tol must be positive, got {self.refine_tol}")
+        if not lo < hi:
+            raise ValueError(f"scan window is empty: [{lo}, {hi}]")
+        if grid_points < 16:
+            raise ValueError(f"grid_points must be at least 16, got {grid_points}")
+        if not refine_tol > 0.0:
+            raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+        return tuple.__new__(cls, (lo, hi, grid_points, refine_tol))
 
 
 def _safe(f: Callable[[float], float], x: float) -> float:
@@ -151,8 +152,7 @@ def find_root(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     """Result of a finite-difference derivative check.
 
     value is the Richardson extrapolation of the two finest central

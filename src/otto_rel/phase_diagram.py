@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Callable, Optional
 
-from .core import Scenario, relativistic_factor
+from .core import Scenario, _Validated, relativistic_factor
 from .high_temperature import ReducedParams, performance, scenario_forms
 
 __all__ = [
@@ -160,8 +160,7 @@ def boundary_curves(
     }
 
 
-@dataclass(frozen=True)
-class PhaseMap:
+class PhaseMap(_Validated, namedtuple("PhaseMap", "v z_axis tau_axis runs scenario")):
     """Immutable mode raster over the open unit square of (z, tau).
 
     runs[j] holds tau column j as runs of equal mode along z: (start, mode)
@@ -170,22 +169,26 @@ class PhaseMap:
     mode, so equal rasters have equal runs.
     """
 
-    v: float
-    z_axis: tuple[float, ...]
-    tau_axis: tuple[float, ...]
-    runs: tuple[tuple[_Run, ...], ...]
-    scenario: Scenario
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.runs) != len(self.tau_axis):
+    def __new__(
+        cls,
+        v: float,
+        z_axis: tuple[float, ...],
+        tau_axis: tuple[float, ...],
+        runs: tuple[tuple[_Run, ...], ...],
+        scenario: Scenario,
+    ) -> PhaseMap:
+        if len(runs) != len(tau_axis):
             raise ValueError("runs column count must match tau_axis length")
-        size = len(self.z_axis)
-        for column in self.runs:
+        size = len(z_axis)
+        for column in runs:
             if not column or column[0][0] != 0 or column[-1][0] >= size:
                 raise ValueError("each column's runs must start at 0 and inside z_axis")
             for (start, mode), (after, next_mode) in zip(column, column[1:]):
                 if after <= start or next_mode is mode:
                     raise ValueError("run starts must rise and adjacent modes differ")
+        return tuple.__new__(cls, (v, z_axis, tau_axis, runs, scenario))
 
     @property
     def cells(self) -> tuple[tuple[OperationalMode, ...], ...]:

@@ -697,16 +697,22 @@ def test_console_script_declaration():
     assert entry.load() is cli.main
 
 
-def test_console_script_round_trip(tmp_path):
-    # Run the entry point of the package under test as a fresh process; its
-    # source root goes first on PYTHONPATH, and the child starts outside the
-    # checkout, so neither an installed copy nor the working directory can
-    # shadow it.
+def _source_first_env() -> dict:
+    """The environment with the source root of the package under test first on PYTHONPATH."""
     src_root = str(Path(otto_rel.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src_root, env.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_console_script_round_trip(tmp_path):
+    # Run the entry point of the package under test as a fresh process; its
+    # source root goes first on PYTHONPATH, and the child starts outside the
+    # checkout, so neither an installed copy nor the working directory can
+    # shadow it.
+    env = _source_first_env()
     proc = subprocess.run(
         [
             sys.executable, "-c", ENTRY_POINT_WRAPPER,
@@ -724,3 +730,23 @@ def test_console_script_round_trip(tmp_path):
     data = json.loads(proc.stdout)
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]["eta_max_se"]
     assert data["eta"] == pytest.approx(want, rel=1e-10)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # dataclasses (which pulls in inspect) cost about a fifth of the CLI's
+    # startup; a module set, unlike a wall-clock bound, cannot flake
+    def loaded(statement: str) -> set[str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{statement}import sys; print(' '.join(sys.modules))"],
+            capture_output=True,
+            text=True,
+            env=_source_first_env(),
+            cwd=tmp_path,
+            timeout=60,
+            check=True,
+        )
+        return set(proc.stdout.split())
+
+    added = loaded("import otto_rel.cli; ") - loaded("")
+    assert "otto_rel.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -1,0 +1,268 @@
+"""Record contract: every public record is a validated, immutable namedtuple."""
+
+import copy
+import pickle
+from typing import NamedTuple
+
+import pytest
+
+import otto_rel
+from otto_rel import (
+    BOTH_SUDDEN,
+    SUDDEN_COMPRESSION,
+    CycleParams,
+    DerivativeReport,
+    EnergyBook,
+    MonicCubic,
+    Objective,
+    OperationalMode,
+    OptimizationTarget,
+    OptimumReport,
+    PerformanceRecord,
+    PhaseMap,
+    ReducedParams,
+    ScanSpec,
+    Scenario,
+    StrokeProtocol,
+)
+from otto_rel.core import _Validated
+
+SC_TEXT = (
+    "Scenario(compression=<StrokeProtocol.SUDDEN: 'sudden'>, "
+    "expansion=<StrokeProtocol.ADIABATIC: 'adiabatic'>)"
+)
+BOTH_SUDDEN_TEXT = (
+    "Scenario(compression=<StrokeProtocol.SUDDEN: 'sudden'>, "
+    "expansion=<StrokeProtocol.SUDDEN: 'sudden'>)"
+)
+HEATER, ENGINE = OperationalMode.HEATER, OperationalMode.ENGINE
+
+
+class Case(NamedTuple):
+    cls: type
+    fields: dict  # a valid record, every field by keyword, in field order
+    other: dict  # a valid override that changes the record's value
+    text: str  # its repr
+    errors: list  # (invalid override, ValueError message)
+
+
+CASES = [
+    Case(
+        Scenario,
+        dict(compression=StrokeProtocol.SUDDEN, expansion=StrokeProtocol.ADIABATIC),
+        dict(expansion=StrokeProtocol.SUDDEN),
+        SC_TEXT,
+        [],
+    ),
+    Case(
+        CycleParams,
+        dict(v=0.5, beta_c=2.0, beta_h=1.0, omega_c=0.5, omega_h=1.0),
+        dict(omega_h=2.0),
+        "CycleParams(v=0.5, beta_c=2.0, beta_h=1.0, omega_c=0.5, omega_h=1.0)",
+        [
+            (dict(v=1.0), "velocity must lie in (0, 1), got 1.0"),
+            (dict(beta_c=0.0), "beta_c must be positive, got 0.0"),
+            (dict(beta_h=-1.0), "beta_h must be positive, got -1.0"),
+            (dict(omega_c=0.0), "omega_c must be positive, got 0.0"),
+            (
+                dict(omega_h=0.25),
+                "frequencies must satisfy omega_c <= omega_h, got omega_c=0.5, omega_h=0.25",
+            ),
+        ],
+    ),
+    Case(
+        EnergyBook,
+        dict(h_a=1.0, h_b=2.0, h_c=3.0, h_d=4.0),
+        dict(h_d=5.0),
+        "EnergyBook(h_a=1.0, h_b=2.0, h_c=3.0, h_d=4.0)",
+        [],
+    ),
+    Case(
+        PerformanceRecord,
+        dict(q_h=1.0, q_c=-0.5, w_ext=0.5),
+        dict(q_c=-0.25),
+        "PerformanceRecord(q_h=1.0, q_c=-0.5, w_ext=0.5)",
+        [],
+    ),
+    Case(
+        ReducedParams,
+        dict(z=0.5, tau=0.5, v=0.5, beta_h=1.0),
+        dict(tau=0.25),
+        "ReducedParams(z=0.5, tau=0.5, v=0.5, beta_h=1.0)",
+        [
+            (dict(z=2.0), "frequency ratio z must lie in (0, 1], got 2.0"),
+            (dict(tau=1.0), "temperature ratio tau must lie in (0, 1), got 1.0"),
+            (dict(v=0.0), "velocity v must lie in (0, 1), got 0.0"),
+            (dict(beta_h=0.0), "beta_h must be positive, got 0.0"),
+        ],
+    ),
+    Case(
+        MonicCubic,
+        dict(a2=1.0, a1=-2.0, a0=0.5),
+        dict(a0=0.0),
+        "MonicCubic(a2=1.0, a1=-2.0, a0=0.5)",
+        [
+            (dict(a2=float("inf")), "coefficient a2 must be finite, got inf"),
+            (dict(a1=float("nan")), "coefficient a1 must be finite, got nan"),
+            (dict(a0=float("-inf")), "coefficient a0 must be finite, got -inf"),
+        ],
+    ),
+    Case(
+        OptimizationTarget,
+        dict(objective=Objective.WORK, scenario=SUDDEN_COMPRESSION),
+        dict(objective=Objective.OMEGA),
+        f"OptimizationTarget(objective=<Objective.WORK: 'work'>, scenario={SC_TEXT})",
+        [
+            (
+                dict(scenario=BOTH_SUDDEN),
+                "hot-limit closed forms cover only the two asymmetric scenarios "
+                f"(one sudden stroke, one adiabatic), got {BOTH_SUDDEN_TEXT}",
+            ),
+        ],
+    ),
+    Case(
+        OptimumReport,
+        dict(z_star=0.5, value_at_opt=0.125, eta_at_opt=0.25),
+        dict(eta_at_opt=0.5),
+        "OptimumReport(z_star=0.5, value_at_opt=0.125, eta_at_opt=0.25)",
+        [(dict(z_star=1.0), "z_star must lie in (0, 1), got 1.0")],
+    ),
+    Case(
+        ScanSpec,
+        dict(lo=0.0, hi=1.0, grid_points=2048, refine_tol=1e-10),
+        dict(grid_points=16),
+        "ScanSpec(lo=0.0, hi=1.0, grid_points=2048, refine_tol=1e-10)",
+        [
+            (dict(lo=float("-inf")), "scan window must be finite"),
+            (dict(hi=0.0), "scan window is empty: [0.0, 0.0]"),
+            (dict(grid_points=15), "grid_points must be at least 16, got 15"),
+            (dict(refine_tol=0.0), "refine_tol must be positive, got 0.0"),
+        ],
+    ),
+    Case(
+        DerivativeReport,
+        dict(value=1.0, order=2.0, samples=(1.0, 1.0), converged=True),
+        dict(converged=False),
+        "DerivativeReport(value=1.0, order=2.0, samples=(1.0, 1.0), converged=True)",
+        [],
+    ),
+    Case(
+        PhaseMap,
+        dict(
+            v=0.5,
+            z_axis=(0.25, 0.75),
+            tau_axis=(0.5,),
+            runs=(((0, HEATER), (1, ENGINE)),),
+            scenario=SUDDEN_COMPRESSION,
+        ),
+        dict(runs=(((0, ENGINE),),)),
+        "PhaseMap(v=0.5, z_axis=(0.25, 0.75), tau_axis=(0.5,), "
+        "runs=(((0, <OperationalMode.HEATER: 'heater'>), (1, <OperationalMode.ENGINE: 'engine'>)),), "
+        f"scenario={SC_TEXT})",
+        [
+            (dict(tau_axis=(0.25, 0.75)), "runs column count must match tau_axis length"),
+            (dict(runs=(((1, ENGINE),),)), "each column's runs must start at 0 and inside z_axis"),
+            (
+                dict(runs=(((0, ENGINE), (1, ENGINE)),)),
+                "run starts must rise and adjacent modes differ",
+            ),
+        ],
+    ),
+]
+
+BY_NAME = pytest.mark.parametrize("case", CASES, ids=lambda case: case.cls.__name__)
+INVALID = pytest.mark.parametrize(
+    "case, override, message",
+    [(case, override, message) for case in CASES for override, message in case.errors],
+    ids=[f"{case.cls.__name__}-{next(iter(o))}" for case in CASES for o, _ in case.errors],
+)
+
+
+def test_every_validated_record_is_covered():
+    validated = {
+        obj for obj in vars(otto_rel).values() if isinstance(obj, type) and issubclass(obj, _Validated)
+    }
+    assert validated == {case.cls for case in CASES if case.errors}
+    assert len(CASES) == 11
+
+
+@BY_NAME
+def test_keyword_and_positional_construction_agree(case):
+    record = case.cls(**case.fields)
+    assert record == case.cls(*case.fields.values())
+    assert [getattr(record, name) for name in case.fields] == list(case.fields.values())
+    assert repr(record) == case.text
+
+
+def test_defaults():
+    assert ReducedParams(0.5, 0.5, 0.5).beta_h == 1.0
+    spec = ScanSpec(0.0, 1.0)
+    assert (spec.grid_points, spec.refine_tol) == (2048, 1e-10)
+
+
+@BY_NAME
+def test_records_are_immutable(case):
+    record = case.cls(**case.fields)
+    name, value = next(iter(case.fields.items()))
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        record.extra = value
+    assert getattr(record, name) == value
+
+
+@BY_NAME
+def test_equality_and_hash_by_value(case):
+    record = case.cls(**case.fields)
+    twin = case.cls(**case.fields)
+    assert record == twin and record is not twin
+    assert hash(record) == hash(twin)
+    assert record != case.cls(**{**case.fields, **case.other})
+
+
+@BY_NAME
+def test_a_record_is_the_tuple_of_its_fields(case):
+    # a decision, not an accident: records unpack and compare as plain tuples
+    record = case.cls(**case.fields)
+    values = tuple(case.fields.values())
+    assert record == values and hash(record) == hash(values)
+    assert tuple(record) == values
+    assert record._fields == tuple(case.fields)
+
+
+@BY_NAME
+def test_copies_keep_type_and_value(case):
+    record = case.cls(**case.fields)
+    for copied in (
+        record._replace(),
+        case.cls._make(record),
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        copy.deepcopy(record),
+    ):
+        assert type(copied) is case.cls and copied == record
+
+
+@INVALID
+def test_constructor_rejects_with_its_message(case, override, message):
+    with pytest.raises(ValueError) as caught:
+        case.cls(**{**case.fields, **override})
+    assert str(caught.value) == message
+
+
+@INVALID
+def test_every_copy_path_is_validated(case, override, message):
+    record = case.cls(**case.fields)
+    values = tuple({**case.fields, **override}.values())
+    # a tuple of invalid fields made behind the constructor's back, to
+    # show that pickle and copy rebuild through it
+    forged = tuple.__new__(case.cls, values)
+    for rebuild in (
+        lambda: record._replace(**override),
+        lambda: case.cls._make(values),
+        lambda: pickle.loads(pickle.dumps(forged)),
+        lambda: copy.copy(forged),
+    ):
+        with pytest.raises(ValueError) as caught:
+            rebuild()
+        assert str(caught.value) == message
