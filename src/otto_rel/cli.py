@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -67,7 +68,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     lines = [SCHEMA_LINE, ",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+        lines.append(",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -94,34 +95,27 @@ def _check_domain(args, *, z: bool = False) -> None:
 
 def _record(args, z: float, cap: float) -> dict:
     """One evaluation rendered as the fixed-order output mapping."""
-    scenario = _SCENARIOS[args.scenario]
+    token, tau, v, beta_h = args.scenario, args.tau, args.v, args.beta_h
+    scenario = _SCENARIOS[token]
     if args.exact:
-        params = CycleParams(
-            v=args.v,
-            beta_c=args.beta_h / args.tau,
-            beta_h=args.beta_h,
-            omega_c=z * args.omega_h,
-            omega_h=args.omega_h,
-        )
+        omega_h = args.omega_h
+        params = CycleParams(v, beta_h / tau, beta_h, z * omega_h, omega_h)
         rec = heats_and_work(params, scenario)
     else:
-        rec = performance(
-            ReducedParams(z=z, tau=args.tau, v=args.v, beta_h=args.beta_h), scenario
-        )
-    omega = omega_function(rec, cap)
-    mode = classify_signs(rec.w_ext, rec.q_h, rec.q_c)
+        rec = performance(ReducedParams(z, tau, v, beta_h), scenario)
+    q_h, q_c, w_ext = rec
     return {
         "z": z,
-        "tau": args.tau,
-        "v": args.v,
-        "beta_h": args.beta_h,
-        "scenario": args.scenario,
-        "q_h": rec.q_h,
-        "q_c": rec.q_c,
-        "w_ext": rec.w_ext,
+        "tau": tau,
+        "v": v,
+        "beta_h": beta_h,
+        "scenario": token,
+        "q_h": q_h,
+        "q_c": q_c,
+        "w_ext": w_ext,
         "eta": rec.eta,
-        "omega": omega,
-        "mode": mode.value,
+        "omega": omega_function(rec, cap),
+        "mode": classify_signs(w_ext, q_h, q_c).value,
     }
 
 
@@ -190,8 +184,7 @@ def _cmd_sweep(args) -> int:
     grid = _linspace(args.z_min, args.z_max, points)
     cap = peak_efficiency(args.tau, args.v, _SCENARIOS[args.scenario])
     rows = [[_record(args, z, cap)[key] for key in _EVAL_HEADER] for z in grid]
-    for row in rows:
-        _require_finite(zip(_EVAL_HEADER, row))
+    _require_finite(zip(itertools.cycle(_EVAL_HEADER), itertools.chain.from_iterable(rows)))
     _emit(_csv(_EVAL_HEADER, rows), args.output)
     return 0
 
@@ -295,8 +288,8 @@ def _figure_z(v_list, tau: float, points: int, columns: tuple[str, ...]) -> str:
 
 def _cmd_figure(args) -> int:
     v_list = _parse_v_list(args.v_list)
-    if args.points is not None and args.points < 1:
-        raise ValueError(f"points must be at least 1, got {args.points}")
+    if args.points is not None and not 1 <= args.points <= 10_000:
+        raise ValueError(f"points must lie in [1, 10000], got {args.points}")
     _check_resolution(args.resolution)
     if args.id == 2:
         points = args.points if args.points is not None else 100

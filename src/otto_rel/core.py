@@ -84,6 +84,11 @@ class StrokeProtocol(enum.Enum):
     ADIABATIC = "adiabatic"
     SUDDEN = "sudden"
 
+    # Members are singletons that compare by identity, so they may hash by
+    # identity too: a Scenario key then hashes without running
+    # Enum.__hash__, which is Python code, once per stroke.
+    __hash__ = object.__hash__
+
 
 class Scenario(NamedTuple):
     """Protocol assignment for the two work strokes of the cycle."""

@@ -8,8 +8,9 @@ ratios) every cycle quantity collapses onto four reduced variables:
     v                            oscillator velocity, 0 < v < 1,
     beta_h                       kept explicit as the energy scale.
 
-Writing g = tau * f(v) with f the velocity reduction factor, the per-cycle
-quantities are
+Writing g = tau * f(v) with f the velocity reduction factor (tau and v
+enter every closed form only through this product, which each function
+below forms once per call), the per-cycle quantities are
 
     sudden compression (quenched A->B stroke):
         q_h  = [2 z^2 - g (z^2 + 1)] / (2 z^2 beta_h)
@@ -76,12 +77,6 @@ class ReducedParams(_Validated, namedtuple("ReducedParams", "z tau v beta_h")):
         if not beta_h > 0.0:
             raise ValueError(f"beta_h must be positive, got {beta_h}")
         return tuple.__new__(cls, (z, tau, v, beta_h))
-
-
-def _g(r: ReducedParams) -> float:
-    # Reduced cold coupling tau * f(v); every closed form depends on tau
-    # and v only through this product.
-    return r.tau * relativistic_factor(r.v)
 
 
 # -- engine windows ---------------------------------------------------------
@@ -180,32 +175,35 @@ def scenario_forms(scenario: Scenario) -> ScenarioForms:
 
 def qh(r: ReducedParams, scenario: Scenario) -> float:
     """Hot-bath heat for either asymmetric scenario."""
-    return scenario_forms(scenario).qh(r.z, _g(r), r.beta_h)
+    z, tau, v, beta_h = r
+    return scenario_forms(scenario).qh(z, tau * relativistic_factor(v), beta_h)
 
 
 def qc(r: ReducedParams, scenario: Scenario) -> float:
     """Cold-bath heat for either asymmetric scenario."""
-    return scenario_forms(scenario).qc(r.z, _g(r), r.beta_h)
+    z, tau, v, beta_h = r
+    return scenario_forms(scenario).qc(z, tau * relativistic_factor(v), beta_h)
 
 
 def work(r: ReducedParams, scenario: Scenario) -> float:
     """Net extracted work for either asymmetric scenario."""
-    return scenario_forms(scenario).work(r.z, _g(r), r.beta_h)
+    z, tau, v, beta_h = r
+    return scenario_forms(scenario).work(z, tau * relativistic_factor(v), beta_h)
 
 
 def eta(r: ReducedParams, scenario: Scenario) -> Optional[float]:
     """Efficiency work/q_h for either asymmetric scenario, None when q_h <= 0."""
     forms = scenario_forms(scenario)
-    g = _g(r)
-    return _efficiency(forms.work(r.z, g, r.beta_h), forms.qh(r.z, g, r.beta_h))
+    z, tau, v, beta_h = r
+    g = tau * relativistic_factor(v)
+    return _efficiency(forms.work(z, g, beta_h), forms.qh(z, g, beta_h))
 
 
 def performance(r: ReducedParams, scenario: Scenario) -> PerformanceRecord:
     """Assemble the full hot-limit performance record at one point."""
     forms = scenario_forms(scenario)
-    g = _g(r)
+    z, tau, v, beta_h = r
+    g = tau * relativistic_factor(v)
     return PerformanceRecord(
-        q_h=forms.qh(r.z, g, r.beta_h),
-        q_c=forms.qc(r.z, g, r.beta_h),
-        w_ext=forms.work(r.z, g, r.beta_h),
+        forms.qh(z, g, beta_h), forms.qc(z, g, beta_h), forms.work(z, g, beta_h)
     )

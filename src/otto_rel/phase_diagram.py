@@ -53,6 +53,12 @@ _SIGN_TABLE = {
     (-1, 1, -1): OperationalMode.THERMAL_ACCELERATOR,
 }
 
+# _SIGN_TABLE keyed by which of (W, Q_h, Q_c) exceed eps.  For a quantity
+# more than eps from zero, not exceeding eps means lying below -eps.
+_STRICT_MODES = {
+    tuple(sign > 0 for sign in triple): mode for triple, mode in _SIGN_TABLE.items()
+}
+
 
 def _sign(x: float, eps: float) -> int:
     if x > eps:
@@ -75,6 +81,11 @@ def classify_signs(
     cold one; they indicate corrupted inputs and raise instead of
     guessing.  A nan quantity has no sign and raises FloatingPointError.
     """
+    if abs(w_ext) > eps and abs(q_h) > eps and abs(q_c) > eps:
+        mode = _STRICT_MODES.get((w_ext > eps, q_h > eps, q_c > eps))
+        if mode is not None:
+            return mode
+    # Boundary, nan and inconsistent inputs take the sign-by-sign path.
     triple = (_sign(w_ext, eps), _sign(q_h, eps), _sign(q_c, eps))
     if 0 in triple:
         return OperationalMode.BOUNDARY

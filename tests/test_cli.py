@@ -563,6 +563,18 @@ def test_figure_rejects_empty_axis(capsys, points):
     assert "points" in err
 
 
+def test_figure_points_stop_at_ten_thousand(capsys):
+    code, out, err = run(capsys, "figure", "--id", "3", "--points", "10001")
+    assert (code, out) == (2, "")
+    assert err == "otto-rel: error: points must lie in [1, 10000], got 10001\n"
+    code, out, err = run(capsys, "figure", "--id", "3", "--points", "10000")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "z,v,scenario,work"
+    assert len(lines) == 2 + 10_000 * 3 * 2
+    assert lines[-1].startswith("1.0,0.95,se,")
+
+
 @pytest.mark.parametrize("resolution", ["1", "20000"])
 def test_figure_rejects_resolution_out_of_range(capsys, resolution):
     code, out, err = run(
@@ -601,11 +613,20 @@ def _cli_argv(draw):
     def number():
         return draw(_EDGE_FLOAT if draw(st.integers(0, 5)) == 0 else _UNIT_FLOAT)
 
-    command = draw(st.sampled_from(("evaluate", "optimize", "sweep", "phase-map")))
-    flags = {"scenario": draw(st.sampled_from(("sc", "se"))), "v": number()}
+    command = draw(st.sampled_from(("evaluate", "optimize", "sweep", "phase-map", "figure")))
+    if command == "figure":
+        flags = {
+            "id": draw(st.integers(min_value=2, max_value=6)),
+            "points": draw(_COUNT_FLAG),
+            "resolution": draw(_COUNT_FLAG),
+            "tau": number(),
+            "v_list": ",".join(repr(number()) for _ in range(draw(st.integers(1, 3)))),
+        }
+    else:
+        flags = {"scenario": draw(st.sampled_from(("sc", "se"))), "v": number()}
     if command == "phase-map":
         flags["resolution"] = draw(_COUNT_FLAG)
-    else:
+    elif command != "figure":
         flags.update(tau=number(), beta_h=number())
     if command == "evaluate":
         flags.update(z=number(), format=draw(st.sampled_from(("json", "csv"))))

@@ -1,5 +1,8 @@
 """Leading-order hot-limit formulas for the two asymmetric cycles."""
 
+import pickle
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,8 @@ from otto_rel import (
     SUDDEN_EXPANSION,
     CycleParams,
     ReducedParams,
+    Scenario,
+    StrokeProtocol,
     engine_lower_z_sc,
     engine_lower_z_se,
     eta,
@@ -132,6 +137,35 @@ def test_symmetric_scenarios_are_rejected():
         for call in (scenario_forms, lambda s: qh(SPOT, s), lambda s: performance(SPOT, s)):
             with pytest.raises(ValueError, match="asymmetric scenarios"):
                 call(scenario)
+
+
+def test_rebuilt_and_unpickled_scenarios_find_their_forms():
+    rebuilt = Scenario(StrokeProtocol.SUDDEN, StrokeProtocol.ADIABATIC)
+    assert scenario_forms(rebuilt) is scenario_forms(SUDDEN_COMPRESSION)
+    assert performance(SPOT, rebuilt) == performance(SPOT, SUDDEN_COMPRESSION)
+    restored = pickle.loads(pickle.dumps(SUDDEN_EXPANSION))
+    assert restored == SUDDEN_EXPANSION
+    assert scenario_forms(restored) is scenario_forms(SUDDEN_EXPANSION)
+    assert eta(SPOT, restored) == eta(SPOT, SUDDEN_EXPANSION)
+
+
+def test_hot_limit_forms_run_no_enum_code():
+    # The scenario lookup hashes the StrokeProtocol members; Enum.__hash__
+    # is Python code in enum.py, identity hashing is not.
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "enum":
+            entered.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        performance(SPOT, SUDDEN_COMPRESSION)
+        eta(SPOT, SUDDEN_EXPANSION)
+    finally:
+        sys.setprofile(previous)
+    assert entered == []
 
 
 def test_reduced_params_validation():

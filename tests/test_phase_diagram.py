@@ -81,6 +81,86 @@ def test_infinite_quantities_keep_their_sign():
         classify_signs(inf, inf, inf)
 
 
+# classify_signs as it was before its strict-mode table lookup: the sign of
+# each quantity first, then the four-mode table.  The lookup must agree with
+# it on every input, exceptions and their messages included.
+_REFERENCE_SIGN_TABLE = {
+    (1, 1, -1): E,
+    (-1, -1, 1): R,
+    (-1, -1, -1): H,
+    (-1, 1, -1): T,
+}
+
+
+def _reference_sign(x, eps):
+    if x > eps:
+        return 1
+    if x < -eps:
+        return -1
+    if x == x:
+        return 0
+    raise FloatingPointError(f"cannot classify a quantity that is not finite ({x!r})")
+
+
+def _reference_classify_signs(w_ext, q_h, q_c, eps=phase_diagram.BOUNDARY_EPS):
+    triple = (_reference_sign(w_ext, eps), _reference_sign(q_h, eps), _reference_sign(q_c, eps))
+    if 0 in triple:
+        return B
+    mode = _REFERENCE_SIGN_TABLE.get(triple)
+    if mode is None:
+        raise ValueError(
+            f"sign pattern (W, Q_h, Q_c) = {triple} is inconsistent with a "
+            "hot bath hotter than the cold bath"
+        )
+    return mode
+
+
+def _outcome(classify, *args):
+    try:
+        return classify(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+_SPECIAL_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308
+)
+
+
+@st.composite
+def _sign_inputs(draw):
+    """eps and a (W, Q_h, Q_c) triple, each quantity often at or next to +-eps."""
+    eps = draw(
+        st.one_of(
+            st.just(phase_diagram.BOUNDARY_EPS), st.sampled_from(_SPECIAL_FLOATS), st.floats()
+        )
+    )
+    near_eps = (eps, -eps) + tuple(
+        math.nextafter(edge, toward)
+        for edge in (eps, -eps)
+        for toward in (math.inf, -math.inf)
+    )
+    quantity = st.one_of(
+        st.sampled_from(_SPECIAL_FLOATS + near_eps),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(),
+    )
+    return draw(quantity), draw(quantity), draw(quantity), eps
+
+
+@settings(max_examples=500, deadline=None)
+@given(inputs=_sign_inputs())
+@example(inputs=(1.0, 2.0, -1.0, 1e-9))
+@example(inputs=(-1.0, 2.0, -1.0, -2.0))
+@example(inputs=(-1.0, -2.0, math.nan, 1e-9))
+@example(inputs=(0.0, -2.0, math.nan, 1e-9))
+@example(inputs=(-1.0, -2.0, 1.0, math.nan))
+@example(inputs=(-math.inf, -math.inf, math.inf, math.inf))
+@example(inputs=(1e-9, 1.0, -1.0, 1e-9))
+def test_classify_signs_agrees_with_sign_by_sign(inputs):
+    assert _outcome(classify_signs, *inputs) == _outcome(_reference_classify_signs, *inputs)
+
+
 def test_known_mode_points_compression():
     # tau=0.5, v=0.5 puts the edges near 0.476, 0.559, 0.621
     pts = {0.3: R, 0.5: H, 0.59: T, 0.8: E, 0.9: E}
