@@ -232,6 +232,22 @@ def optima_block(tau, v):
     }
 
 
+def exact_edges():
+    """A-corner energy at beta_c = 1 (so omega_c = 2x) near both ends of v.
+
+    Each v is the double the package sees, converted exactly; at
+    v = 1 - 1e-12 the decimal string would differ from it by 2e-5 in 1 - v.
+    """
+    velocities = (1e-12, 1e-5, 1e-3, 1 - 1e-6, 1 - 1e-12)
+    return {
+        repr(v): {
+            repr(x): exact_record(mp.mpf(v), 1, 1, 2 * x, 2 * x, False, False)["h_a"]
+            for x in (0.25, 30.0)
+        }
+        for v in velocities
+    }
+
+
 def eta_omega_point(tau, v, compression: bool):
     tau, v = mp.mpf(tau), mp.mpf(v)
     g = tau * factor(v)
@@ -329,6 +345,8 @@ def main() -> None:
             "sc_eta_c=0.999,v=0.95": eta_omega_point("0.001", "0.95", True),
             "se_eta_c=0.99,v=0.95": eta_omega_point("0.01", "0.95", False),
         },
+        # h_a keyed by repr(v), then repr(x) with x = beta_c omega_c / 2
+        "exact_edges": exact_edges(),
     }
 
     frozen = freeze(reference)

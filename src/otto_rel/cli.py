@@ -38,11 +38,14 @@ from .optima import (
     optimize,
     peak_efficiency,
 )
-from .phase_diagram import PhaseMap, classify_signs, mode_fractions, rasterize
+from .phase_diagram import OperationalMode, PhaseMap, classify_signs, mode_fractions, rasterize
 
 SCHEMA_LINE = "# otto-rel schema v1"
 
 _SCENARIOS = {"sc": SUDDEN_COMPRESSION, "se": SUDDEN_EXPANSION}
+
+# Output token of each mode: a dict lookup, where Enum.value runs Python code.
+_MODE_TOKENS = {mode: mode.value for mode in OperationalMode}
 
 
 def _fmt(value) -> str:
@@ -115,7 +118,7 @@ def _record(args, z: float, cap: float) -> dict:
         "w_ext": w_ext,
         "eta": rec.eta,
         "omega": omega_function(rec, cap),
-        "mode": classify_signs(w_ext, q_h, q_c).value,
+        "mode": _MODE_TOKENS[classify_signs(w_ext, q_h, q_c)],
     }
 
 
@@ -214,7 +217,7 @@ def _write_raster(handle: TextIO, token: str, phase_maps: Iterable[PhaseMap]) ->
         for i, z in enumerate(phase_map.z_axis):
             for j in due.pop(i, ()):
                 column, k = columns[j], next_run[j]
-                tails[j] = f"{taus[j]!r},{v},{token},{column[k][1].value}\n"
+                tails[j] = f"{taus[j]!r},{v},{token},{_MODE_TOKENS[column[k][1]]}\n"
                 if k + 1 < len(column):
                     next_run[j] = k + 1
                     due.setdefault(column[k + 1][0], []).append(j)

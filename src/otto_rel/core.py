@@ -27,9 +27,12 @@ absorbed by the oscillator counts positive:
 
     Q_h = <H>_C - <H>_B,   Q_c = <H>_A - <H>_D,   W_ext = Q_h + Q_c.
 
-The log-sinh ratio is evaluated through ln sinh(x) = x - ln 2 + ln(1 - e^(-2x))
-so that corner energies stay finite deep in the cold regime (beta_c omega_c of
-several hundred) and at velocities close to 1.
+With x = beta_c omega_c / 2 and r = sqrt((1 - v)(1 + v)), the two sinh
+arguments are b = x (1 - v) / r = x_minus and b + d with d = 2 x v / r, and
+the log-sinh ratio is evaluated as d + log1p(e^(-2b) expm1(-2d) / expm1(-2b)).
+No exponent in it is positive, so corner energies stay finite deep in the
+cold regime (beta_c omega_c of several hundred), and no difference of
+nearly equal numbers is formed, so every digit survives as v -> 0 and v -> 1.
 """
 
 from __future__ import annotations
@@ -57,15 +60,9 @@ __all__ = [
     "omega_function",
 ]
 
-_LN2 = math.log(2.0)
-
 # Closed form of the velocity factor is 0/0 at v = 0; below this threshold a
 # fourth-order Taylor value is exact to double precision.
 _FACTOR_SERIES_V = 1e-4
-
-# Below this velocity the two log-sinh arguments are so close that direct
-# subtraction loses digits; an odd-order expansion in artanh(v) takes over.
-_RATIO_SERIES_V = 1e-5
 
 
 class _Validated:
@@ -221,24 +218,15 @@ def adiabaticity(protocol: StrokeProtocol, z: float) -> float:
     return (z * z + 1.0) / (2.0 * z)
 
 
-def _ln_sinh(x: float) -> float:
-    # ln sinh(x) = x - ln 2 + ln(1 - e^(-2x)); never exponentiates a
-    # positive argument, so x of several thousand is safe.
-    return x - _LN2 + math.log(-math.expm1(-2.0 * x))
+def _log_sinh_ratio(b: float, d: float) -> float:
+    """ln[sinh(b + d) / sinh(b)] for b > 0 and d >= 0, with no branch.
 
-
-def _log_sinh_ratio(half_bw: float, v: float) -> float:
-    """ln[sinh(half_bw e^s) / sinh(half_bw e^-s)] with s = artanh(v).
-
-    The two arguments collapse onto each other as v -> 0, so below
-    _RATIO_SERIES_V the odd expansion 2 s x coth(x) + O(s^3) replaces the
-    explicit difference (relative truncation error about s^2/6).
+    sinh(b + d) / sinh(b) = e^d (1 - e^(-2b) e^(-2d)) / (1 - e^(-2b)), so
+    the log is d plus log1p of e^(-2b) expm1(-2d) / expm1(-2b) >= 0.
+    expm1 keeps d's digits when d << b (v -> 0) and b's when b -> 0
+    (v -> 1).
     """
-    if v < _RATIO_SERIES_V:
-        s = math.atanh(v)
-        return 2.0 * s * half_bw / math.tanh(half_bw)
-    doppler = math.sqrt((1.0 + v) / (1.0 - v))
-    return _ln_sinh(half_bw * doppler) - _ln_sinh(half_bw / doppler)
+    return d + math.log1p(math.exp(-2.0 * b) * math.expm1(-2.0 * d) / math.expm1(-2.0 * b))
 
 
 def corner_energies(params: CycleParams, scenario: Scenario) -> EnergyBook:
@@ -251,8 +239,16 @@ def corner_energies(params: CycleParams, scenario: Scenario) -> EnergyBook:
     """
     lam_ab = adiabaticity(scenario.compression, params.z)
     lam_cd = adiabaticity(scenario.expansion, params.z)
-    ratio = _log_sinh_ratio(0.5 * params.beta_c * params.omega_c, params.v)
-    h_a = math.sqrt(1.0 - params.v * params.v) / (2.0 * params.beta_c * params.v) * ratio
+    v, beta_c, omega_c = params.v, params.beta_c, params.omega_c
+    x = 0.5 * beta_c * omega_c
+    r = math.sqrt((1.0 - v) * (1.0 + v))
+    b = x * (1.0 - v) / r  # x e^(-s), the smaller sinh argument
+    if b == 0.0:
+        raise FloatingPointError(
+            f"x*e^(-s) = beta_c*omega_c/2*e^(-artanh v) underflows to 0 "
+            f"(beta_c={beta_c!r}, omega_c={omega_c!r}, v={v!r})"
+        )
+    h_a = r / (2.0 * beta_c * v) * _log_sinh_ratio(b, 2.0 * x * v / r)
     h_b = (params.omega_h / params.omega_c) * lam_ab * h_a
     coth_hot = 1.0 / math.tanh(0.5 * params.beta_h * params.omega_h)
     h_c = 0.5 * params.omega_h * coth_hot

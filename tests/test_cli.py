@@ -210,6 +210,46 @@ def test_arithmetic_failure_exits_3_without_traceback(capsys):
     assert err.startswith("otto-rel: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(("--z", "1e-10", "--omega-h", "1e-14", "--beta-h", "1e-300"), id="tiny-omega"),
+        pytest.param(("--z", "1e-3", "--omega-h", "1e-3", "--beta-h", "1e-318"), id="tiny-beta"),
+    ],
+)
+def test_exact_underflowing_sinh_argument_exits_3(capsys, flags):
+    # every flag is in its domain, but x*e^(-s) = beta_c*omega_c/2*e^(-s) is 0
+    code, out, err = run(
+        capsys, "evaluate", "--scenario", "se", "--tau", "0.5", "--v", "0.9", "--exact", *flags
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("otto-rel: error:") and err.count("\n") == 1, err
+    assert "x*e^(-s)" in err and "beta_c=" in err and "omega_c=" in err
+
+
+@pytest.mark.parametrize("exact", [(), ("--exact",)], ids=["hot-limit", "exact"])
+def test_record_runs_no_enum_code(exact):
+    # Enum.value is Python code in enum.py; the mode token is a dict lookup
+    args = cli.build_parser().parse_args(
+        ["evaluate", "--scenario", "sc", "--z", "0.8", "--tau", "0.5", "--v", "0.5", *exact]
+    )
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "enum":
+            entered.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        record = cli._record(args, 0.8, 0.2)
+    finally:
+        sys.setprofile(previous)
+    assert entered == []
+    assert record["mode"] == "engine"
+
+
 def test_subnormal_load_optimum_is_certified(capsys):
     # tau * f(v) is subnormal; the efficiency cubic still has its root
     code, out, err = run(

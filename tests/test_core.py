@@ -1,6 +1,7 @@
 """Exact cycle energetics: corner energies, heats, work, basic figures."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -164,11 +165,51 @@ def test_large_arguments_do_not_overflow():
 
 
 def test_tiny_velocity_branch_is_continuous():
-    # the moving-bath energy switches to a series below v = 1e-5
+    # h_a must be smooth in v; a series branch once switched in at v = 1e-5
     base = dict(beta_c=1.0, beta_h=0.5, omega_c=1.0, omega_h=2.0)
     below = corner_energies(CycleParams(v=0.999e-5, **base), BOTH_ADIABATIC).h_a
     above = corner_energies(CycleParams(v=1.001e-5, **base), BOTH_ADIABATIC).h_a
     assert below == pytest.approx(above, rel=1e-9)
+
+
+def test_exact_edges_match_reference():
+    # beta_c = 1, so omega_c = 2x; keys are the exact reprs of v and x
+    for v_key, row in REFERENCE["exact_edges"].items():
+        for x_key, want in row.items():
+            v, x = float(v_key), float(x_key)
+            params = CycleParams(v=v, beta_c=1.0, beta_h=1.0, omega_c=2 * x, omega_h=2 * x)
+            got = corner_energies(params, BOTH_ADIABATIC).h_a
+            assert abs(got - want) <= 1e-15 * want, (v_key, x_key, got, want)
+
+
+def _decimal_h_a(v: float, x: float) -> Decimal:
+    """<H>_A at beta_c = 1 from its definition, with every digit of v kept."""
+    with localcontext() as ctx:
+        ctx.prec = 40 + max(0, -math.floor(math.log10(v)))
+        d_v, d_x, one = Decimal(v), Decimal(x), Decimal(1)
+        doppler = ((one + d_v) / (one - d_v)).sqrt()  # e^s with s = artanh(v)
+
+        def ln_sinh(a: Decimal) -> Decimal:
+            return a - Decimal(2).ln() + (one - (-2 * a).exp()).ln()
+
+        ratio = ln_sinh(d_x * doppler) - ln_sinh(d_x / doppler)
+        return ((one - d_v) * (one + d_v)).sqrt() / (2 * d_v) * ratio
+
+
+_velocities = st.one_of(
+    st.floats(min_value=1.0, max_value=300.0).map(lambda k: 10.0**-k),
+    st.floats(min_value=1.0, max_value=15.9).map(lambda k: 1.0 - 10.0**-k),
+    st.integers(min_value=1, max_value=2**53 - 1).map(lambda n: n / 2**53),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_velocities, x=st.floats(min_value=5e-4, max_value=300.0))
+def test_cold_corner_energy_keeps_its_digits(v, x):
+    params = CycleParams(v=v, beta_c=1.0, beta_h=1.0, omega_c=2 * x, omega_h=2 * x)
+    got = corner_energies(params, BOTH_ADIABATIC).h_a
+    want = _decimal_h_a(v, x)
+    assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (v, x, got, want)
 
 
 def test_params_validation():
