@@ -318,13 +318,10 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _add_common(parser, *, tau=True, v=True, beta_h=True) -> None:
-    if tau:
-        parser.add_argument("--tau", type=float, required=True, help="beta_h/beta_c in (0,1)")
-    if v:
-        parser.add_argument("--v", type=float, required=True, help="oscillator velocity in (0,1)")
-    if beta_h:
-        parser.add_argument("--beta-h", type=float, default=1.0, help="hot inverse temperature (default 1)")
+def _add_common(parser) -> None:
+    parser.add_argument("--tau", type=float, required=True, help="beta_h/beta_c in (0,1)")
+    parser.add_argument("--v", type=float, required=True, help="oscillator velocity in (0,1)")
+    parser.add_argument("--beta-h", type=float, default=1.0, help="hot inverse temperature (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,16 +29,21 @@ absorbed by the oscillator counts positive:
 
 With x = beta_c omega_c / 2 and r = sqrt((1 - v)(1 + v)), the two sinh
 arguments are b = x (1 - v) / r = x_minus and b + d with d = 2 x v / r, and
-the log-sinh ratio is evaluated as d + log1p(e^(-2b) expm1(-2d) / expm1(-2b)).
+the log-sinh ratio is evaluated as L = d + log1p(e^(-2b) expm1(-2d) / expm1(-2b)).
 No exponent in it is positive, so corner energies stay finite deep in the
 cold regime (beta_c omega_c of several hundred), and no difference of
 nearly equal numbers is formed, so every digit survives as v -> 0 and v -> 1.
+Since r d / (2 beta_c v) = omega_c / 2, the A corner is formed as
+<H>_A = (omega_c / 2) * (L / d): L/d, not L, is what gets scaled, and no
+prefactor 1/(beta_c v) can overflow.  A d below the smallest normal double
+has lost its digits and raises FloatingPointError.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 from typing import NamedTuple, Optional
 
@@ -219,12 +224,13 @@ def adiabaticity(protocol: StrokeProtocol, z: float) -> float:
 
 
 def _log_sinh_ratio(b: float, d: float) -> float:
-    """ln[sinh(b + d) / sinh(b)] for b > 0 and d >= 0, with no branch.
+    """L = ln[sinh(b + d) / sinh(b)] for b > 0 and d >= 0, with no branch.
 
     sinh(b + d) / sinh(b) = e^d (1 - e^(-2b) e^(-2d)) / (1 - e^(-2b)), so
     the log is d plus log1p of e^(-2b) expm1(-2d) / expm1(-2b) >= 0.
     expm1 keeps d's digits when d << b (v -> 0) and b's when b -> 0
-    (v -> 1).
+    (v -> 1).  The caller scales L/d, which lies between 1 and coth(b),
+    rather than L, which shrinks with d.
     """
     return d + math.log1p(math.exp(-2.0 * b) * math.expm1(-2.0 * d) / math.expm1(-2.0 * b))
 
@@ -235,7 +241,10 @@ def corner_energies(params: CycleParams, scenario: Scenario) -> EnergyBook:
     The A-corner energy is the velocity-dressed thermal energy of the
     oscillator in the cold bath; B picks up the compression-stroke factor,
     C is the plain thermal energy in the effective hot bath, and D picks up
-    the expansion-stroke factor.
+    the expansion-stroke factor.  <H>_A = (omega_c / 2) * (L / d) with
+    d = 2x sinh(s) and L the log-sinh ratio; a d below the smallest
+    normal double raises FloatingPointError, as does an x e^(-s) that
+    underflows to 0.
     """
     lam_ab = adiabaticity(scenario.compression, params.z)
     lam_cd = adiabaticity(scenario.expansion, params.z)
@@ -248,7 +257,15 @@ def corner_energies(params: CycleParams, scenario: Scenario) -> EnergyBook:
             f"x*e^(-s) = beta_c*omega_c/2*e^(-artanh v) underflows to 0 "
             f"(beta_c={beta_c!r}, omega_c={omega_c!r}, v={v!r})"
         )
-    h_a = r / (2.0 * beta_c * v) * _log_sinh_ratio(b, 2.0 * x * v / r)
+    d = 2.0 * x * v / r  # 2x sinh(s), the gap between the sinh arguments
+    if d < sys.float_info.min:
+        raise FloatingPointError(
+            f"2x*sinh(s) = beta_c*omega_c*sinh(artanh v) is below the smallest "
+            f"normal double (beta_c={beta_c!r}, omega_c={omega_c!r}, v={v!r})"
+        )
+    # r d / (2 beta_c v) = x / beta_c = omega_c / 2; the parentheses form
+    # L/d first, so omega_c * L cannot underflow on the way.
+    h_a = 0.5 * omega_c * (_log_sinh_ratio(b, d) / d)
     h_b = (params.omega_h / params.omega_c) * lam_ab * h_a
     coth_hot = 1.0 / math.tanh(0.5 * params.beta_h * params.omega_h)
     h_c = 0.5 * params.omega_h * coth_hot

@@ -46,28 +46,14 @@ class OperationalMode(str, Enum):
 #: A run of equal mode along z: its first z index and its mode.
 _Run = tuple[int, OperationalMode]
 
+# Keyed by which of (W, Q_h, Q_c) exceed eps.  For a quantity more than
+# eps from zero, not exceeding eps means lying below -eps.
 _SIGN_TABLE = {
-    (1, 1, -1): OperationalMode.ENGINE,
-    (-1, -1, 1): OperationalMode.REFRIGERATOR,
-    (-1, -1, -1): OperationalMode.HEATER,
-    (-1, 1, -1): OperationalMode.THERMAL_ACCELERATOR,
+    (True, True, False): OperationalMode.ENGINE,
+    (False, False, True): OperationalMode.REFRIGERATOR,
+    (False, False, False): OperationalMode.HEATER,
+    (False, True, False): OperationalMode.THERMAL_ACCELERATOR,
 }
-
-# _SIGN_TABLE keyed by which of (W, Q_h, Q_c) exceed eps.  For a quantity
-# more than eps from zero, not exceeding eps means lying below -eps.
-_STRICT_MODES = {
-    tuple(sign > 0 for sign in triple): mode for triple, mode in _SIGN_TABLE.items()
-}
-
-
-def _sign(x: float, eps: float) -> int:
-    if x > eps:
-        return 1
-    if x < -eps:
-        return -1
-    if x == x:
-        return 0
-    raise FloatingPointError(f"cannot classify a quantity that is not finite ({x!r})")
 
 
 def classify_signs(
@@ -82,20 +68,18 @@ def classify_signs(
     guessing.  A nan quantity has no sign and raises FloatingPointError.
     """
     if abs(w_ext) > eps and abs(q_h) > eps and abs(q_c) > eps:
-        mode = _STRICT_MODES.get((w_ext > eps, q_h > eps, q_c > eps))
-        if mode is not None:
-            return mode
-    # Boundary, nan and inconsistent inputs take the sign-by-sign path.
-    triple = (_sign(w_ext, eps), _sign(q_h, eps), _sign(q_c, eps))
-    if 0 in triple:
-        return OperationalMode.BOUNDARY
-    mode = _SIGN_TABLE.get(triple)
-    if mode is None:
-        raise ValueError(
-            f"sign pattern (W, Q_h, Q_c) = {triple} is inconsistent with a "
-            "hot bath hotter than the cold bath"
-        )
-    return mode
+        mode = _SIGN_TABLE.get((w_ext > eps, q_h > eps, q_c > eps))
+        if mode is None:
+            signs = tuple(1 if x > eps else -1 for x in (w_ext, q_h, q_c))
+            raise ValueError(
+                f"sign pattern (W, Q_h, Q_c) = {signs} is inconsistent with a "
+                "hot bath hotter than the cold bath"
+            )
+        return mode
+    for x in (w_ext, q_h, q_c):
+        if x != x:
+            raise FloatingPointError(f"cannot classify a quantity that is not finite ({x!r})")
+    return OperationalMode.BOUNDARY
 
 
 def classify_by_signs(

@@ -228,6 +228,37 @@ def test_exact_underflowing_sinh_argument_exits_3(capsys, flags):
     assert "x*e^(-s)" in err and "beta_c=" in err and "omega_c=" in err
 
 
+def test_exact_tiny_cold_prefactor_keeps_its_value(capsys):
+    # 2*beta_c*v = 4e-310 is subnormal, but h_a = omega_c/2 * L/d is not
+    code, out, err = run(
+        capsys, "evaluate", "--exact", "--tau", "0.5", "--z", "1", "--scenario", "sc",
+        "--v", "1e-300", "--beta-h", "1e-10", "--omega-h", "1000",
+    )
+    assert code == 0 and err == ""
+    # 400-digit mpmath value of Q_h
+    assert json.loads(out)["q_h"] == pytest.approx(4999999999.9999915, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(("se", "1e-320", "1e20", "1e-22"), id="subnormal-gap"),
+        pytest.param(("sc", "1e-30", "1e-200", "1e-100"), id="zero-gap"),
+    ],
+)
+def test_exact_subnormal_sinh_gap_exits_3(capsys, flags):
+    # d = 2x*sinh(s) keeps too few bits (or none) to give h_a its digits
+    scenario, v, beta_h, omega_h = flags
+    code, out, err = run(
+        capsys, "evaluate", "--exact", "--tau", "0.5", "--z", "1", "--scenario", scenario,
+        "--v", v, "--beta-h", beta_h, "--omega-h", omega_h,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("otto-rel: error:") and err.count("\n") == 1, err
+    assert "2x*sinh(s)" in err and "beta_c=" in err and "omega_c=" in err and "v=" in err
+
+
 @pytest.mark.parametrize("exact", [(), ("--exact",)], ids=["hot-limit", "exact"])
 def test_record_runs_no_enum_code(exact):
     # Enum.value is Python code in enum.py; the mode token is a dict lookup

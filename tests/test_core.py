@@ -203,13 +203,20 @@ _velocities = st.one_of(
 )
 
 
+_cold_betas = st.one_of(
+    st.just(1.0), st.integers(min_value=-300, max_value=300).map(lambda k: 10.0**k)
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(v=_velocities, x=st.floats(min_value=5e-4, max_value=300.0))
-def test_cold_corner_energy_keeps_its_digits(v, x):
-    params = CycleParams(v=v, beta_c=1.0, beta_h=1.0, omega_c=2 * x, omega_h=2 * x)
+@given(v=_velocities, x=st.floats(min_value=5e-4, max_value=300.0), beta_c=_cold_betas)
+def test_cold_corner_energy_keeps_its_digits(v, x, beta_c):
+    # h_a scales as 1/beta_c at fixed x; 2*beta_c*v may leave the normal range
+    omega_c = 2 * x / beta_c
+    params = CycleParams(v=v, beta_c=beta_c, beta_h=1.0, omega_c=omega_c, omega_h=omega_c)
     got = corner_energies(params, BOTH_ADIABATIC).h_a
-    want = _decimal_h_a(v, x)
-    assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (v, x, got, want)
+    want = _decimal_h_a(v, x) / Decimal(beta_c)
+    assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (v, x, beta_c, got, want)
 
 
 def test_params_validation():
