@@ -248,6 +248,12 @@ def exact_edges():
     }
 
 
+def factor_edges():
+    """Velocity factor near both ends of v, at the doubles the package sees."""
+    velocities = (1e-5, 1e-3, 1 - 1e-6, 1 - 1e-12)
+    return {repr(v): factor(mp.mpf(v)) for v in velocities}
+
+
 def eta_omega_point(tau, v, compression: bool):
     tau, v = mp.mpf(tau), mp.mpf(v)
     g = tau * factor(v)
@@ -347,6 +353,8 @@ def main() -> None:
         },
         # h_a keyed by repr(v), then repr(x) with x = beta_c omega_c / 2
         "exact_edges": exact_edges(),
+        # f(v) keyed by repr(v)
+        "factor_edges": factor_edges(),
     }
 
     frozen = freeze(reference)

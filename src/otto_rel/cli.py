@@ -255,11 +255,14 @@ def _parse_v_list(raw: str) -> tuple[float, ...]:
 
 
 def _linspace(lo: float, hi: float, points: int) -> list[float]:
-    """points evenly spaced values from lo to hi; [lo] when points is 1."""
+    """points evenly spaced values from lo to hi; [lo] when points is 1.
+
+    The last value is hi itself: lo + step * (points - 1) can round past it.
+    """
     if points == 1:
         return [lo]
     step = (hi - lo) / (points - 1)
-    return [lo + step * i for i in range(points)]
+    return [lo + step * i for i in range(points - 1)] + [hi]
 
 
 def _figure_2(v_list, points: int) -> str:

@@ -61,13 +61,8 @@ __all__ = [
     "adiabaticity",
     "corner_energies",
     "heats_and_work",
-    "efficiency",
     "omega_function",
 ]
-
-# Closed form of the velocity factor is 0/0 at v = 0; below this threshold a
-# fourth-order Taylor value is exact to double precision.
-_FACTOR_SERIES_V = 1e-4
 
 
 class _Validated:
@@ -185,11 +180,16 @@ def _efficiency(w_ext: float, q_h: float) -> Optional[float]:
 def relativistic_factor(v: float) -> float:
     """Velocity reduction factor f(v) = sqrt(1-v^2) ln[(1+v)/(1-v)] / (2v).
 
-    Strictly decreasing on (0, 1) with f(0+) = 1 and f(v) -> 0 as v -> 1.
-    Below v = 1e-4 the closed form is an ill-conditioned 0/0 ratio and the
-    Taylor value 1 - v^2/6 - 11 v^4/120 (obtained by dividing the series of
-    sqrt(1-v^2) * artanh(v) by v) is used instead; the omitted v^6 term is
-    below 1e-25 there.
+    Strictly decreasing on (0, 1) with f(0+) = 1 and f(v) -> 0 as v -> 1;
+    v = 0 returns the limit 1 exactly.  Both factors are formed without
+    cancellation, so f stays within a few ulps on all of (0, 1):
+    sqrt((1-v)(1+v)) in place of sqrt(1 - v*v), which loses the digits
+    of 1 - v^2 as v -> 1, and below v = 1/3 the log as
+    log1p(2v / (1-v)), since (1+v)/(1-v) rounds to a number near 1 whose
+    log keeps only the digits of that rounding as v -> 0.  From 1/3 up
+    the quotient is at least 2 and the plain log is as good; it is kept
+    there because log1p(2.0) and log(3.0) differ by one ulp, which would
+    move f(0.5) from 0.02 to 1.98 ulps off its correctly rounded value.
 
     Raises
     ------
@@ -198,10 +198,14 @@ def relativistic_factor(v: float) -> float:
     """
     if v < 0.0 or v >= 1.0:
         raise ValueError(f"velocity must satisfy 0 <= v < 1, got {v}")
-    if v < _FACTOR_SERIES_V:
-        v2 = v * v
-        return 1.0 - v2 / 6.0 - 11.0 * v2 * v2 / 120.0
-    return math.sqrt(1.0 - v * v) * math.log((1.0 + v) / (1.0 - v)) / (2.0 * v)
+    if v == 0.0:
+        return 1.0
+    r = math.sqrt((1.0 - v) * (1.0 + v))
+    if v >= 1.0 / 3.0:
+        log_ratio = math.log((1.0 + v) / (1.0 - v))
+    else:
+        log_ratio = math.log1p(2.0 * v / (1.0 - v))
+    return r * log_ratio / (2.0 * v)
 
 
 def adiabaticity(protocol: StrokeProtocol, z: float) -> float:
@@ -283,16 +287,6 @@ def heats_and_work(params: CycleParams, scenario: Scenario) -> PerformanceRecord
     q_h = book.h_c - book.h_b
     q_c = book.h_a - book.h_d
     return PerformanceRecord(q_h=q_h, q_c=q_c, w_ext=q_h + q_c)
-
-
-def efficiency(record: PerformanceRecord) -> Optional[float]:
-    """Engine efficiency w_ext / q_h, or None when q_h <= 0.
-
-    A cycle that does not draw heat from the hot bath is not an engine;
-    that outcome is signalled by the None return rather than an exception
-    so sweeps can consume every sign combination.
-    """
-    return record.eta
 
 
 def omega_function(record: PerformanceRecord, eta_max: float) -> float:

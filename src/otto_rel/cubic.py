@@ -19,8 +19,8 @@ A^2 - 3B <= 0 the cubic is strictly monotone and the root is bracketed by
 the Cauchy bound and bisected.
 
 Every returned root is validated by back-substitution: the residual must
-not exceed tol * max(1, |A|, |B|, |C|), failing which CubicSolveError is
-raised rather than returning a silently wrong value.
+not exceed RESIDUAL_TOL * max(1, |A|, |B|, |C|), failing which
+CubicSolveError is raised rather than returning a silently wrong value.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .core import _Validated
 __all__ = [
     "MonicCubic",
     "CubicSolveError",
-    "discriminant",
     "principal_trig_root",
 ]
 
@@ -42,7 +41,7 @@ __all__ = [
 #: is clamped instead of switching to the hyperbolic branch.
 CLAMP_EPS = 1e-12
 
-#: Default relative residual tolerance for root validation.
+#: Relative residual tolerance for root validation, read on every call.
 RESIDUAL_TOL = 1e-9
 
 
@@ -69,18 +68,6 @@ class MonicCubic(_Validated, namedtuple("MonicCubic", "a2 a1 a0")):
         return max(1.0, abs(self.a2), abs(self.a1), abs(self.a0))
 
 
-def discriminant(cubic: MonicCubic) -> float:
-    """Polynomial discriminant; positive iff three distinct real roots."""
-    b, c, d = cubic.a2, cubic.a1, cubic.a0
-    return (
-        18.0 * b * c * d
-        - 4.0 * b * b * b * d
-        + b * b * c * c
-        - 4.0 * c * c * c
-        - 27.0 * d * d
-    )
-
-
 def _bisect_monotone(cubic: MonicCubic) -> float:
     # A^2 - 3B <= 0 makes the derivative nonnegative everywhere, so the
     # cubic is monotone with exactly one real root inside the Cauchy bound.
@@ -105,7 +92,7 @@ def _bisect_monotone(cubic: MonicCubic) -> float:
     return 0.5 * (lo + hi)
 
 
-def principal_trig_root(cubic: MonicCubic, residual_tol: float = RESIDUAL_TOL) -> float:
+def principal_trig_root(cubic: MonicCubic) -> float:
     """Principal real root of the cubic (largest root when three are real).
 
     Uses the trigonometric form with the hyperbolic continuation described
@@ -115,7 +102,7 @@ def principal_trig_root(cubic: MonicCubic, residual_tol: float = RESIDUAL_TOL) -
     ------
     CubicSolveError
         If the back-substituted residual exceeds
-        residual_tol * max(1, |a2|, |a1|, |a0|).
+        RESIDUAL_TOL * max(1, |a2|, |a1|, |a0|).
     """
     a2, a1, a0 = cubic.a2, cubic.a1, cubic.a0
     spread = a2 * a2 - 3.0 * a1
@@ -141,7 +128,7 @@ def principal_trig_root(cubic: MonicCubic, residual_tol: float = RESIDUAL_TOL) -
         root = -a2 / 3.0 + (2.0 / 3.0) * half * factor
 
     residual = abs(cubic(root))
-    allowed = residual_tol * cubic.coefficient_scale()
+    allowed = RESIDUAL_TOL * cubic.coefficient_scale()
     if not residual <= allowed:
         raise CubicSolveError(
             f"root {root} of y^3 + {a2} y^2 + {a1} y + {a0} has residual "

@@ -44,7 +44,7 @@ from .core import (
     relativistic_factor,
 )
 from .cubic import MonicCubic, principal_trig_root
-from .high_temperature import ReducedParams, performance, scenario_forms
+from .high_temperature import scenario_forms
 
 __all__ = [
     "ORACLE_AGREEMENT_TOL",
@@ -62,7 +62,6 @@ __all__ = [
     "z_star_work",
     "eta_mw_sc",
     "eta_mw_se",
-    "omega_value",
     "engine_window",
     "z_star_omega_sc",
     "z_star_omega_se",
@@ -284,15 +283,6 @@ def eta_mw_se(eta_c: float, v: float) -> float:
     (1-z)(1+2z) / (2(1+z)).
     """
     return _eta_mw(eta_c, v, SUDDEN_EXPANSION)
-
-
-def omega_value(r: ReducedParams, scenario: Scenario) -> float:
-    """Trade-off objective 2*W - eta_max*Q_h at one reduced point.
-
-    eta_max is the scenario's maximum efficiency at (tau, v), recomputed
-    per call; use a local closure when sweeping z at fixed (tau, v).
-    """
-    return omega_function(performance(r, scenario), peak_efficiency(r.tau, r.v, scenario))
 
 
 def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, float]:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -392,6 +393,30 @@ def test_sweep_single_point(capsys):
     lines = out.splitlines()
     assert len(lines) == 3
     assert float(lines[2].split(",")[0]) == 0.7
+
+
+def test_sweep_ends_exactly_at_z_max(capsys):
+    # lo + step * (points - 1) rounds to 1.0000000000000002 here
+    code, out, err = run(
+        capsys, "sweep", "--scenario", "sc", "--tau", "0.5", "--v", "0.5",
+        "--z-min", "0.307949627452", "--z-max", "1.0", "--points", "4882",
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2 + 4882
+    assert float(lines[-1].split(",")[0]) == 1.0
+
+
+def test_sweep_grid_ends_at_its_bounds():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        z_min = rng.uniform(1e-3, 1.0)
+        z_max = rng.choice((1.0, rng.uniform(z_min, 1.0)))
+        points = rng.randint(2, 10_000)
+        grid = cli._linspace(z_min, z_max, points)
+        assert len(grid) == points
+        assert grid[0] == z_min and grid[-1] == z_max, (z_min, z_max, points)
+        assert max(grid) == z_max
 
 
 def test_sweep_validation(capsys):

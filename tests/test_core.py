@@ -17,7 +17,6 @@ from otto_rel import (
     StrokeProtocol,
     adiabaticity,
     corner_energies,
-    efficiency,
     heats_and_work,
     omega_function,
     relativistic_factor,
@@ -47,7 +46,7 @@ def test_factor_frozen_values():
 
 
 def test_factor_series_branch_is_continuous():
-    # the closed form takes over at v = 1e-4; both branches must agree there
+    # f must be smooth in v; a series branch once switched in at v = 1e-4
     lo = relativistic_factor(1e-4 * (1.0 - 1e-9))
     hi = relativistic_factor(1e-4)
     assert abs(lo - hi) < 1e-11
@@ -60,6 +59,37 @@ def test_factor_limits_and_monotonicity():
     vals = [relativistic_factor(v) for v in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert 0.0 < relativistic_factor(0.999999) < 0.02
+
+
+def test_factor_edges_match_reference():
+    # keys are the exact reprs of v, the doubles the package sees
+    for v_key, want in REFERENCE["factor_edges"].items():
+        got = relativistic_factor(float(v_key))
+        assert abs(got - want) <= 8 * math.ulp(want), (v_key, got, want)
+
+
+def _decimal_factor(v: float) -> Decimal:
+    """f(v) from its definition, with every digit of v kept."""
+    with localcontext() as ctx:
+        ctx.prec = 40 + max(0, -math.floor(math.log10(v)))
+        d_v, one = Decimal(v), Decimal(1)
+        return ((one - d_v) * (one + d_v)).sqrt() * ((one + d_v) / (one - d_v)).ln() / (2 * d_v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=st.one_of(
+        st.floats(min_value=1.0, max_value=320.0).map(lambda k: 10.0**-k),
+        st.floats(min_value=1.0, max_value=15.9).map(lambda k: 1.0 - 10.0**-k),
+        st.integers(min_value=1, max_value=2**53 - 1).map(lambda n: n / 2**53),
+        # the two log forms meet at v = 1/3
+        st.floats(min_value=0.3, max_value=0.37),
+    )
+)
+def test_factor_keeps_its_digits(v):
+    got = relativistic_factor(v)
+    want = _decimal_factor(v)
+    assert abs(Decimal(got) - want) <= 8 * Decimal(math.ulp(got)), (v, got, want)
 
 
 def test_factor_domain_errors():
@@ -237,20 +267,20 @@ def test_params_validation():
 
 def test_efficiency_none_without_heat_uptake():
     rec = PerformanceRecord(q_h=-0.2, q_c=0.1, w_ext=-0.1)
-    assert efficiency(rec) is None and rec.eta is None
+    assert rec.eta is None
     rec = PerformanceRecord(q_h=0.0, q_c=0.1, w_ext=0.1)
-    assert efficiency(rec) is None and rec.eta is None
+    assert rec.eta is None
     rec = PerformanceRecord(q_h=0.5, q_c=-0.4, w_ext=0.1)
-    assert efficiency(rec) == pytest.approx(0.2)
-    # a hand-built record carries the same ratio as efficiency()
-    assert rec.eta == efficiency(rec)
+    assert rec.eta == pytest.approx(0.2)
+    # a hand-built record carries the ratio of its own fields
+    assert rec.eta == rec.w_ext / rec.q_h
 
 
 def test_efficiency_can_be_negative():
     # heat in, work in: accelerator-like bookkeeping keeps the ratio defined
     rec = PerformanceRecord(q_h=0.5, q_c=-0.7, w_ext=-0.2)
-    assert efficiency(rec) == pytest.approx(-0.4)
-    assert rec.eta == efficiency(rec)
+    assert rec.eta == pytest.approx(-0.4)
+    assert rec.eta == rec.w_ext / rec.q_h
 
 
 def test_omega_function_arithmetic_and_domain():

@@ -10,10 +10,10 @@ import pytest
 from otto_rel import (
     CubicSolveError,
     MonicCubic,
-    discriminant,
     principal_trig_root,
     relativistic_factor,
 )
+from otto_rel import cubic as cubic_module
 from otto_rel.optima import efficiency_cubic
 from otto_rel import SUDDEN_COMPRESSION, SUDDEN_EXPANSION
 from _reference import REFERENCE
@@ -35,14 +35,12 @@ def acos_argument(cubic):
 
 def test_three_real_roots_returns_largest():
     cubic = from_roots(-2.0, 0.5, 3.0)
-    assert discriminant(cubic) > 0.0
     assert principal_trig_root(cubic) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_single_real_root_positive_branch():
     # real root at 10 plus a complex pair: acos argument exceeds +1
     cubic = MonicCubic(a2=-12.0, a1=21.01, a0=-10.1)
-    assert discriminant(cubic) < 0.0
     assert acos_argument(cubic) > 1.0
     assert principal_trig_root(cubic) == pytest.approx(10.0, rel=1e-12)
 
@@ -73,12 +71,14 @@ def test_monotone_cubic_bisection():
     assert principal_trig_root(cubic) == pytest.approx(-1.0, abs=1e-5)
 
 
-def test_residual_gate_raises():
+def test_residual_gate_raises(monkeypatch):
     # an impossible tolerance turns the tiny rounding residual into an error
     cubic = MonicCubic(a2=0.0, a1=-3.0, a0=-1.0)
     assert abs(cubic(principal_trig_root(cubic))) > 0.0
-    with pytest.raises(CubicSolveError):
-        principal_trig_root(cubic, residual_tol=0.0)
+    with monkeypatch.context() as m:
+        m.setattr(cubic_module, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(CubicSolveError):
+            principal_trig_root(cubic)
     # a badly scaled cubic loses more digits than the default gate allows;
     # the solver must refuse rather than hand back a silently wrong root
     with pytest.raises(CubicSolveError):

@@ -30,9 +30,10 @@ from otto_rel import (
     eta_omega_sc,
     eta_omega_se,
     maximize,
-    omega_value,
+    omega_function,
     optimize,
     peak_efficiency,
+    performance,
     qh,
     relativistic_factor,
     work,
@@ -98,11 +99,14 @@ def test_frozen_trade_off_optima(key):
     assert eta_omega_sc(eta_c, v) == pytest.approx(want["eta_omega_sc"], rel=1e-13)
     assert eta_omega_se(eta_c, v) == pytest.approx(want["eta_omega_se"], rel=1e-13)
 
-    r = lambda z: ReducedParams(z=z, tau=tau, v=v)
-    assert omega_value(r(z_star_omega_sc(tau, v)), SUDDEN_COMPRESSION) == pytest.approx(
+    def omega_at(z, scenario):
+        record = performance(ReducedParams(z=z, tau=tau, v=v), scenario)
+        return omega_function(record, peak_efficiency(tau, v, scenario))
+
+    assert omega_at(z_star_omega_sc(tau, v), SUDDEN_COMPRESSION) == pytest.approx(
         want["omega_max_sc"], rel=1e-12
     )
-    assert omega_value(r(z_star_omega_se(tau, v)), SUDDEN_EXPANSION) == pytest.approx(
+    assert omega_at(z_star_omega_se(tau, v), SUDDEN_EXPANSION) == pytest.approx(
         want["omega_max_se"], rel=1e-12
     )
 

@@ -14,7 +14,9 @@ from otto_rel import (
     eta,
     find_root,
     maximize,
-    omega_value,
+    omega_function,
+    peak_efficiency,
+    performance,
     relativistic_factor,
     work,
 )
@@ -170,7 +172,10 @@ def test_observed_order_is_quadratic():
 
 
 def test_stationarity_of_trade_off_maximum():
-    f = lambda z: omega_value(ReducedParams(z=z, tau=0.5, v=0.5), SUDDEN_COMPRESSION)
+    cap = peak_efficiency(0.5, 0.5, SUDDEN_COMPRESSION)
+    f = lambda z: omega_function(
+        performance(ReducedParams(z=z, tau=0.5, v=0.5), SUDDEN_COMPRESSION), cap
+    )
     report = derivative_check(f, OPT["z_omega_sc"])
     assert abs(report.value) <= 1e-6
 
