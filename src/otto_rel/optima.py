@@ -22,9 +22,13 @@ ORACLE_AGREEMENT_TOL of z*, the bound to which the tests verify the closed
 forms against the grid oracle.  A candidate that fails raises
 NoInteriorOptimumError; no numeric search stands in for it.
 
-Each call builds the load g and the engine window once; every candidate,
-probe and efficiency reads them, and the trade-off optimum shares its
-window with the eta_max it needs.
+Each call builds the engine window once, with its checked load g; every
+candidate, probe and efficiency reads them, and the trade-off optimum
+shares its window with the eta_max it needs.  The efficiency root and the
+work optimum form g once more, before the window: the root reads it
+unchecked, so that tau = 0 (a zero load, whose root is z = 0) raises
+NoInteriorOptimumError, not the ValueError of the (tau, v) domain check.
+So each optimum computes f(v) twice.
 """
 
 from __future__ import annotations
@@ -144,7 +148,8 @@ class _Window:
     def eta(self, z: float) -> float:
         """Efficiency at z, with beta_h = 1 (it cancels)."""
         value = _efficiency(self.forms.work(z, self.g, 1.0), self.forms.qh(z, self.g, 1.0))
-        # q_h > 0 is not implied by lo < z: the expansion quench's lo rounds to 0 for g < 1.4e-17
+        # lo < z implies q_h > 0 in exact arithmetic (the engine floor lies above
+        # the heater edge), but the two edges can round together as g -> 1
         if value is None:
             raise NoInteriorOptimumError(
                 f"ratio {z} fell outside the engine window at tau={self.tau}, v={self.v}"

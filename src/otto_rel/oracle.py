@@ -2,28 +2,28 @@
 
 Every analytic optimum in this package is cross-checked against this
 module: a deterministic coarse grid scan followed by golden-section
-refinement of the best bracket (maximize), plain bisection for root
-location (find_root), and a Richardson-extrapolated central difference
-for stationarity checks (derivative_check).  All routines are pure
-functions of their inputs so repeated runs produce bit-identical results.
+refinement of the best bracket (maximize), and a Richardson-extrapolated
+central difference for stationarity checks (derivative_check).  All
+routines are pure functions of their inputs so repeated runs produce
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
-from .core import _Validated
-
 __all__ = [
-    "ScanSpec",
     "OracleFailure",
     "DerivativeReport",
     "maximize",
-    "find_root",
     "derivative_check",
 ]
+
+#: Samples of the coarse scan, placed uniformly on [lo, hi] with both ends.
+GRID_POINTS = 2048
+#: Bracket width at which the golden-section refinement stops.
+REFINE_TOL = 1e-10
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -33,30 +33,6 @@ class OracleFailure(RuntimeError):
     """Raised when a scan produces no finite sample to refine."""
 
 
-class ScanSpec(_Validated, namedtuple("ScanSpec", "lo hi grid_points refine_tol")):
-    """Search window and resolution for maximize().
-
-    grid_points samples are placed uniformly on [lo, hi] including the
-    endpoints; the winning sample's bracket (one grid cell to each side)
-    is refined by golden section until its width drops below refine_tol.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, lo: float, hi: float, grid_points: int = 2048, refine_tol: float = 1e-10
-    ) -> ScanSpec:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("scan window must be finite")
-        if not lo < hi:
-            raise ValueError(f"scan window is empty: [{lo}, {hi}]")
-        if grid_points < 16:
-            raise ValueError(f"grid_points must be at least 16, got {grid_points}")
-        if not refine_tol > 0.0:
-            raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-        return tuple.__new__(cls, (lo, hi, grid_points, refine_tol))
-
-
 def _safe(f: Callable[[float], float], x: float) -> float:
     y = f(x)
     if y is None or not math.isfinite(y):
@@ -64,34 +40,41 @@ def _safe(f: Callable[[float], float], x: float) -> float:
     return y
 
 
-def maximize(f: Callable[[float], float], spec: ScanSpec) -> tuple[float, float]:
-    """Locate the maximum of f on the scan window.
+def maximize(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Locate the maximum of f on the window [lo, hi].
 
+    GRID_POINTS samples are placed uniformly on [lo, hi] including the
+    endpoints; the winning sample's bracket (one grid cell to each side)
+    is refined by golden section until its width drops below REFINE_TOL.
     Returns (argmax, f(argmax)).  Non-finite samples are skipped during
     the scan and treated as -inf during refinement; the refinement never
     evaluates f outside [lo, hi].
 
     Raises
     ------
+    ValueError
+        If the window is not finite or is empty (lo >= hi).
     OracleFailure
         If every grid sample is non-finite.
     """
-    n = spec.grid_points
-    step = (spec.hi - spec.lo) / (n - 1)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("scan window must be finite")
+    if not lo < hi:
+        raise ValueError(f"scan window is empty: [{lo}, {hi}]")
+    n = GRID_POINTS
+    step = (hi - lo) / (n - 1)
     best_i = -1
     best_y = -math.inf
     for i in range(n):
-        x = spec.lo + step * i
+        x = lo + step * i
         y = _safe(f, x)
         if y > best_y:
             best_i, best_y = i, y
     if best_i < 0:
-        raise OracleFailure(
-            f"no finite samples on [{spec.lo}, {spec.hi}] with {n} grid points"
-        )
+        raise OracleFailure(f"no finite samples on [{lo}, {hi}] with {n} grid points")
 
-    a = spec.lo + step * max(best_i - 1, 0)
-    b = spec.lo + step * min(best_i + 1, n - 1)
+    a = lo + step * max(best_i - 1, 0)
+    b = lo + step * min(best_i + 1, n - 1)
 
     # Golden-section refinement of the winning bracket.
     width = b - a
@@ -99,7 +82,7 @@ def maximize(f: Callable[[float], float], spec: ScanSpec) -> tuple[float, float]
     x2 = a + _INV_PHI * width
     f1 = _safe(f, x1)
     f2 = _safe(f, x2)
-    while width > spec.refine_tol:
+    while width > REFINE_TOL:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             width = b - a
@@ -112,44 +95,6 @@ def maximize(f: Callable[[float], float], spec: ScanSpec) -> tuple[float, float]
             f2 = _safe(f, x2)
     x_star = 0.5 * (a + b)
     return x_star, _safe(f, x_star)
-
-
-def find_root(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> float:
-    """Bisection root of f on [lo, hi].
-
-    Raises
-    ------
-    ValueError
-        If the endpoints do not bracket a sign change (f(lo) * f(hi) > 0).
-    """
-    if not lo < hi:
-        raise ValueError(f"bracket is empty: [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        raise ValueError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 class DerivativeReport(NamedTuple):

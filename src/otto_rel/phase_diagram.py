@@ -46,8 +46,8 @@ class OperationalMode(str, Enum):
 #: A run of equal mode along z: its first z index and its mode.
 _Run = tuple[int, OperationalMode]
 
-# Keyed by which of (W, Q_h, Q_c) exceed eps.  For a quantity more than
-# eps from zero, not exceeding eps means lying below -eps.
+# Keyed by which of (W, Q_h, Q_c) exceed BOUNDARY_EPS.  For a quantity more
+# than BOUNDARY_EPS from zero, not exceeding it means lying below -BOUNDARY_EPS.
 _SIGN_TABLE = {
     (True, True, False): OperationalMode.ENGINE,
     (False, False, True): OperationalMode.REFRIGERATOR,
@@ -56,17 +56,17 @@ _SIGN_TABLE = {
 }
 
 
-def classify_signs(
-    w_ext: float, q_h: float, q_c: float, eps: float = BOUNDARY_EPS
-) -> OperationalMode:
+def classify_signs(w_ext: float, q_h: float, q_c: float) -> OperationalMode:
     """Map a (W, Q_h, Q_c) sign triple to its operational mode.
 
-    Any quantity within eps of zero sends the point to Boundary.  Sign
-    patterns outside the four-mode table (for example W > 0 with both
-    heats positive) cannot occur while the hot bath is hotter than the
-    cold one; they indicate corrupted inputs and raise instead of
-    guessing.  A nan quantity has no sign and raises FloatingPointError.
+    Any quantity within BOUNDARY_EPS of zero (read on every call) sends
+    the point to Boundary.  Sign patterns outside the four-mode table
+    (for example W > 0 with both heats positive) cannot occur while the
+    hot bath is hotter than the cold one; they indicate corrupted inputs
+    and raise instead of guessing.  A nan quantity has no sign and raises
+    FloatingPointError.
     """
+    eps = BOUNDARY_EPS
     if abs(w_ext) > eps and abs(q_h) > eps and abs(q_c) > eps:
         mode = _SIGN_TABLE.get((w_ext > eps, q_h > eps, q_c > eps))
         if mode is None:
@@ -82,12 +82,10 @@ def classify_signs(
     return OperationalMode.BOUNDARY
 
 
-def classify_by_signs(
-    r: ReducedParams, scenario: Scenario, eps: float = BOUNDARY_EPS
-) -> OperationalMode:
-    """Classify one reduced point by evaluating the heats and work."""
+def classify_by_signs(r: ReducedParams, scenario: Scenario) -> OperationalMode:
+    """Classify one reduced point by the signs of its heats and work (classify_signs)."""
     rec = performance(r, scenario)
-    return classify_signs(rec.w_ext, rec.q_h, rec.q_c, eps)
+    return classify_signs(rec.w_ext, rec.q_h, rec.q_c)
 
 
 def _edges(g: float, scenario: Scenario) -> tuple[Optional[float], float, float]:
@@ -101,13 +99,12 @@ def _edges(g: float, scenario: Scenario) -> tuple[Optional[float], float, float]
     return forms.fridge_top(g), forms.heater_top(g), forms.engine_lower_z(g)
 
 
-def classify_by_table(
-    r: ReducedParams, scenario: Scenario, eps: float = BOUNDARY_EPS
-) -> OperationalMode:
+def classify_by_table(r: ReducedParams, scenario: Scenario) -> OperationalMode:
     """Classify one reduced point by the closed-form interval edges in z.
 
-    Points within eps (in z) of any edge, or of the zero-work line z = 1,
-    report Boundary so ties stay deterministic.
+    Points within BOUNDARY_EPS (in z, read on every call) of any edge, or
+    of the zero-work line z = 1, report Boundary so ties stay
+    deterministic.
     """
     g = r.tau * relativistic_factor(r.v)
     fridge_top, heater_top, engine_bottom = _edges(g, scenario)
@@ -115,7 +112,7 @@ def classify_by_table(
     edges = [heater_top, engine_bottom, 1.0]
     if fridge_top is not None:
         edges.append(fridge_top)
-    if any(abs(z - edge) <= eps for edge in edges):
+    if any(abs(z - edge) <= BOUNDARY_EPS for edge in edges):
         return OperationalMode.BOUNDARY
     if fridge_top is not None and z < fridge_top:
         return OperationalMode.REFRIGERATOR

@@ -20,7 +20,6 @@ from otto_rel import (
     Objective,
     OptimizationTarget,
     ReducedParams,
-    ScanSpec,
     classify_by_signs,
     classify_by_table,
     engine_window,
@@ -126,7 +125,7 @@ def test_criterion_3_peak_efficiency_vs_oracle():
                 for v in GRID_20:
                     lo, hi = engine_window(tau, v, scenario)
                     probe = lambda z: eta(ReducedParams(z=z, tau=tau, v=v), scenario)
-                    z_oracle, _ = maximize(probe, ScanSpec(lo, hi))
+                    z_oracle, _ = maximize(probe, lo, hi)
                     assert abs(closed(tau, v) - z_oracle) <= 1e-6, (scenario, tau, v)
         assert abs(z_star_eta_sc(0.5, 0.5) - 0.726) <= 1e-3
         assert abs(z_star_eta_se(0.5, 0.5) - 0.7349) <= 1e-3
@@ -141,7 +140,7 @@ def test_criterion_4_maximum_work_point():
                 for v in GRID_20:
                     lo, hi = engine_window(tau, v, scenario)
                     probe = lambda z: work(ReducedParams(z=z, tau=tau, v=v), scenario)
-                    z_oracle, _ = maximize(probe, ScanSpec(lo, hi))
+                    z_oracle, _ = maximize(probe, lo, hi)
                     assert abs(z_star_work(tau, v) - z_oracle) <= 1e-6, (scenario, tau, v)
         for tau in GRID_20:
             for v in GRID_20:

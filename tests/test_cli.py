@@ -771,6 +771,10 @@ def _assert_finite_csv(text: str) -> None:
                "--beta-h=1e-320", "--exact"])
 @example(argv=["sweep", "--scenario=se", "--v=0.5", "--tau=0.5", "--z-min=0.1",
                "--z-max=0.9", "--points=2", "--beta-h=1e-310"])
+@example(argv=["optimize", "--scenario=se", "--v=0.5", "--tau=8.927268066483435e-155",
+               "--beta-h=0.5", "--objective=eta", "--format=json"])
+@example(argv=["evaluate", "--scenario=se", "--v=0.5", "--tau=1.709196365738078e-158",
+               "--beta-h=0.5", "--z=1.0", "--format=json"])
 def test_every_accepted_input_ends_in_output_or_one_line_error(tmp_path_factory, argv):
     raster = tmp_path_factory.getbasetemp() / "contract-map.csv"
     raster.unlink(missing_ok=True)

@@ -151,6 +151,21 @@ def test_subnormal_load_keeps_the_principal_root():
     assert root == pytest.approx(math.sqrt(3.0 * g / (2.0 - g)), rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [8.927268066483435e-155, 1e-155, 1.709196365738078e-158, 1e-161])
+def test_overflowing_argument_keeps_the_real_root(tau):
+    # Near g = 1e-155 the expansion quench's spread (3g/2)**2 is subnormal
+    # and the hyperbolic argument overflows to inf, yet the one real root,
+    # (g (1 - 2g) / 2)**(1/3) up to a relative O(g**(2/3)), exists.
+    g = tau * relativistic_factor(0.5)
+    cubic = efficiency_cubic(g, SUDDEN_EXPANSION)
+    spread = cubic.a2 ** 2 - 3.0 * cubic.a1
+    numerator = 27.0 * cubic.a0 + 2.0 * cubic.a2 ** 3
+    assert 0.0 < spread < sys.float_info.min
+    assert math.isinf(-(numerator / spread) / (2.0 * math.sqrt(spread)))
+    root = principal_trig_root(cubic)
+    assert root == pytest.approx((0.5 * g * (1.0 - 2.0 * g)) ** (1.0 / 3.0), rel=1e-15)
+
+
 def test_normal_scale_keeps_the_one_step_division():
     # Away from underflow the arccos argument is the single division it
     # always was; dividing in two steps here moves the root by an ulp.

@@ -1,7 +1,9 @@
 """Leading-order hot-limit formulas for the two asymmetric cycles."""
 
+import math
 import pickle
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from otto_rel import (
     eta,
     heats_and_work,
     performance,
-    qc,
     qh,
     relativistic_factor,
     scenario_forms,
@@ -56,7 +57,7 @@ _reduced_strategy = st.builds(
 def test_first_law_from_independent_formulas(r, sudden_compression):
     scenario = SUDDEN_COMPRESSION if sudden_compression else SUDDEN_EXPANSION
     w = work(r, scenario)
-    total = qh(r, scenario) + qc(r, scenario)
+    total = qh(r, scenario) + performance(r, scenario).q_c
     scale = max(1.0, abs(w), abs(total))
     assert abs(w - total) <= 1e-12 * scale
 
@@ -66,7 +67,7 @@ def test_first_law_from_independent_formulas(r, sudden_compression):
 def test_all_quantities_scale_as_temperature(r, sudden_compression):
     scenario = SUDDEN_COMPRESSION if sudden_compression else SUDDEN_EXPANSION
     half = ReducedParams(z=r.z, tau=r.tau, v=r.v, beta_h=2.0 * r.beta_h)
-    for fn in (qh, qc, work):
+    for fn in (qh, lambda r, s: performance(r, s).q_c, work):
         assert fn(half, scenario) == pytest.approx(fn(r, scenario) / 2.0, rel=1e-12)
     # efficiency is a pure ratio and must not depend on the temperature scale
     e_full, e_half = eta(r, scenario), eta(half, scenario)
@@ -117,6 +118,25 @@ def test_engine_window_lower_edges():
         engine_lower_z_sc(0.0)
     with pytest.raises(ValueError):
         engine_lower_z_se(1.5)
+
+
+def _decimal_floors(g: float) -> tuple[Decimal, Decimal]:
+    """Both engine floors from the textbook root formulas, with every digit of g kept."""
+    with localcontext() as ctx:
+        # (sqrt(1 + 8g) - 1)/2 cancels about -log10(g) digits
+        ctx.prec = 40 + max(0, -math.floor(math.log10(g)))
+        d_g, one = Decimal(g), Decimal(1)
+        sc = (d_g + (d_g * (d_g + 8)).sqrt()) / 4
+        se = ((one + 8 * d_g).sqrt() - one) / 2
+        return sc, se
+
+
+def test_engine_floors_keep_their_digits():
+    for k in range(321):
+        g = float(f"1e-{k}")
+        want_sc, want_se = _decimal_floors(g)
+        for got, want in ((engine_lower_z_sc(g), want_sc), (engine_lower_z_se(g), want_se)):
+            assert abs(Decimal(got) - want) <= 4 * Decimal(math.ulp(got)), (g, got, want)
 
 
 @pytest.mark.parametrize(

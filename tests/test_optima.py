@@ -18,7 +18,6 @@ from otto_rel import (
     OptimizationTarget,
     OptimumReport,
     ReducedParams,
-    ScanSpec,
     derivative_check,
     efficiency_cubic,
     engine_window,
@@ -294,7 +293,7 @@ def test_trade_off_closed_form_agrees_with_oracle(scenario, z_fn, cap_fn):
                 return 2.0 * work(r, scenario) - cap * qh(r, scenario)
 
             lo, hi = engine_window(tau, v, scenario)
-            z_oracle, _ = maximize(omega, ScanSpec(lo=lo, hi=hi))
+            z_oracle, _ = maximize(omega, lo, hi)
             assert abs(z_fn(tau, v) - z_oracle) <= ORACLE_AGREEMENT_TOL, (tau, v)
 
 
@@ -328,12 +327,18 @@ def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
         peak_efficiency(0.5, 0.5, SUDDEN_COMPRESSION)
     with pytest.raises(NoInteriorOptimumError):
         z_star_omega_sc(0.5, 0.5)
-    # below the load the expansion quench draws no heat; at g < 1.4e-17 its
-    # window floor rounds to 0, so only the q_h > 0 check refuses this root
+    # below the load the expansion quench draws no heat; its window floor,
+    # about 2g at small g, refuses this root before an efficiency is formed
     g = 1e-20 * relativistic_factor(0.5)
     monkeypatch.setattr(optima, "_z_star_eta", lambda tau, v, scenario: 0.5 * g)
-    with pytest.raises(NoInteriorOptimumError, match="fell outside the engine window"):
+    with pytest.raises(NoInteriorOptimumError, match="is outside the engine window"):
         peak_efficiency(1e-20, 0.5, SUDDEN_EXPANSION)
+    # the efficiency itself refuses a ratio at or below the load, where q_h <= 0
+    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
+        window = optima._Window(1e-20, 0.5, scenario)
+        for z in (0.5 * g, g):
+            with pytest.raises(NoInteriorOptimumError, match="fell outside the engine window"):
+                window.eta(z)
 
 
 @pytest.mark.parametrize(

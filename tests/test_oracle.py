@@ -1,4 +1,4 @@
-"""Grid-plus-golden-section maximizer, bisection, derivative probe."""
+"""Grid-plus-golden-section maximizer and derivative probe."""
 
 import math
 
@@ -9,16 +9,13 @@ from otto_rel import (
     SUDDEN_EXPANSION,
     OracleFailure,
     ReducedParams,
-    ScanSpec,
     derivative_check,
     eta,
-    find_root,
     maximize,
     omega_function,
     peak_efficiency,
     performance,
     relativistic_factor,
-    work,
 )
 from _reference import REFERENCE
 
@@ -48,14 +45,14 @@ def reference_golden(f, lo, hi, tol=1e-10):
 
 
 def test_parabola_argmax():
-    x, y = maximize(lambda z: -(z - 0.37) ** 2, ScanSpec(0.0, 1.0))
+    x, y = maximize(lambda z: -(z - 0.37) ** 2, 0.0, 1.0)
     assert x == pytest.approx(0.37, abs=1e-9)
     assert y == pytest.approx(0.0, abs=1e-17)
 
 
 def test_agrees_with_plain_golden_section():
     f = lambda z: -(z - 0.37) ** 2
-    ours, _ = maximize(f, ScanSpec(0.0, 1.0))
+    ours, _ = maximize(f, 0.0, 1.0)
     theirs = reference_golden(f, 0.0, 1.0)
     assert abs(ours - theirs) <= 1e-9
 
@@ -64,7 +61,7 @@ def test_efficiency_argmax_matches_reference():
     r = lambda z: ReducedParams(z=z, tau=0.5, v=0.5)
     for scenario, key in ((SUDDEN_COMPRESSION, "z_eta_sc"), (SUDDEN_EXPANSION, "z_eta_se")):
         f = lambda z, s=scenario: eta(r(z), s)
-        x, _ = maximize(f, ScanSpec(0.01, 0.999))
+        x, _ = maximize(f, 0.01, 0.999)
         assert x == pytest.approx(OPT[key], abs=1e-8)
 
 
@@ -76,13 +73,13 @@ def test_none_and_nan_samples_are_skipped():
             return math.nan
         return -(z - 0.6) ** 2
 
-    x, _ = maximize(f, ScanSpec(0.0, 1.0))
+    x, _ = maximize(f, 0.0, 1.0)
     assert x == pytest.approx(0.6, abs=1e-9)
 
 
 def test_all_nonfinite_raises():
     with pytest.raises(OracleFailure):
-        maximize(lambda z: math.nan, ScanSpec(0.0, 1.0))
+        maximize(lambda z: math.nan, 0.0, 1.0)
 
 
 def test_refinement_respects_window():
@@ -93,7 +90,7 @@ def test_refinement_respects_window():
         return z  # maximum sits on the upper endpoint
 
     lo, hi = 0.25, 0.75
-    x, _ = maximize(f, ScanSpec(lo, hi))
+    x, _ = maximize(f, lo, hi)
     assert x == pytest.approx(hi, abs=1e-9)
     assert all(lo <= z <= hi for z in calls)
 
@@ -101,46 +98,21 @@ def test_refinement_respects_window():
 def test_maximize_is_deterministic():
     g = 0.5 * relativistic_factor(0.5)
     f = lambda z: (1.0 - z) * (2 * z * z - g * (1 + z)) / (2 * z * z)
-    spec = ScanSpec(0.01, 0.999)
-    assert maximize(f, spec) == maximize(f, spec)
+    assert maximize(f, 0.01, 0.999) == maximize(f, 0.01, 0.999)
 
 
-def test_scan_spec_validation():
-    with pytest.raises(ValueError):
-        ScanSpec(math.inf, 1.0)
-    with pytest.raises(ValueError):
-        ScanSpec(0.8, 0.2)
-    with pytest.raises(ValueError):
-        ScanSpec(0.0, 1.0, grid_points=8)
-    with pytest.raises(ValueError):
-        ScanSpec(0.0, 1.0, refine_tol=0.0)
-
-
-# -- root finding --------------------------------------------------------------
-
-
-def test_find_root_linear():
-    assert find_root(lambda z: z - 0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_find_root_engine_edge():
-    r = lambda z: ReducedParams(z=z, tau=0.5, v=0.5)
-    root = find_root(lambda z: work(r(z), SUDDEN_EXPANSION), 0.05, 0.9)
-    assert root == pytest.approx(OPT["engine_lb_se"], abs=1e-11)
-
-
-def test_find_root_work_crossing():
-    r = lambda z: ReducedParams(z=z, tau=0.5, v=0.5)
-    diff = lambda z: work(r(z), SUDDEN_COMPRESSION) - work(r(z), SUDDEN_EXPANSION)
-    root = find_root(diff, 0.63, 0.98)
-    assert root == pytest.approx(OPT["crossing_z"], abs=1e-11)
-
-
-def test_find_root_requires_bracket():
-    with pytest.raises(ValueError):
-        find_root(lambda z: z + 2.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        find_root(lambda z: z, 1.0, 0.5)
+def test_maximize_window_validation():
+    for lo, hi, message in (
+        (math.inf, 1.0, "scan window must be finite"),
+        (-math.inf, 1.0, "scan window must be finite"),
+        (0.8, 0.2, "scan window is empty: [0.8, 0.2]"),
+        (0.0, 0.0, "scan window is empty: [0.0, 0.0]"),
+    ):
+        calls = []
+        with pytest.raises(ValueError) as caught:
+            maximize(calls.append, lo, hi)
+        assert str(caught.value) == message
+        assert calls == []
 
 
 # -- derivative probe -----------------------------------------------------------

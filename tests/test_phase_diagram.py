@@ -21,7 +21,7 @@ from otto_rel import (
     classify_by_table,
     classify_signs,
     mode_fractions,
-    qc,
+    performance,
     qh,
     rasterize,
     relativistic_factor,
@@ -42,12 +42,13 @@ def test_sign_table():
     assert classify_signs(-1.0, 2.0, -3.0) is T
 
 
-def test_near_zero_is_boundary():
+def test_near_zero_is_boundary(monkeypatch):
     assert classify_signs(0.0, 1.0, -1.0) is B
     assert classify_signs(5e-10, 1.0, -1.0) is B
     assert classify_signs(1.0, 1e-12, -1.0) is B
-    # a looser eps widens the band
-    assert classify_signs(1e-4, 1.0, -1.0, eps=1e-3) is B
+    # a looser BOUNDARY_EPS widens the band
+    monkeypatch.setattr(phase_diagram, "BOUNDARY_EPS", 1e-3)
+    assert classify_signs(1e-4, 1.0, -1.0) is B
 
 
 def test_impossible_sign_patterns_raise():
@@ -102,7 +103,7 @@ def _reference_sign(x, eps):
     raise FloatingPointError(f"cannot classify a quantity that is not finite ({x!r})")
 
 
-def _reference_classify_signs(w_ext, q_h, q_c, eps=phase_diagram.BOUNDARY_EPS):
+def _reference_classify_signs(w_ext, q_h, q_c, eps):
     triple = (_reference_sign(w_ext, eps), _reference_sign(q_h, eps), _reference_sign(q_c, eps))
     if 0 in triple:
         return B
@@ -129,10 +130,12 @@ _SPECIAL_FLOATS = (
 
 @st.composite
 def _sign_inputs(draw):
-    """eps and a (W, Q_h, Q_c) triple, each quantity often at or next to +-eps."""
+    """A (W, Q_h, Q_c) triple and a band eps >= 0, each quantity often at or next to +-eps."""
     eps = draw(
         st.one_of(
-            st.just(phase_diagram.BOUNDARY_EPS), st.sampled_from(_SPECIAL_FLOATS), st.floats()
+            st.just(phase_diagram.BOUNDARY_EPS),
+            st.sampled_from([x for x in _SPECIAL_FLOATS if x >= 0.0]),
+            st.floats(min_value=0.0),
         )
     )
     near_eps = (eps, -eps) + tuple(
@@ -151,14 +154,16 @@ def _sign_inputs(draw):
 @settings(max_examples=500, deadline=None)
 @given(inputs=_sign_inputs())
 @example(inputs=(1.0, 2.0, -1.0, 1e-9))
-@example(inputs=(-1.0, 2.0, -1.0, -2.0))
 @example(inputs=(-1.0, -2.0, math.nan, 1e-9))
 @example(inputs=(0.0, -2.0, math.nan, 1e-9))
-@example(inputs=(-1.0, -2.0, 1.0, math.nan))
 @example(inputs=(-math.inf, -math.inf, math.inf, math.inf))
 @example(inputs=(1e-9, 1.0, -1.0, 1e-9))
 def test_classify_signs_agrees_with_sign_by_sign(inputs):
-    assert _outcome(classify_signs, *inputs) == _outcome(_reference_classify_signs, *inputs)
+    *quantities, eps = inputs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phase_diagram, "BOUNDARY_EPS", eps)
+        got = _outcome(classify_signs, *quantities)
+    assert got == _outcome(_reference_classify_signs, *inputs)
 
 
 def test_known_mode_points_compression():
@@ -223,7 +228,7 @@ def test_stage_progression_is_monotone_in_z():
             assert seen == 3
 
 
-def test_tightening_eps_only_reclassifies_boundary_cells():
+def test_tightening_eps_only_reclassifies_boundary_cells(monkeypatch):
     curves = boundary_curves(SUDDEN_COMPRESSION, 0.5)
     probes = []
     for tau in (0.3, 0.5, 0.7):
@@ -232,13 +237,18 @@ def test_tightening_eps_only_reclassifies_boundary_cells():
             for delta in (1e-10, 5e-10, 3e-9, 1e-4):
                 probes.append(ReducedParams(z=edge + delta, tau=tau, v=0.5))
                 probes.append(ReducedParams(z=edge - delta, tau=tau, v=0.5))
-    for r in probes:
-        wide = classify_by_signs(r, SUDDEN_COMPRESSION, eps=1e-9)
-        narrow = classify_by_signs(r, SUDDEN_COMPRESSION, eps=5e-10)
+
+    def classify_at(eps):
+        monkeypatch.setattr(phase_diagram, "BOUNDARY_EPS", eps)
+        return [
+            (classify_by_signs(r, SUDDEN_COMPRESSION), classify_by_table(r, SUDDEN_COMPRESSION))
+            for r in probes
+        ]
+
+    wide_modes, narrow_modes = classify_at(1e-9), classify_at(5e-10)
+    for (wide, w2), (narrow, n2) in zip(wide_modes, narrow_modes):
         if wide is not narrow:
             assert wide is B
-        w2 = classify_by_table(r, SUDDEN_COMPRESSION, eps=1e-9)
-        n2 = classify_by_table(r, SUDDEN_COMPRESSION, eps=5e-10)
         if w2 is not n2:
             assert w2 is B
 
@@ -252,8 +262,8 @@ def test_boundary_curves_match_sign_changes():
             assert qh(ReducedParams(z=z_qh + 1e-6, tau=tau, v=0.6), scenario) > 0
             z_qc = curves["qc_zero"](tau)
             if not math.isnan(z_qc):
-                assert qc(ReducedParams(z=z_qc - 1e-6, tau=tau, v=0.6), scenario) > 0
-                assert qc(ReducedParams(z=z_qc + 1e-6, tau=tau, v=0.6), scenario) < 0
+                assert performance(ReducedParams(z=z_qc - 1e-6, tau=tau, v=0.6), scenario).q_c > 0
+                assert performance(ReducedParams(z=z_qc + 1e-6, tau=tau, v=0.6), scenario).q_c < 0
 
 
 def test_expansion_refrigerator_vanishes_at_low_load():

@@ -21,7 +21,6 @@ from otto_rel import (
     PerformanceRecord,
     PhaseMap,
     ReducedParams,
-    ScanSpec,
     Scenario,
     StrokeProtocol,
 )
@@ -128,18 +127,6 @@ CASES = [
         [(dict(z_star=1.0), "z_star must lie in (0, 1), got 1.0")],
     ),
     Case(
-        ScanSpec,
-        dict(lo=0.0, hi=1.0, grid_points=2048, refine_tol=1e-10),
-        dict(grid_points=16),
-        "ScanSpec(lo=0.0, hi=1.0, grid_points=2048, refine_tol=1e-10)",
-        [
-            (dict(lo=float("-inf")), "scan window must be finite"),
-            (dict(hi=0.0), "scan window is empty: [0.0, 0.0]"),
-            (dict(grid_points=15), "grid_points must be at least 16, got 15"),
-            (dict(refine_tol=0.0), "refine_tol must be positive, got 0.0"),
-        ],
-    ),
-    Case(
         DerivativeReport,
         dict(value=1.0, order=2.0, samples=(1.0, 1.0), converged=True),
         dict(converged=False),
@@ -183,7 +170,7 @@ def test_every_validated_record_is_covered():
         obj for obj in vars(otto_rel).values() if isinstance(obj, type) and issubclass(obj, _Validated)
     }
     assert validated == {case.cls for case in CASES if case.errors}
-    assert len(CASES) == 11
+    assert len(CASES) == 10
 
 
 @BY_NAME
@@ -196,8 +183,6 @@ def test_keyword_and_positional_construction_agree(case):
 
 def test_defaults():
     assert ReducedParams(0.5, 0.5, 0.5).beta_h == 1.0
-    spec = ScanSpec(0.0, 1.0)
-    assert (spec.grid_points, spec.refine_tol) == (2048, 1e-10)
 
 
 @BY_NAME
