@@ -14,9 +14,9 @@ same formula continues analytically with
 
 which this module applies once |x| exceeds 1 by more than a clamp
 tolerance of 1e-12 (arguments inside the tolerance band are clamped onto
-[-1, 1], covering double roots computed in floating point).  Where a
-subnormal A^2 - 3B makes |x| overflow, cosh(arccosh(|x|) / 3) is taken as
-(2|x|)^{1/3} / 2, which it equals to double precision there.  If
+[-1, 1], covering double roots computed in floating point).  Where |x|
+overflows (A^2 - 3B is tiny, as for a load near 1e-155), cosh(arccosh(|x|) / 3)
+is taken as (2|x|)^{1/3} / 2, which it equals to double precision there.  If
 A^2 - 3B <= 0 the cubic is strictly monotone and the root is bracketed by
 the Cauchy bound and bisected.
 
@@ -126,8 +126,8 @@ def principal_trig_root(cubic: MonicCubic) -> float:
             # Grazing a double root: the exact argument is +-1 up to rounding.
             factor = math.cos(math.acos(math.copysign(1.0, x)) / 3.0)
         elif math.isinf(x):
-            # Only a subnormal spread lets x overflow; there cosh(arccosh|x| / 3)
-            # = (2|x|)**(1/3) / 2 = cbrt|numerator| / (2 half) to double precision.
+            # |x| beyond the largest double: cosh(arccosh|x| / 3) = (2|x|)**(1/3) / 2
+            # = cbrt|numerator| / (2 half) to double precision.
             factor = math.copysign(abs(numerator) ** (1.0 / 3.0), x) / (2.0 * half)
         else:
             factor = math.copysign(math.cosh(math.acosh(abs(x)) / 3.0), x)

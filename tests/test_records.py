@@ -183,6 +183,8 @@ def test_keyword_and_positional_construction_agree(case):
 
 def test_defaults():
     assert ReducedParams(0.5, 0.5, 0.5).beta_h == 1.0
+    # the grid oracle's fixed resolution
+    assert (otto_rel.oracle.GRID_POINTS, otto_rel.oracle.REFINE_TOL) == (2048, 1e-10)
 
 
 @BY_NAME
