@@ -17,8 +17,9 @@ tolerance of 1e-12 (arguments inside the tolerance band are clamped onto
 [-1, 1], covering double roots computed in floating point).  Where |x|
 overflows (A^2 - 3B is tiny, as for a load near 1e-155), cosh(arccosh(|x|) / 3)
 is taken as (2|x|)^{1/3} / 2, which it equals to double precision there.  If
-A^2 - 3B <= 0 the cubic is strictly monotone and the root is bracketed by
-the Cauchy bound and bisected.
+A^2 - 3B <= 0 (the cubic is monotone, or the spread underflowed to 0, as for
+an expansion-quench load below about 1.5e-162), the root is bracketed by the
+Cauchy bound and bisected until the midpoint rounds onto an endpoint.
 
 Every returned root is validated by back-substitution: the residual must
 not exceed RESIDUAL_TOL * max(1, |A|, |B|, |C|), failing which
@@ -71,27 +72,27 @@ class MonicCubic(_Validated, namedtuple("MonicCubic", "a2 a1 a0")):
 
 
 def _bisect_monotone(cubic: MonicCubic) -> float:
-    # A^2 - 3B <= 0 makes the derivative nonnegative everywhere, so the
-    # cubic is monotone with exactly one real root inside the Cauchy bound.
+    # A^2 - 3B <= 0 makes the cubic monotone (or its spread underflowed, which
+    # leaves |x| > 1): one real root, inside the Cauchy bound.
     bound = 1.0 + max(abs(cubic.a2), abs(cubic.a1), abs(cubic.a0))
     lo, hi = -bound, bound
-    f_lo = cubic(lo)
+    f_lo, f_hi = cubic(lo), cubic(hi)
     if f_lo == 0.0:
         return lo
-    if cubic(hi) == 0.0:
+    if f_hi == 0.0:
         return hi
-    for _ in range(200):
+    # no fixed cap: a root far below the bound (1e-67, say) needs hundreds of halvings
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+        if mid == lo or mid == hi:  # adjacent doubles: keep the smaller residual
+            return lo if abs(f_lo) <= abs(f_hi) else hi
         f_mid = cubic(mid)
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) == (f_mid < 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi = mid, f_mid
 
 
 def principal_trig_root(cubic: MonicCubic) -> float:

@@ -22,13 +22,12 @@ ORACLE_AGREEMENT_TOL of z*, the bound to which the tests verify the closed
 forms against the grid oracle.  A candidate that fails raises
 NoInteriorOptimumError; no numeric search stands in for it.
 
-Each call builds the engine window once, with its checked load g; every
-candidate, probe and efficiency reads them, and the trade-off optimum
-shares its window with the eta_max it needs.  The efficiency root and the
-work optimum form g once more, before the window: the root reads it
-unchecked, so that tau = 0 (a zero load, whose root is z = 0) raises
-NoInteriorOptimumError, not the ValueError of the (tau, v) domain check.
-So each optimum computes f(v) twice.
+Each optimum builds one engine window, which forms the load g once: the
+efficiency root, every candidate and probe read it, and the trade-off
+optimum shares its window with its eta_max.  The window refuses a zero load
+before it checks (tau, v): tau = 0, or a tau*f(v) that underflows, puts the
+efficiency root at z = 0, which is no interior optimum rather than bad
+input.  optimize and engine_window check (tau, v) first.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ __all__ = [
     "NoEngineWindowError",
     "NoInteriorOptimumError",
     "efficiency_cubic",
-    "z_star_eta_sc",
-    "z_star_eta_se",
     "eta_max_sc",
     "eta_max_se",
     "peak_efficiency",
@@ -67,8 +64,6 @@ __all__ = [
     "eta_mw_sc",
     "eta_mw_se",
     "engine_window",
-    "z_star_omega_sc",
-    "z_star_omega_se",
     "eta_omega_sc",
     "eta_omega_se",
     "work_crossing_z",
@@ -122,28 +117,20 @@ def _validate_tau_v(tau: float, v: float) -> None:
         raise ValueError(f"v must lie in [0, 1), got {v}")
 
 
-def _engine_load(tau: float, v: float) -> float:
-    """The load g = tau * f(v), after checking that it leaves an engine window."""
-    g = tau * relativistic_factor(v)
-    if g >= 1.0:
-        raise NoEngineWindowError(
-            f"reduced load tau*f(v) = {g} >= 1 leaves no engine window"
-        )
-    if g == 0.0:
-        raise NoInteriorOptimumError(
-            f"reduced load tau*f(v) underflows to 0 at tau={tau}, v={v}"
-        )
-    return g
-
-
 class _Window:
-    """Load g, closed forms and engine window (lo, 1) of a validated (tau, v)."""
+    """Load g = tau*f(v), closed forms and engine window (lo, 1) of one optimum."""
 
     def __init__(self, tau: float, v: float, scenario: Scenario) -> None:
-        self.tau, self.v = tau, v
+        self.tau, self.v, self.scenario = tau, v, scenario
         self.forms = scenario_forms(scenario)
-        self.g = _engine_load(tau, v)
-        self.lo = self.forms.engine_lower_z(self.g)
+        self.g = g = tau * relativistic_factor(v)
+        # checked before (tau, v): tau = 0 puts the efficiency root at z = 0
+        if g == 0.0:
+            raise NoInteriorOptimumError(f"reduced load tau*f(v) is 0 at tau={tau}, v={v}")
+        _validate_tau_v(tau, v)
+        if g >= 1.0:  # f(v) can round above 1, so tau < 1 alone does not prevent it
+            raise NoEngineWindowError(f"reduced load tau*f(v) = {g} >= 1 leaves no engine window")
+        self.lo = self.forms.engine_lower_z(g)
 
     def eta(self, z: float) -> float:
         """Efficiency at z, with beta_h = 1 (it cancels)."""
@@ -178,6 +165,11 @@ class _Window:
                 )
         return candidate, peak
 
+    def peak(self) -> tuple[float, float]:
+        """The certified root of the efficiency cubic and eta_max there."""
+        root = principal_trig_root(efficiency_cubic(self.g, self.scenario))
+        return self.certified(root, self.eta)
+
 
 def efficiency_cubic(g: float, scenario: Scenario) -> MonicCubic:
     """Monic cubic whose largest real root is the efficiency-optimal ratio.
@@ -193,30 +185,6 @@ def efficiency_cubic(g: float, scenario: Scenario) -> MonicCubic:
     return MonicCubic(a2=a2, a1=a1, a0=a0)
 
 
-def _z_star_eta(tau: float, v: float, scenario: Scenario) -> float:
-    """The largest root of the efficiency cubic, once it is interior to (0, 1)."""
-    # checked before (tau, v): tau = 0 puts the root at 0, so it has no interior optimum
-    z = principal_trig_root(efficiency_cubic(tau * relativistic_factor(v), scenario))
-    if not 0.0 < z < 1.0:
-        raise NoInteriorOptimumError(f"stationary ratio {z} is not interior to (0, 1)")
-    _validate_tau_v(tau, v)
-    return z
-
-
-def z_star_eta_sc(tau: float, v: float) -> float:
-    """Efficiency-maximizing ratio, compression quench."""
-    return _z_star_eta(tau, v, SUDDEN_COMPRESSION)
-
-
-def z_star_eta_se(tau: float, v: float) -> float:
-    """Efficiency-maximizing ratio, expansion quench.
-
-    The cubic's trigonometric argument exceeds 1 when tau*f(v) < 1/2 and
-    the solver continues through the hyperbolic branch automatically.
-    """
-    return _z_star_eta(tau, v, SUDDEN_EXPANSION)
-
-
 def _carnot_tau(eta_c: float) -> float:
     """Temperature ratio tau = 1 - eta_c of a Carnot efficiency eta_c."""
     if not 0.0 < eta_c < 1.0:
@@ -224,18 +192,12 @@ def _carnot_tau(eta_c: float) -> float:
     return 1.0 - eta_c
 
 
-def _peak(tau: float, v: float, scenario: Scenario) -> tuple[_Window, float, float]:
-    """The window, the certified efficiency root and eta_max there."""
-    z_eta = _z_star_eta(tau, v, scenario)
-    w = _Window(tau, v, scenario)
-    return (w, *w.certified(z_eta, w.eta))
-
-
 def peak_efficiency(tau: float, v: float, scenario: Scenario) -> float:
     """Maximum efficiency over z at (tau, v), eta_c = 1 - tau, at the certified cubic root."""
-    return _peak(tau, v, scenario)[2]
+    return _Window(tau, v, scenario).peak()[1]
 
 
+# perfbench/tracer.py traces eta_max_* and eta_omega_* by name; figure 2 plots eta_omega_*
 def eta_max_sc(eta_c: float, v: float) -> float:
     """Maximum efficiency against Carnot efficiency, compression quench."""
     return peak_efficiency(_carnot_tau(eta_c), v, SUDDEN_COMPRESSION)
@@ -255,15 +217,21 @@ def z_star_work(tau: float, v: float) -> float:
     Raises
     ------
     NoEngineWindowError
-        When tau*f(v) >= 1 and no ratio in (0, 1) extracts work.  This
-        needs tau >= 1, so the physical domain never triggers it; the
-        guard exists for out-of-domain probing.
+        When tau*f(v) >= 1 and no ratio in (0, 1) extracts work: tau >= 1,
+        or tau within an ulp of 1 where f(v) rounds above 1.
+    NoInteriorOptimumError
+        When tau*f(v) underflows to 0.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if not 0.0 <= v < 1.0:
         raise ValueError(f"v must lie in [0, 1), got {v}")
-    return _engine_load(tau, v) ** (1.0 / 3.0)
+    g = tau * relativistic_factor(v)
+    if g >= 1.0:
+        raise NoEngineWindowError(f"reduced load tau*f(v) = {g} >= 1 leaves no engine window")
+    if g == 0.0:
+        raise NoInteriorOptimumError(f"reduced load tau*f(v) is 0 at tau={tau}, v={v}")
+    return g ** (1.0 / 3.0)
 
 
 def _eta_mw(eta_c: float, v: float, scenario: Scenario) -> float:
@@ -296,15 +264,13 @@ def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, floa
     return _Window(tau, v, scenario).lo, 1.0
 
 
-def _omega_optimum(
-    tau: float, v: float, scenario: Scenario, beta_h: float
-) -> tuple[_Window, float, float]:
-    """The window, the certified trade-off optimum and the objective there.
+def _omega_optimum(w: _Window, beta_h: float) -> tuple[float, float]:
+    """The certified trade-off optimum on the window w and the objective there.
 
-    Both stationarity conditions reduce to z**3 = g (1 - eta_max/2) with
-    g = tau*f(v); eta_max is certified on the same window.
+    Both stationarity conditions reduce to z**3 = g (1 - eta_max/2);
+    eta_max is certified on the same window.
     """
-    w, _, cap = _peak(tau, v, scenario)
+    _, cap = w.peak()
     forms, g = w.forms, w.g
 
     def objective(z: float) -> float:
@@ -313,22 +279,12 @@ def _omega_optimum(
         )
         return omega_function(record, cap)
 
-    return (w, *w.certified((g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), objective))
-
-
-def z_star_omega_sc(tau: float, v: float) -> float:
-    """Trade-off-maximizing ratio, compression quench: (g (1 - eta_max/2))**(1/3)."""
-    return _omega_optimum(tau, v, SUDDEN_COMPRESSION, 1.0)[1]
-
-
-def z_star_omega_se(tau: float, v: float) -> float:
-    """Trade-off-maximizing ratio, expansion quench: (g (1 - eta_max/2))**(1/3)."""
-    return _omega_optimum(tau, v, SUDDEN_EXPANSION, 1.0)[1]
+    return w.certified((g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), objective)
 
 
 def _eta_omega(eta_c: float, v: float, scenario: Scenario) -> float:
-    w, z_star, _ = _omega_optimum(_carnot_tau(eta_c), v, scenario, 1.0)
-    return w.eta(z_star)
+    w = _Window(_carnot_tau(eta_c), v, scenario)
+    return w.eta(_omega_optimum(w, 1.0)[0])
 
 
 def eta_omega_sc(eta_c: float, v: float) -> float:
@@ -366,16 +322,14 @@ def optimize(
     _validate_tau_v(tau, v)
     if not beta_h > 0.0:
         raise ValueError(f"beta_h must be positive, got {beta_h}")
-    scenario = target.scenario
+    w = _Window(tau, v, target.scenario)
 
     if target.objective == Objective.EFFICIENCY:
-        w, z_star, value = _peak(tau, v, scenario)
+        z_star, value = w.peak()
     elif target.objective == Objective.WORK:
-        candidate = z_star_work(tau, v)
-        w = _Window(tau, v, scenario)
-        z_star, value = w.certified(candidate, lambda z: w.forms.work(z, w.g, beta_h))
+        z_star, value = w.certified(w.g ** (1.0 / 3.0), lambda z: w.forms.work(z, w.g, beta_h))
     elif target.objective == Objective.OMEGA:
-        w, z_star, value = _omega_optimum(tau, v, scenario, beta_h)
+        z_star, value = _omega_optimum(w, beta_h)
     else:
         raise ValueError(f"unknown objective {target.objective}")
 

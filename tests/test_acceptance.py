@@ -35,10 +35,6 @@ from otto_rel import (
     principal_trig_root,
     relativistic_factor,
     work,
-    z_star_eta_sc,
-    z_star_eta_se,
-    z_star_omega_sc,
-    z_star_omega_se,
     z_star_work,
 )
 from otto_rel import cli
@@ -50,6 +46,11 @@ ASYMMETRIC = (SUDDEN_COMPRESSION, SUDDEN_EXPANSION)
 ALL_SCENARIOS = ASYMMETRIC + (BOTH_ADIABATIC, BOTH_SUDDEN)
 
 GRID_20 = [0.05 + 0.9 * i / 19 for i in range(20)]
+
+
+def z_star(objective, scenario, tau, v):
+    """The certified optimal ratio of one objective."""
+    return optimize(OptimizationTarget(objective, scenario), tau, v).z_star
 
 
 @contextmanager
@@ -117,18 +118,16 @@ def test_criterion_2_hot_limit_convergence():
 def test_criterion_3_peak_efficiency_vs_oracle():
     with criterion(3, "peak-efficiency ratio matches grid oracle to 1e-6 on 20x20, spots to 1e-3, < 10 s"):
         start = time.perf_counter()
-        for scenario, closed in (
-            (SUDDEN_COMPRESSION, z_star_eta_sc),
-            (SUDDEN_EXPANSION, z_star_eta_se),
-        ):
+        for scenario in ASYMMETRIC:
             for tau in GRID_20:
                 for v in GRID_20:
                     lo, hi = engine_window(tau, v, scenario)
                     probe = lambda z: eta(ReducedParams(z=z, tau=tau, v=v), scenario)
                     z_oracle, _ = maximize(probe, lo, hi)
-                    assert abs(closed(tau, v) - z_oracle) <= 1e-6, (scenario, tau, v)
-        assert abs(z_star_eta_sc(0.5, 0.5) - 0.726) <= 1e-3
-        assert abs(z_star_eta_se(0.5, 0.5) - 0.7349) <= 1e-3
+                    closed = z_star(Objective.EFFICIENCY, scenario, tau, v)
+                    assert abs(closed - z_oracle) <= 1e-6, (scenario, tau, v)
+        assert abs(z_star(Objective.EFFICIENCY, SUDDEN_COMPRESSION, 0.5, 0.5) - 0.726) <= 1e-3
+        assert abs(z_star(Objective.EFFICIENCY, SUDDEN_EXPANSION, 0.5, 0.5) - 0.7349) <= 1e-3
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f} s"
 
@@ -153,14 +152,11 @@ def test_criterion_4_maximum_work_point():
 def test_criterion_5_trade_off_optima():
     with criterion(5, "trade-off optima in window; SE curve <= 0.5; SC exceeds 0.5; curves monotone; closed-form status recorded"):
         grid = [0.1 + 0.8 * i / 19 for i in range(20)]
-        for scenario, z_fn in (
-            (SUDDEN_COMPRESSION, z_star_omega_sc),
-            (SUDDEN_EXPANSION, z_star_omega_se),
-        ):
+        for scenario in ASYMMETRIC:
             for tau in grid:
                 for v in grid:
                     lo, hi = engine_window(tau, v, scenario)
-                    assert lo < z_fn(tau, v) < hi, (scenario, tau, v)
+                    assert lo < z_star(Objective.OMEGA, scenario, tau, v) < hi, (scenario, tau, v)
 
         axis = [0.01 + 0.98 * i / 99 for i in range(100)]
         se_peak = 0.0
@@ -176,8 +172,8 @@ def test_criterion_5_trade_off_optima():
         # status of the printed maximizer candidates, measured as their gap
         # to the package's closed form
         for tau, v in ((0.5, 0.5), (0.3, 0.75)):
-            z_sc = z_star_omega_sc(tau, v)
-            z_se = z_star_omega_se(tau, v)
+            z_sc = z_star(Objective.OMEGA, SUDDEN_COMPRESSION, tau, v)
+            z_se = z_star(Objective.OMEGA, SUDDEN_EXPANSION, tau, v)
             for variant in ("zero", "rapidity"):
                 cand = printed_omega_maximizer_sc(tau, v, log_variant=variant)
                 gap = abs(cand - z_sc)

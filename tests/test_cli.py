@@ -294,9 +294,26 @@ def test_subnormal_load_optimum_is_certified(capsys):
     assert record["source"] == "closed-form"
 
 
+def test_tiny_expansion_load_optimum_reaches_the_root(capsys):
+    # at g below about 1.5e-162 the cubic's spread (3g/2)**2 underflows to 0
+    # and the root, about (g/2)**(1/3), is found by bisection
+    code, out, err = run(
+        capsys, "optimize", "--objective", "eta", "--scenario", "se",
+        "--tau", "1e-200", "--v", "0.5",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["z_star"] == 1.6818284554978302e-67
+
+
 @pytest.mark.parametrize(
     "argv",
     [
+        # tau < 1, but f(v) rounds above 1 and tau*f(v) rounds to 1
+        pytest.param(
+            ("optimize", "--objective", "eta", "--scenario", "sc",
+             "--tau", "0.9999999999999999", "--v", "1.673740958757154e-16"),
+            id="eta-load-rounds-to-one",
+        ),
         # the cubic root leaves the engine window, so eta_max would be negative
         pytest.param(
             ("optimize", "--objective", "omega", "--scenario", "sc",

@@ -1,5 +1,6 @@
 """Monic cubic solver: trig branch, clamp band, hyperbolic continuation."""
 
+import decimal
 import math
 import random
 import sys
@@ -164,6 +165,34 @@ def test_overflowing_argument_keeps_the_real_root(tau):
     assert math.isinf(-(numerator / spread) / (2.0 * math.sqrt(spread)))
     root = principal_trig_root(cubic)
     assert root == pytest.approx((0.5 * g * (1.0 - 2.0 * g)) ** (1.0 / 3.0), rel=1e-15)
+
+
+def _decimal_root(cubic, start):
+    # Newton's method at 80 digits on the cubic's exact float coefficients
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        a2, a1, a0 = (decimal.Decimal(c) for c in cubic)
+        y = decimal.Decimal(start)
+        for _ in range(100):
+            step = (((y + a2) * y + a1) * y + a0) / ((3 * y + 2 * a2) * y + a1)
+            if y == y - step:
+                break
+            y -= step
+        return y
+
+
+def test_underflowed_spread_bisects_to_the_root():
+    # Below g of about 1.5e-162 the expansion quench's spread (3g/2)**2 is 0
+    # in floating point and the root, about (g/2)**(1/3), is bisected from the
+    # Cauchy bound all the way down.
+    for k in range(166, 309):
+        g = float(f"1e-{k}")
+        cubic = efficiency_cubic(g, SUDDEN_EXPANSION)
+        assert cubic.a2 ** 2 - 3.0 * cubic.a1 == 0.0
+        root = principal_trig_root(cubic)
+        want = _decimal_root(cubic, (0.5 * g) ** (1.0 / 3.0))
+        ulps = abs(decimal.Decimal(root) - want) / decimal.Decimal(math.ulp(float(want)))
+        assert ulps <= 2, (g, root, ulps)
 
 
 def test_normal_scale_keeps_the_one_step_division():

@@ -33,14 +33,11 @@ from otto_rel import (
     optimize,
     peak_efficiency,
     performance,
+    principal_trig_root,
     qh,
     relativistic_factor,
     work,
     work_crossing_z,
-    z_star_eta_sc,
-    z_star_eta_se,
-    z_star_omega_sc,
-    z_star_omega_se,
     z_star_work,
 )
 from otto_rel import optima
@@ -51,6 +48,17 @@ POINTS = {
     "tau=0.5,v=0.5": (0.5, 0.5),
     "tau=0.3,v=0.75": (0.3, 0.75),
 }
+_SC, _SE = SUDDEN_COMPRESSION, SUDDEN_EXPANSION
+
+
+def z_eta(tau, v, scenario):
+    """The certified efficiency-maximizing ratio."""
+    return optimize(OptimizationTarget(Objective.EFFICIENCY, scenario), tau, v).z_star
+
+
+def z_omega(tau, v, scenario):
+    """The certified trade-off-maximizing ratio."""
+    return optimize(OptimizationTarget(Objective.OMEGA, scenario), tau, v).z_star
 
 
 @pytest.mark.parametrize("key", sorted(POINTS))
@@ -59,8 +67,8 @@ def test_frozen_closed_form_optima(key):
     want = REFERENCE["optima"][key]
     eta_c = 1.0 - tau
 
-    assert z_star_eta_sc(tau, v) == pytest.approx(want["z_eta_sc"], rel=1e-13)
-    assert z_star_eta_se(tau, v) == pytest.approx(want["z_eta_se"], rel=1e-13)
+    assert z_eta(tau, v, _SC) == pytest.approx(want["z_eta_sc"], rel=1e-13)
+    assert z_eta(tau, v, _SE) == pytest.approx(want["z_eta_se"], rel=1e-13)
     assert eta_max_sc(eta_c, v) == pytest.approx(want["eta_max_sc"], rel=1e-13)
     assert eta_max_se(eta_c, v) == pytest.approx(want["eta_max_se"], rel=1e-13)
     for scenario, name in ((SUDDEN_COMPRESSION, "eta_max_sc"), (SUDDEN_EXPANSION, "eta_max_se")):
@@ -93,8 +101,8 @@ def test_frozen_trade_off_optima(key):
     want = REFERENCE["optima"][key]
     eta_c = 1.0 - tau
 
-    assert z_star_omega_sc(tau, v) == pytest.approx(want["z_omega_sc"], rel=1e-13)
-    assert z_star_omega_se(tau, v) == pytest.approx(want["z_omega_se"], rel=1e-13)
+    assert z_omega(tau, v, _SC) == pytest.approx(want["z_omega_sc"], rel=1e-13)
+    assert z_omega(tau, v, _SE) == pytest.approx(want["z_omega_se"], rel=1e-13)
     assert eta_omega_sc(eta_c, v) == pytest.approx(want["eta_omega_sc"], rel=1e-13)
     assert eta_omega_se(eta_c, v) == pytest.approx(want["eta_omega_se"], rel=1e-13)
 
@@ -102,10 +110,10 @@ def test_frozen_trade_off_optima(key):
         record = performance(ReducedParams(z=z, tau=tau, v=v), scenario)
         return omega_function(record, peak_efficiency(tau, v, scenario))
 
-    assert omega_at(z_star_omega_sc(tau, v), SUDDEN_COMPRESSION) == pytest.approx(
+    assert omega_at(z_omega(tau, v, _SC), SUDDEN_COMPRESSION) == pytest.approx(
         want["omega_max_sc"], rel=1e-12
     )
-    assert omega_at(z_star_omega_se(tau, v), SUDDEN_EXPANSION) == pytest.approx(
+    assert omega_at(z_omega(tau, v, _SE), SUDDEN_EXPANSION) == pytest.approx(
         want["omega_max_se"], rel=1e-12
     )
 
@@ -127,10 +135,10 @@ def test_frozen_trade_off_efficiency_spots():
 def test_peak_efficiency_equals_efficiency_at_peak(tau, v):
     eta_c = 1.0 - tau
     r = lambda z: ReducedParams(z=z, tau=tau, v=v)
-    assert eta(r(z_star_eta_sc(tau, v)), SUDDEN_COMPRESSION) == pytest.approx(
+    assert eta(r(z_eta(tau, v, _SC)), SUDDEN_COMPRESSION) == pytest.approx(
         eta_max_sc(eta_c, v), rel=1e-12
     )
-    assert eta(r(z_star_eta_se(tau, v)), SUDDEN_EXPANSION) == pytest.approx(
+    assert eta(r(z_eta(tau, v, _SE)), SUDDEN_EXPANSION) == pytest.approx(
         eta_max_se(eta_c, v), rel=1e-12
     )
     assert eta(r(z_star_work(tau, v)), SUDDEN_COMPRESSION) == pytest.approx(
@@ -146,11 +154,8 @@ def test_trade_off_maximizer_satisfies_stationarity_identity(tau, v):
     # differentiating the trade-off objective gives z**3 = g (2 - eta_max)/2
     # for both scenarios
     g = tau * relativistic_factor(v)
-    for z_fn, cap_fn in (
-        (z_star_omega_sc, eta_max_sc),
-        (z_star_omega_se, eta_max_se),
-    ):
-        z = z_fn(tau, v)
+    for scenario, cap_fn in ((_SC, eta_max_sc), (_SE, eta_max_se)):
+        z = z_omega(tau, v, scenario)
         cap = cap_fn(1.0 - tau, v)
         assert z**3 == pytest.approx(g * (2.0 - cap) / 2.0, rel=1e-13)
 
@@ -186,12 +191,9 @@ def test_trade_off_efficiency_monotone_in_carnot_limit():
     v=st.floats(min_value=0.0, max_value=0.98),
 )
 def test_closed_form_maximizers_stay_inside_window(tau, v):
-    for scenario, z_fn in (
-        (SUDDEN_COMPRESSION, z_star_eta_sc),
-        (SUDDEN_EXPANSION, z_star_eta_se),
-    ):
+    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
         lo, hi = engine_window(tau, v, scenario)
-        assert lo < z_fn(tau, v) < hi
+        assert lo < z_eta(tau, v, scenario) < hi
         assert lo < z_star_work(tau, v) < hi
 
 
@@ -199,8 +201,8 @@ def test_closed_form_maximizers_stay_inside_window(tau, v):
 def test_optima_are_stationary_and_concave(tau, v):
     r = lambda z: ReducedParams(z=z, tau=tau, v=v)
     probes = [
-        (z_star_eta_sc(tau, v), lambda z: eta(r(z), SUDDEN_COMPRESSION)),
-        (z_star_eta_se(tau, v), lambda z: eta(r(z), SUDDEN_EXPANSION)),
+        (z_eta(tau, v, _SC), lambda z: eta(r(z), SUDDEN_COMPRESSION)),
+        (z_eta(tau, v, _SE), lambda z: eta(r(z), SUDDEN_EXPANSION)),
         (z_star_work(tau, v), lambda z: work(r(z), SUDDEN_COMPRESSION)),
         (z_star_work(tau, v), lambda z: work(r(z), SUDDEN_EXPANSION)),
     ]
@@ -218,8 +220,8 @@ def test_printed_trade_off_forms_disagree_with_oracle():
     # the package maximizers are checked against the oracle in
     # test_trade_off_closed_form_agrees_with_oracle
     tau, v = 0.5, 0.5
-    z_sc = z_star_omega_sc(tau, v)
-    z_se = z_star_omega_se(tau, v)
+    z_sc = z_omega(tau, v, _SC)
+    z_se = z_omega(tau, v, _SE)
     # neither reading of the compression-side form lands in the unit interval
     for variant in ("zero", "rapidity"):
         cand = printed_omega_maximizer_sc(tau, v, log_variant=variant)
@@ -276,13 +278,13 @@ GRID_10 = [0.05 + 0.9 * i / 9 for i in range(10)]
 
 
 @pytest.mark.parametrize(
-    "scenario,z_fn,cap_fn",
+    "scenario,cap_fn",
     [
-        (SUDDEN_COMPRESSION, z_star_omega_sc, eta_max_sc),
-        (SUDDEN_EXPANSION, z_star_omega_se, eta_max_se),
+        pytest.param(_SC, eta_max_sc, id="scenario0-z_star_omega_sc-eta_max_sc"),
+        pytest.param(_SE, eta_max_se, id="scenario1-z_star_omega_se-eta_max_se"),
     ],
 )
-def test_trade_off_closed_form_agrees_with_oracle(scenario, z_fn, cap_fn):
+def test_trade_off_closed_form_agrees_with_oracle(scenario, cap_fn):
     # the grid oracle verifies the closed form; it does not compute it
     for tau in GRID_10:
         for v in GRID_10:
@@ -294,18 +296,28 @@ def test_trade_off_closed_form_agrees_with_oracle(scenario, z_fn, cap_fn):
 
             lo, hi = engine_window(tau, v, scenario)
             z_oracle, _ = maximize(omega, lo, hi)
-            assert abs(z_fn(tau, v) - z_oracle) <= ORACLE_AGREEMENT_TOL, (tau, v)
+            assert abs(z_omega(tau, v, scenario) - z_oracle) <= ORACLE_AGREEMENT_TOL, (tau, v)
 
 
 # A closed form that fails its certificate raises; the CLI turns that into
 # exit 3.
 
 
+def inject_work_candidate(monkeypatch, candidate):
+    # optimize forms the work candidate inline from its window's load, so the
+    # bad candidate replaces it where the window certifies it
+    class Injected(optima._Window):
+        def certified(self, _, objective):
+            return super().certified(candidate, objective)
+
+    monkeypatch.setattr(optima, "_Window", Injected)
+
+
 def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
     lo, _ = engine_window(0.5, 0.5, SUDDEN_COMPRESSION)
     # inside the window, but on the rising flank below the true maximizer
-    monkeypatch.setattr(optima, "z_star_work", lambda tau, v: 0.5 * (lo + want["z_work"]))
+    inject_work_candidate(monkeypatch, 0.5 * (lo + want["z_work"]))
     with pytest.raises(NoInteriorOptimumError, match="not a local maximum"):
         optimize(OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION), 0.5, 0.5)
 
@@ -314,23 +326,23 @@ def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
 def test_optimize_falls_back_when_candidate_leaves_window(monkeypatch, bad):
     lo, _ = engine_window(0.5, 0.5, SUDDEN_EXPANSION)
     candidate = 0.5 * lo if bad == "below-window" else bad
-    monkeypatch.setattr(optima, "z_star_work", lambda tau, v: candidate)
+    inject_work_candidate(monkeypatch, candidate)
     with pytest.raises(NoInteriorOptimumError, match="is outside the engine window"):
         optimize(OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION), 0.5, 0.5)
 
 
 def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
     # eta_max feeds every trade-off value, so its cubic root is certified too
-    z_eta = z_star_eta_sc(0.5, 0.5)
-    monkeypatch.setattr(optima, "_z_star_eta", lambda tau, v, scenario: 0.9 * z_eta)
+    root = z_eta(0.5, 0.5, _SC)
+    monkeypatch.setattr(optima, "principal_trig_root", lambda cubic: 0.9 * root)
     with pytest.raises(NoInteriorOptimumError):
         peak_efficiency(0.5, 0.5, SUDDEN_COMPRESSION)
     with pytest.raises(NoInteriorOptimumError):
-        z_star_omega_sc(0.5, 0.5)
+        z_omega(0.5, 0.5, _SC)
     # below the load the expansion quench draws no heat; its window floor,
     # about 2g at small g, refuses this root before an efficiency is formed
     g = 1e-20 * relativistic_factor(0.5)
-    monkeypatch.setattr(optima, "_z_star_eta", lambda tau, v, scenario: 0.5 * g)
+    monkeypatch.setattr(optima, "principal_trig_root", lambda cubic: 0.5 * g)
     with pytest.raises(NoInteriorOptimumError, match="is outside the engine window"):
         peak_efficiency(1e-20, 0.5, SUDDEN_EXPANSION)
     # the efficiency itself refuses a ratio at or below the load, where q_h <= 0
@@ -344,16 +356,27 @@ def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(
-            lambda: optimize(OptimizationTarget(Objective.OMEGA, SUDDEN_COMPRESSION), 0.5, 0.5),
-            id="optimize-omega",
+        *(
+            pytest.param(
+                lambda objective=objective, scenario=scenario: optimize(
+                    OptimizationTarget(objective, scenario), 0.5, 0.5
+                ),
+                id=f"optimize-{objective.value}{suffix}",
+            )
+            for scenario, suffix in ((_SC, ""), (_SE, "-se"))
+            for objective in Objective
         ),
-        pytest.param(lambda: eta_omega_sc(0.5, 0.5), id="eta_omega_sc"),
+        pytest.param(lambda: peak_efficiency(0.5, 0.5, _SC), id="peak-sc"),
+        pytest.param(lambda: peak_efficiency(0.5, 0.5, _SE), id="peak-se"),
+        *(
+            pytest.param(lambda fn=fn: fn(0.5, 0.5), id=fn.__name__)
+            for fn in (eta_max_sc, eta_max_se, eta_omega_sc, eta_omega_se, eta_mw_sc, eta_mw_se)
+        ),
     ],
 )
 def test_trade_off_optimum_builds_its_load_once(monkeypatch, call):
-    # one f(v) for the shared load and engine window, one inside the
-    # efficiency root behind eta_max; no per-probe ReducedParams
+    # one f(v) per optimum: the window's load feeds the efficiency root, the
+    # candidate, every probe and eta_max; no per-probe ReducedParams
     real = relativistic_factor
     calls = []
 
@@ -370,7 +393,7 @@ def test_trade_off_optimum_builds_its_load_once(monkeypatch, call):
 
     monkeypatch.setattr(ReducedParams, "__new__", refuse)
     call()
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
 
 
 EDGE_AXIS = [1e-6] + [k / 65 for k in range(1, 65)] + [0.999999]
@@ -380,13 +403,12 @@ EDGE_AXIS = [1e-6] + [k / 65 for k in range(1, 65)] + [0.999999]
 def test_optimize_returns_the_closed_form_on_edge_rows(tau):
     # at tau = 1e-6 the se objectives are flat to rounding; at tau = 0.999999
     # the engine window can be narrower than the pair of certificate probes
-    z_eta_fns = {SUDDEN_COMPRESSION: z_star_eta_sc, SUDDEN_EXPANSION: z_star_eta_se}
     for v in EDGE_AXIS:
         g = tau * relativistic_factor(v)
-        for scenario, z_eta_fn in z_eta_fns.items():
+        for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
             cap = peak_efficiency(tau, v, scenario)
             want = {
-                Objective.EFFICIENCY: z_eta_fn(tau, v),
+                Objective.EFFICIENCY: principal_trig_root(efficiency_cubic(g, scenario)),
                 Objective.WORK: z_star_work(tau, v),
                 Objective.OMEGA: (g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0),
             }
@@ -411,30 +433,34 @@ def test_report_validates_ratio():
 def test_no_engine_window_when_load_saturates():
     with pytest.raises(NoEngineWindowError):
         z_star_work(2.0, 0.1)
-    # inside the physical domain the window always exists
+    # inside the physical domain the window exists unless f(v) rounds one ulp
+    # above 1 at a tiny v and tau*f(v) rounds to 1 although tau < 1
     lo, hi = engine_window(0.999, 0.001, SUDDEN_COMPRESSION)
     assert 0.0 < lo < hi == 1.0
+    tau, v = 0.9999999999999999, 1.673740958757154e-16
+    assert relativistic_factor(v) > 1.0 and tau * relativistic_factor(v) == 1.0
+    calls = [lambda: peak_efficiency(tau, v, _SC), lambda: engine_window(tau, v, _SE)]
+    calls += [
+        lambda objective=objective: optimize(OptimizationTarget(objective, _SC), tau, v)
+        for objective in Objective
+    ]
+    for call in calls:
+        with pytest.raises(NoEngineWindowError):
+            call()
 
 
 def test_no_interior_optimum_at_zero_load():
     with pytest.raises(NoInteriorOptimumError):
-        z_star_eta_sc(0.0, 0.5)
+        peak_efficiency(0.0, 0.5, SUDDEN_COMPRESSION)
     with pytest.raises(NoInteriorOptimumError):
-        z_star_eta_se(0.0, 0.5)
-
-
-_SC, _SE = SUDDEN_COMPRESSION, SUDDEN_EXPANSION
+        peak_efficiency(0.0, 0.5, SUDDEN_EXPANSION)
 
 
 @pytest.mark.parametrize(
     "call, error",
     [
-        pytest.param(lambda: z_star_eta_sc(0.0, 0.5), NoInteriorOptimumError, id="z_star_eta_sc"),
-        pytest.param(lambda: z_star_eta_se(0.0, 0.5), NoInteriorOptimumError, id="z_star_eta_se"),
         pytest.param(lambda: peak_efficiency(0.0, 0.5, _SC), NoInteriorOptimumError, id="peak-sc"),
         pytest.param(lambda: peak_efficiency(0.0, 0.5, _SE), NoInteriorOptimumError, id="peak-se"),
-        pytest.param(lambda: z_star_omega_sc(0.0, 0.5), NoInteriorOptimumError, id="z_star_omega_sc"),
-        pytest.param(lambda: z_star_omega_se(0.0, 0.5), NoInteriorOptimumError, id="z_star_omega_se"),
         pytest.param(lambda: engine_window(0.0, 0.5, _SC), ValueError, id="engine_window-sc"),
         pytest.param(lambda: engine_window(0.0, 0.5, _SE), ValueError, id="engine_window-se"),
         *(
@@ -466,7 +492,7 @@ def test_domain_validation_errors():
     with pytest.raises(ValueError):
         eta_omega_sc(-0.1, 0.5)
     with pytest.raises(ValueError):  # tau > 1 with a load below 1
-        z_star_eta_sc(1.2, 0.9)
+        peak_efficiency(1.2, 0.9, SUDDEN_COMPRESSION)
     with pytest.raises(ValueError):
         work_crossing_z(1.2, 0.5)
     with pytest.raises(ValueError):
