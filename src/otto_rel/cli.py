@@ -5,9 +5,9 @@ rendered with repr (shortest round-trip), rows follow the axis order,
 and CSV files begin with the comment line `# otto-rel schema v1`.
 
 Exit status: 0 on success, 2 on input/domain-validation errors, 3 when
-the request is well-formed but the physics says no (no engine window,
-no interior optimum) or the arithmetic does (division by zero, overflow,
-a non-finite result).
+the request is well-formed but the physics says no (no interior
+optimum) or the arithmetic does (division by zero, overflow, a non-finite
+result).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .core import (
 )
 from .high_temperature import ReducedParams, performance
 from .optima import (
-    NoEngineWindowError,
     NoInteriorOptimumError,
     Objective,
     OptimizationTarget,
@@ -401,7 +400,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (NoEngineWindowError, NoInteriorOptimumError) as exc:
+    except NoInteriorOptimumError as exc:
         print(f"otto-rel: error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:

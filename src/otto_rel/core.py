@@ -181,7 +181,8 @@ def relativistic_factor(v: float) -> float:
     """Velocity reduction factor f(v) = sqrt(1-v^2) ln[(1+v)/(1-v)] / (2v).
 
     Strictly decreasing on (0, 1) with f(0+) = 1 and f(v) -> 0 as v -> 1;
-    v = 0 returns the limit 1 exactly.  Both factors are formed without
+    v = 0 returns the limit 1 exactly, and no v returns more than 1, so
+    tau*f(v) <= tau for every tau.  Both factors are formed without
     cancellation, so f stays within a few ulps on all of (0, 1):
     sqrt((1-v)(1+v)) in place of sqrt(1 - v*v), which loses the digits
     of 1 - v^2 as v -> 1, and below v = 1/3 the log as
@@ -205,7 +206,9 @@ def relativistic_factor(v: float) -> float:
         log_ratio = math.log((1.0 + v) / (1.0 - v))
     else:
         log_ratio = math.log1p(2.0 * v / (1.0 - v))
-    return r * log_ratio / (2.0 * v)
+    f = r * log_ratio / (2.0 * v)
+    # f < 1 for v > 0, but at tiny v the rounded factors can land an ulp above it
+    return f if f < 1.0 else 1.0
 
 
 def adiabaticity(protocol: StrokeProtocol, z: float) -> float:

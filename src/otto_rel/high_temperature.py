@@ -112,8 +112,7 @@ class ScenarioForms(NamedTuple):
     """Every closed form that tells one asymmetric scenario from the other.
 
     The heats and the work take (z, g, beta_h) with g = tau * f(v); the
-    other forms take g alone, except eta_at_max_work, which takes the
-    work-maximizing ratio z = g**(1/3).
+    other forms take g alone.
 
     efficiency_cubic gives the coefficients (a2, a1, a0) of the monic
     cubic whose largest real root maximizes the efficiency.  The mode
@@ -129,7 +128,6 @@ class ScenarioForms(NamedTuple):
     efficiency_cubic: Callable[[float], tuple[float, float, float]]
     fridge_top: Callable[[float], Optional[float]]
     heater_top: Callable[[float], float]
-    eta_at_max_work: Callable[[float], float]
 
 
 _FORMS = {
@@ -142,7 +140,6 @@ _FORMS = {
         efficiency_cubic=lambda g: (0.0, -3.0 * g / (2.0 - g), 2.0 * g * g / (2.0 - g)),
         fridge_top=lambda g: g,
         heater_top=lambda g: math.sqrt(g / (2.0 - g)),
-        eta_at_max_work=lambda z: (1.0 - z) ** 2 * (2.0 + z) / (2.0 - z - z**3),
     ),
     # Quenched C->D stroke.  The efficiency is bounded above by 1/2
     # everywhere: the quenched expansion stroke wastes at least half of the
@@ -156,7 +153,6 @@ _FORMS = {
         efficiency_cubic=lambda g: (-1.5 * g, 0.0, -0.5 * g * (1.0 - 2.0 * g)),
         fridge_top=lambda g: math.sqrt(2.0 * g - 1.0) if 2.0 * g > 1.0 else None,
         heater_top=lambda g: g,
-        eta_at_max_work=lambda z: (1.0 - z) * (1.0 + 2.0 * z) / (2.0 * (1.0 + z)),
     ),
 }
 

@@ -13,13 +13,17 @@ the compression ratio z at fixed (tau, v), with g = tau*f(v):
   stationarity condition to z**3 = g (1 - eta_max/2), so the optimum is
   (g (1 - eta_max/2))**(1/3).
 
-Every closed-form candidate, the efficiency root behind eta_max included,
-passes a cheap certificate before it is returned: it must lie strictly
-inside the engine window, and the objective there must be no lower than
-at z* -/+ ORACLE_AGREEMENT_TOL (each probe checked when it lies inside the
-window).  For a unimodal objective this puts the true argmax within
-ORACLE_AGREEMENT_TOL of z*, the bound to which the tests verify the closed
-forms against the grid oracle.  A candidate that fails raises
+optimize is the one path that computes an optimum.  The functions of the
+Carnot efficiency eta_c = 1 - tau read it: eta_mw_* and eta_omega_* are the
+efficiency it reports, and eta_max_* is peak_efficiency, the efficiency at
+the certified cubic root that optimize(EFFICIENCY) reports.  Every closed-form
+candidate, the efficiency root behind eta_max and the work optimum behind
+eta_mw included, passes a cheap certificate before it is returned: it must
+lie strictly inside the engine window, and the objective there must be no
+lower than at z* -/+ ORACLE_AGREEMENT_TOL (each probe checked when it lies
+inside the window).  For a unimodal objective this puts the true argmax
+within ORACLE_AGREEMENT_TOL of z*, the bound to which the tests verify the
+closed forms against the grid oracle.  A candidate that fails raises
 NoInteriorOptimumError; no numeric search stands in for it.
 
 Each optimum builds one engine window, which forms the load g once: the
@@ -27,7 +31,9 @@ efficiency root, every candidate and probe read it, and the trade-off
 optimum shares its window with its eta_max.  The window refuses a zero load
 before it checks (tau, v): tau = 0, or a tau*f(v) that underflows, puts the
 efficiency root at z = 0, which is no interior optimum rather than bad
-input.  optimize and engine_window check (tau, v) first.
+input.  optimize and engine_window check (tau, v) first.  Since f(v) <= 1,
+the load is at most tau < 1, so the window is never inverted; where its
+floor rounds to 1 it is empty, and every candidate is refused.
 """
 
 from __future__ import annotations
@@ -54,13 +60,11 @@ __all__ = [
     "Objective",
     "OptimizationTarget",
     "OptimumReport",
-    "NoEngineWindowError",
     "NoInteriorOptimumError",
     "efficiency_cubic",
     "eta_max_sc",
     "eta_max_se",
     "peak_efficiency",
-    "z_star_work",
     "eta_mw_sc",
     "eta_mw_se",
     "engine_window",
@@ -75,12 +79,13 @@ __all__ = [
 ORACLE_AGREEMENT_TOL = 1e-6
 
 
-class NoEngineWindowError(ValueError):
-    """The work expression is nonpositive on all of (0, 1)."""
-
-
 class NoInteriorOptimumError(ValueError):
-    """The stationary point fell outside the open interval (0, 1)."""
+    """No certified optimum lies inside the open engine window (lo, 1).
+
+    The closed-form ratio fell outside the window or failed its
+    certificate, the load tau*f(v) is 0, or the window is empty because
+    its floor lo rounds to 1 as tau*f(v) -> 1.
+    """
 
 
 class Objective(str, Enum):
@@ -128,8 +133,6 @@ class _Window:
         if g == 0.0:
             raise NoInteriorOptimumError(f"reduced load tau*f(v) is 0 at tau={tau}, v={v}")
         _validate_tau_v(tau, v)
-        if g >= 1.0:  # f(v) can round above 1, so tau < 1 alone does not prevent it
-            raise NoEngineWindowError(f"reduced load tau*f(v) = {g} >= 1 leaves no engine window")
         self.lo = self.forms.engine_lower_z(g)
 
     def eta(self, z: float) -> float:
@@ -208,54 +211,16 @@ def eta_max_se(eta_c: float, v: float) -> float:
     return peak_efficiency(_carnot_tau(eta_c), v, SUDDEN_EXPANSION)
 
 
-def z_star_work(tau: float, v: float) -> float:
-    """Work-maximizing ratio (tau*f(v))**(1/3), valid for both scenarios.
-
-    Differentiating either work expression gives the same stationarity
-    condition z**3 = tau*f(v), so the optimum is shared.
-
-    Raises
-    ------
-    NoEngineWindowError
-        When tau*f(v) >= 1 and no ratio in (0, 1) extracts work: tau >= 1,
-        or tau within an ulp of 1 where f(v) rounds above 1.
-    NoInteriorOptimumError
-        When tau*f(v) underflows to 0.
-    """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not 0.0 <= v < 1.0:
-        raise ValueError(f"v must lie in [0, 1), got {v}")
-    g = tau * relativistic_factor(v)
-    if g >= 1.0:
-        raise NoEngineWindowError(f"reduced load tau*f(v) = {g} >= 1 leaves no engine window")
-    if g == 0.0:
-        raise NoInteriorOptimumError(f"reduced load tau*f(v) is 0 at tau={tau}, v={v}")
-    return g ** (1.0 / 3.0)
-
-
-def _eta_mw(eta_c: float, v: float, scenario: Scenario) -> float:
-    z = z_star_work(_carnot_tau(eta_c), v)
-    return scenario_forms(scenario).eta_at_max_work(z)
-
-
 def eta_mw_sc(eta_c: float, v: float) -> float:
-    """Efficiency at maximum work, compression quench.
-
-    Substituting z**3 = tau*f(v) into the efficiency ratio collapses it
-    to (1-z)**2 (2+z) / (2 - z - z**3); the v-dependence enters only
-    through z.
-    """
-    return _eta_mw(eta_c, v, SUDDEN_COMPRESSION)
+    """Efficiency at the certified maximum-work ratio, compression quench."""
+    target = OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION)
+    return optimize(target, _carnot_tau(eta_c), v).eta_at_opt
 
 
 def eta_mw_se(eta_c: float, v: float) -> float:
-    """Efficiency at maximum work, expansion quench.
-
-    Same substitution as eta_mw_sc; here the ratio collapses to
-    (1-z)(1+2z) / (2(1+z)).
-    """
-    return _eta_mw(eta_c, v, SUDDEN_EXPANSION)
+    """Efficiency at the certified maximum-work ratio, expansion quench."""
+    target = OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION)
+    return optimize(target, _carnot_tau(eta_c), v).eta_at_opt
 
 
 def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, float]:
@@ -264,32 +229,10 @@ def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, floa
     return _Window(tau, v, scenario).lo, 1.0
 
 
-def _omega_optimum(w: _Window, beta_h: float) -> tuple[float, float]:
-    """The certified trade-off optimum on the window w and the objective there.
-
-    Both stationarity conditions reduce to z**3 = g (1 - eta_max/2);
-    eta_max is certified on the same window.
-    """
-    _, cap = w.peak()
-    forms, g = w.forms, w.g
-
-    def objective(z: float) -> float:
-        record = PerformanceRecord(
-            q_h=forms.qh(z, g, beta_h), q_c=forms.qc(z, g, beta_h), w_ext=forms.work(z, g, beta_h)
-        )
-        return omega_function(record, cap)
-
-    return w.certified((g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), objective)
-
-
-def _eta_omega(eta_c: float, v: float, scenario: Scenario) -> float:
-    w = _Window(_carnot_tau(eta_c), v, scenario)
-    return w.eta(_omega_optimum(w, 1.0)[0])
-
-
 def eta_omega_sc(eta_c: float, v: float) -> float:
     """Efficiency at the trade-off optimum, compression quench."""
-    return _eta_omega(eta_c, v, SUDDEN_COMPRESSION)
+    target = OptimizationTarget(Objective.OMEGA, SUDDEN_COMPRESSION)
+    return optimize(target, _carnot_tau(eta_c), v).eta_at_opt
 
 
 def eta_omega_se(eta_c: float, v: float) -> float:
@@ -299,7 +242,8 @@ def eta_omega_se(eta_c: float, v: float) -> float:
     least half the absorbed heat on parasitic excitation at this
     operating point.
     """
-    return _eta_omega(eta_c, v, SUDDEN_EXPANSION)
+    target = OptimizationTarget(Objective.OMEGA, SUDDEN_EXPANSION)
+    return optimize(target, _carnot_tau(eta_c), v).eta_at_opt
 
 
 def work_crossing_z(tau: float, v: float) -> float:
@@ -323,13 +267,23 @@ def optimize(
     if not beta_h > 0.0:
         raise ValueError(f"beta_h must be positive, got {beta_h}")
     w = _Window(tau, v, target.scenario)
+    forms, g = w.forms, w.g
 
     if target.objective == Objective.EFFICIENCY:
         z_star, value = w.peak()
     elif target.objective == Objective.WORK:
-        z_star, value = w.certified(w.g ** (1.0 / 3.0), lambda z: w.forms.work(z, w.g, beta_h))
+        z_star, value = w.certified(g ** (1.0 / 3.0), lambda z: forms.work(z, g, beta_h))
     elif target.objective == Objective.OMEGA:
-        z_star, value = _omega_optimum(w, beta_h)
+        # eta_max is certified on the same window
+        _, cap = w.peak()
+
+        def omega(z: float) -> float:
+            record = PerformanceRecord(
+                forms.qh(z, g, beta_h), forms.qc(z, g, beta_h), forms.work(z, g, beta_h)
+            )
+            return omega_function(record, cap)
+
+        z_star, value = w.certified((g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), omega)
     else:
         raise ValueError(f"unknown objective {target.objective}")
 

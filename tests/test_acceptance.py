@@ -35,7 +35,6 @@ from otto_rel import (
     principal_trig_root,
     relativistic_factor,
     work,
-    z_star_work,
 )
 from otto_rel import cli
 from otto_rel.phase_diagram import OperationalMode
@@ -140,13 +139,13 @@ def test_criterion_4_maximum_work_point():
                     lo, hi = engine_window(tau, v, scenario)
                     probe = lambda z: work(ReducedParams(z=z, tau=tau, v=v), scenario)
                     z_oracle, _ = maximize(probe, lo, hi)
-                    assert abs(z_star_work(tau, v) - z_oracle) <= 1e-6, (scenario, tau, v)
+                    closed = z_star(Objective.WORK, scenario, tau, v)
+                    assert abs(closed - z_oracle) <= 1e-6, (scenario, tau, v)
         for tau in GRID_20:
             for v in GRID_20:
-                z_mw = z_star_work(tau, v)
-                r = ReducedParams(z=z_mw, tau=tau, v=v)
-                assert abs(eta_mw_sc(1.0 - tau, v) - eta(r, SUDDEN_COMPRESSION)) <= 1e-9
-                assert abs(eta_mw_se(1.0 - tau, v) - eta(r, SUDDEN_EXPANSION)) <= 1e-9
+                for scenario, eta_mw in ((SUDDEN_COMPRESSION, eta_mw_sc), (SUDDEN_EXPANSION, eta_mw_se)):
+                    r = ReducedParams(z=z_star(Objective.WORK, scenario, tau, v), tau=tau, v=v)
+                    assert abs(eta_mw(1.0 - tau, v) - eta(r, scenario)) <= 1e-9
 
 
 def test_criterion_5_trade_off_optima():

@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 import otto_rel
 from otto_rel import (
     SUDDEN_COMPRESSION,
-    NoEngineWindowError,
+    NoInteriorOptimumError,
+    Objective,
+    OptimizationTarget,
     ReducedParams,
     eta_max_sc,
+    optimize,
     performance,
-    z_star_work,
 )
 from otto_rel import cli
 from _reference import REFERENCE
@@ -189,7 +191,7 @@ def test_optimize_domain_error_exits_2(capsys):
 
 def test_window_failures_exit_3(capsys, monkeypatch):
     def explode(*args, **kwargs):
-        raise NoEngineWindowError("reduced load 1.2 >= 1 leaves no engine window")
+        raise NoInteriorOptimumError("stationary ratio 1.0 is outside the engine window (0.9, 1.0)")
 
     monkeypatch.setattr(cli, "optimize", explode)
     code, out, err = run(
@@ -198,7 +200,7 @@ def test_window_failures_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert out == ""
-    assert "no engine window" in err
+    assert "outside the engine window" in err
 
 
 def test_arithmetic_failure_exits_3_without_traceback(capsys):
@@ -308,7 +310,8 @@ def test_tiny_expansion_load_optimum_reaches_the_root(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # tau < 1, but f(v) rounds above 1 and tau*f(v) rounds to 1
+        # the load is tau = 1 - 2**-53 itself, the window's floor rounds to
+        # it, and the cubic root rounds to 1
         pytest.param(
             ("optimize", "--objective", "eta", "--scenario", "sc",
              "--tau", "0.9999999999999999", "--v", "1.673740958757154e-16"),
@@ -398,7 +401,8 @@ def test_sweep_grid_and_peak(capsys):
     z_col = [float(line.split(",")[0]) for line in lines[2:]]
     peak_z = z_col[work_col.index(max(work_col))]
     step = (1.0 - 0.05) / 95
-    assert abs(peak_z - z_star_work(0.5, 0.5)) <= step
+    z_work = optimize(OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION), 0.5, 0.5).z_star
+    assert abs(peak_z - z_work) <= step
 
 
 def test_sweep_single_point(capsys):

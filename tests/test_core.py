@@ -1,6 +1,7 @@
 """Exact cycle energetics: corner energies, heats, work, basic figures."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 
 import pytest
@@ -59,6 +60,15 @@ def test_factor_limits_and_monotonicity():
     vals = [relativistic_factor(v) for v in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert 0.0 < relativistic_factor(0.999999) < 0.02
+
+
+def test_factor_never_exceeds_one():
+    # f(v) < 1 for v > 0, but at tiny v the rounded factors can land an ulp
+    # above 1, where tau*f(v) then rounds to 1 at tau = 1 - 2**-53
+    rng = random.Random(20261019)
+    draws = [10.0 ** rng.uniform(-20.0, -0.5) for _ in range(200_000)]
+    for v in (1.673740958757154e-16, *draws):
+        assert relativistic_factor(v) <= 1.0, v
 
 
 def test_factor_edges_match_reference():

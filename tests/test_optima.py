@@ -1,6 +1,7 @@
 """Closed-form optima against the frozen references and the grid oracle."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -12,7 +13,6 @@ from otto_rel import (
     ORACLE_AGREEMENT_TOL,
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
-    NoEngineWindowError,
     NoInteriorOptimumError,
     Objective,
     OptimizationTarget,
@@ -38,7 +38,6 @@ from otto_rel import (
     relativistic_factor,
     work,
     work_crossing_z,
-    z_star_work,
 )
 from otto_rel import optima
 from _printed_forms import printed_omega_maximizer_sc, printed_omega_maximizer_se
@@ -54,6 +53,11 @@ _SC, _SE = SUDDEN_COMPRESSION, SUDDEN_EXPANSION
 def z_eta(tau, v, scenario):
     """The certified efficiency-maximizing ratio."""
     return optimize(OptimizationTarget(Objective.EFFICIENCY, scenario), tau, v).z_star
+
+
+def z_work(tau, v, scenario):
+    """The certified work-maximizing ratio."""
+    return optimize(OptimizationTarget(Objective.WORK, scenario), tau, v).z_star
 
 
 def z_omega(tau, v, scenario):
@@ -74,7 +78,8 @@ def test_frozen_closed_form_optima(key):
     for scenario, name in ((SUDDEN_COMPRESSION, "eta_max_sc"), (SUDDEN_EXPANSION, "eta_max_se")):
         assert peak_efficiency(tau, v, scenario) == pytest.approx(want[name], rel=1e-13)
 
-    assert z_star_work(tau, v) == pytest.approx(want["z_work"], rel=1e-15)
+    assert z_work(tau, v, _SC) == pytest.approx(want["z_work"], rel=1e-15)
+    assert z_work(tau, v, _SE) == pytest.approx(want["z_work"], rel=1e-15)
     assert eta_mw_sc(eta_c, v) == pytest.approx(want["eta_mw_sc"], rel=1e-13)
     assert eta_mw_se(eta_c, v) == pytest.approx(want["eta_mw_se"], rel=1e-13)
 
@@ -141,10 +146,10 @@ def test_peak_efficiency_equals_efficiency_at_peak(tau, v):
     assert eta(r(z_eta(tau, v, _SE)), SUDDEN_EXPANSION) == pytest.approx(
         eta_max_se(eta_c, v), rel=1e-12
     )
-    assert eta(r(z_star_work(tau, v)), SUDDEN_COMPRESSION) == pytest.approx(
+    assert eta(r(z_work(tau, v, _SC)), SUDDEN_COMPRESSION) == pytest.approx(
         eta_mw_sc(eta_c, v), rel=1e-12
     )
-    assert eta(r(z_star_work(tau, v)), SUDDEN_EXPANSION) == pytest.approx(
+    assert eta(r(z_work(tau, v, _SE)), SUDDEN_EXPANSION) == pytest.approx(
         eta_mw_se(eta_c, v), rel=1e-12
     )
 
@@ -173,6 +178,23 @@ def test_figure_of_merit_ordering():
                 assert top > mid > low
 
 
+CARNOT_VIEWS = {
+    _SC: {Objective.EFFICIENCY: eta_max_sc, Objective.WORK: eta_mw_sc, Objective.OMEGA: eta_omega_sc},
+    _SE: {Objective.EFFICIENCY: eta_max_se, Objective.WORK: eta_mw_se, Objective.OMEGA: eta_omega_se},
+}
+
+
+def test_carnot_views_are_optimize():
+    # each function of eta_c is optimize's efficiency at tau = 1 - eta_c, bit for bit
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        eta_c, v = rng.uniform(1e-3, 0.999), rng.uniform(0.0, 0.999)
+        for scenario, views in CARNOT_VIEWS.items():
+            for objective, view in views.items():
+                report = optimize(OptimizationTarget(objective, scenario), 1.0 - eta_c, v)
+                assert view(eta_c, v) == report.eta_at_opt, (eta_c, v, view.__name__)
+
+
 def test_expansion_trade_off_efficiency_bounded_by_half():
     for eta_c in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
         for v in (0.05, 0.35, 0.75, 0.95):
@@ -194,7 +216,7 @@ def test_closed_form_maximizers_stay_inside_window(tau, v):
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
         lo, hi = engine_window(tau, v, scenario)
         assert lo < z_eta(tau, v, scenario) < hi
-        assert lo < z_star_work(tau, v) < hi
+        assert lo < z_work(tau, v, scenario) < hi
 
 
 @pytest.mark.parametrize("tau,v", [(0.5, 0.5), (0.3, 0.75)])
@@ -203,8 +225,8 @@ def test_optima_are_stationary_and_concave(tau, v):
     probes = [
         (z_eta(tau, v, _SC), lambda z: eta(r(z), SUDDEN_COMPRESSION)),
         (z_eta(tau, v, _SE), lambda z: eta(r(z), SUDDEN_EXPANSION)),
-        (z_star_work(tau, v), lambda z: work(r(z), SUDDEN_COMPRESSION)),
-        (z_star_work(tau, v), lambda z: work(r(z), SUDDEN_EXPANSION)),
+        (z_work(tau, v, _SC), lambda z: work(r(z), SUDDEN_COMPRESSION)),
+        (z_work(tau, v, _SE), lambda z: work(r(z), SUDDEN_EXPANSION)),
     ]
     for z_star, f in probes:
         report = derivative_check(f, z_star)
@@ -409,7 +431,7 @@ def test_optimize_returns_the_closed_form_on_edge_rows(tau):
             cap = peak_efficiency(tau, v, scenario)
             want = {
                 Objective.EFFICIENCY: principal_trig_root(efficiency_cubic(g, scenario)),
-                Objective.WORK: z_star_work(tau, v),
+                Objective.WORK: g ** (1.0 / 3.0),
                 Objective.OMEGA: (g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0),
             }
             for objective, z_want in want.items():
@@ -431,22 +453,23 @@ def test_report_validates_ratio():
 
 
 def test_no_engine_window_when_load_saturates():
-    with pytest.raises(NoEngineWindowError):
-        z_star_work(2.0, 0.1)
-    # inside the physical domain the window exists unless f(v) rounds one ulp
-    # above 1 at a tiny v and tau*f(v) rounds to 1 although tau < 1
     lo, hi = engine_window(0.999, 0.001, SUDDEN_COMPRESSION)
     assert 0.0 < lo < hi == 1.0
+    # f(v) <= 1, so the load is at most tau < 1; at tau = 1 - 2**-53 and a
+    # tiny v it is tau itself, the window's floor is tau too, and every
+    # closed form rounds to 1, outside the window
     tau, v = 0.9999999999999999, 1.673740958757154e-16
-    assert relativistic_factor(v) > 1.0 and tau * relativistic_factor(v) == 1.0
-    calls = [lambda: peak_efficiency(tau, v, _SC), lambda: engine_window(tau, v, _SE)]
-    calls += [
-        lambda objective=objective: optimize(OptimizationTarget(objective, _SC), tau, v)
-        for objective in Objective
-    ]
-    for call in calls:
-        with pytest.raises(NoEngineWindowError):
-            call()
+    assert relativistic_factor(v) == 1.0 and tau * relativistic_factor(v) == tau
+    for scenario in (_SC, _SE):
+        assert engine_window(tau, v, scenario) == (tau, 1.0)
+        calls = [lambda: peak_efficiency(tau, v, scenario)]
+        calls += [
+            lambda objective=objective: optimize(OptimizationTarget(objective, scenario), tau, v)
+            for objective in Objective
+        ]
+        for call in calls:
+            with pytest.raises(NoInteriorOptimumError, match="outside the engine window"):
+                call()
 
 
 def test_no_interior_optimum_at_zero_load():
@@ -471,7 +494,6 @@ def test_no_interior_optimum_at_zero_load():
             )
             for objective in Objective
         ),
-        pytest.param(lambda: z_star_work(0.0, 0.5), ValueError, id="z_star_work"),
         pytest.param(lambda: work_crossing_z(0.0, 0.5), ValueError, id="work_crossing_z"),
     ],
 )
@@ -496,8 +518,6 @@ def test_domain_validation_errors():
     with pytest.raises(ValueError):
         work_crossing_z(1.2, 0.5)
     with pytest.raises(ValueError):
-        z_star_work(0.5, 1.0)
-    with pytest.raises(ValueError):
         efficiency_cubic(1.0, SUDDEN_COMPRESSION)
     with pytest.raises(ValueError):
         efficiency_cubic(0.5, BOTH_SUDDEN)
@@ -505,7 +525,8 @@ def test_domain_validation_errors():
 
 def test_stationary_velocity_limit():
     # v = 0 collapses the factor to 1: plain temperature-ratio load
-    assert z_star_work(0.5, 0.0) == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
+    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
+        assert z_work(0.5, 0.0, scenario) == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
     assert work_crossing_z(0.5, 0.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
     assert eta_mw_sc(0.5, 0.0) > 0.0
     # every optimum accepts the v = 0 limit that its domain [0, 1) admits
