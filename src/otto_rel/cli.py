@@ -27,7 +27,7 @@ from .core import (
     heats_and_work,
     omega_function,
 )
-from .high_temperature import ReducedParams, performance
+from .high_temperature import ReducedParams, performance, reduced_load
 from .optima import (
     NoInteriorOptimumError,
     Objective,
@@ -95,8 +95,8 @@ def _check_domain(args, *, z: bool = False) -> None:
         raise ValueError(f"z must lie in (0,1], got {args.z}")
 
 
-def _record(args, z: float, cap: float) -> dict:
-    """One evaluation rendered as the fixed-order output mapping."""
+def _record(args, z: float, g: float, cap: float) -> dict:
+    """One evaluation at load g = tau*f(v) rendered as the fixed-order output mapping."""
     token, tau, v, beta_h = args.scenario, args.tau, args.v, args.beta_h
     scenario = _SCENARIOS[token]
     if args.exact:
@@ -104,7 +104,7 @@ def _record(args, z: float, cap: float) -> dict:
         params = CycleParams(v, beta_h / tau, beta_h, z * omega_h, omega_h)
         rec = heats_and_work(params, scenario)
     else:
-        rec = performance(ReducedParams(z, tau, v, beta_h), scenario)
+        rec = performance(ReducedParams(z, g, beta_h), scenario)
     q_h, q_c, w_ext = rec
     return {
         "z": z,
@@ -133,8 +133,9 @@ def _cmd_evaluate(args) -> int:
     _check_domain(args, z=True)
     if args.exact and not args.omega_h > 0.0:
         raise ValueError(f"omega-h must be positive, got {args.omega_h}")
-    cap = peak_efficiency(args.tau, args.v, _SCENARIOS[args.scenario])
-    _render_mapping(_record(args, args.z, cap), args.format, args.output)
+    g = reduced_load(args.tau, args.v)
+    cap = peak_efficiency(g, _SCENARIOS[args.scenario])
+    _render_mapping(_record(args, args.z, g, cap), args.format, args.output)
     return 0
 
 
@@ -184,8 +185,9 @@ def _cmd_sweep(args) -> int:
         )
     points = 1 if args.z_max == args.z_min else args.points
     grid = _linspace(args.z_min, args.z_max, points)
-    cap = peak_efficiency(args.tau, args.v, _SCENARIOS[args.scenario])
-    rows = [[_record(args, z, cap)[key] for key in _EVAL_HEADER] for z in grid]
+    g = reduced_load(args.tau, args.v)
+    cap = peak_efficiency(g, _SCENARIOS[args.scenario])
+    rows = [[_record(args, z, g, cap)[key] for key in _EVAL_HEADER] for z in grid]
     _require_finite(zip(itertools.cycle(_EVAL_HEADER), itertools.chain.from_iterable(rows)))
     _emit(_csv(_EVAL_HEADER, rows), args.output)
     return 0
@@ -282,10 +284,11 @@ def _z_axis(points: int) -> list[float]:
 def _figure_z(v_list, tau: float, points: int, columns: tuple[str, ...]) -> str:
     """Figures 3 and 4: hot-limit "eta"/"work" columns along the z axis."""
     rows = []
+    loads = [reduced_load(tau, v) for v in v_list]
     for token, scenario in _SCENARIOS.items():
-        for v in v_list:
+        for v, g in zip(v_list, loads):
             for z in _z_axis(points):
-                rec = performance(ReducedParams(z=z, tau=tau, v=v), scenario)
+                rec = performance(ReducedParams(z, g), scenario)
                 cells = {"eta": rec.eta, "work": rec.w_ext}
                 rows.append([z, v, token, *(cells[column] for column in columns)])
     return _csv(("z", "v", "scenario", *columns), rows)

@@ -197,7 +197,7 @@ def relativistic_factor(v: float) -> float:
     ValueError
         If v is outside [0, 1).
     """
-    if v < 0.0 or v >= 1.0:
+    if not 0.0 <= v < 1.0:
         raise ValueError(f"velocity must satisfy 0 <= v < 1, got {v}")
     if v == 0.0:
         return 1.0

@@ -1,16 +1,16 @@
 """Hot-limit closed forms for the two asymmetric driving scenarios.
 
 When both thermal occupations are large (beta_h omega_h << 1 at fixed
-ratios) every cycle quantity collapses onto four reduced variables:
+ratios) every cycle quantity collapses onto three reduced variables:
 
     z      = omega_c / omega_h   frequency ratio, 0 < z <= 1,
-    tau    = beta_h / beta_c     inverse-temperature ratio, 0 < tau < 1,
-    v                            oscillator velocity, 0 < v < 1,
-    beta_h                       kept explicit as the energy scale.
+    g      = tau * f(v)          reduced load, 0 <= g < 1,
+    beta_h                       kept explicit as the energy scale,
 
-Writing g = tau * f(v) with f the velocity reduction factor (tau and v
-enter every closed form only through this product, which each function
-below forms once per call), the per-cycle quantities are
+where tau = beta_h / beta_c in (0, 1) is the inverse-temperature ratio
+and f the velocity reduction factor of v in [0, 1).  tau and v enter
+every closed form only through the load g, which reduced_load forms and
+checks once per request.  The per-cycle quantities are
 
     sudden compression (quenched A->B stroke):
         q_h  = [2 z^2 - g (z^2 + 1)] / (2 z^2 beta_h)
@@ -49,6 +49,7 @@ from .core import (
 )
 
 __all__ = [
+    "reduced_load",
     "ReducedParams",
     "ScenarioForms",
     "scenario_forms",
@@ -61,21 +62,26 @@ __all__ = [
 ]
 
 
-class ReducedParams(_Validated, namedtuple("ReducedParams", "z tau v beta_h")):
-    """Reduced operating point of the hot-limit cycle."""
+def reduced_load(tau: float, v: float) -> float:
+    """Reduced load g = tau * f(v) for tau in (0, 1) and v in f's domain [0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"temperature ratio tau must lie in (0, 1), got {tau}")
+    return tau * relativistic_factor(v)
+
+
+class ReducedParams(_Validated, namedtuple("ReducedParams", "z g beta_h")):
+    """Reduced operating point of the hot-limit cycle: ratio z, load g, beta_h."""
 
     __slots__ = ()
 
-    def __new__(cls, z: float, tau: float, v: float, beta_h: float = 1.0) -> ReducedParams:
+    def __new__(cls, z: float, g: float, beta_h: float = 1.0) -> ReducedParams:
         if not 0.0 < z <= 1.0:
             raise ValueError(f"frequency ratio z must lie in (0, 1], got {z}")
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"temperature ratio tau must lie in (0, 1), got {tau}")
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"velocity v must lie in (0, 1), got {v}")
+        if not 0.0 <= g < 1.0:
+            raise ValueError(f"reduced load g must lie in [0, 1), got {g}")
         if not beta_h > 0.0:
             raise ValueError(f"beta_h must be positive, got {beta_h}")
-        return tuple.__new__(cls, (z, tau, v, beta_h))
+        return tuple.__new__(cls, (z, g, beta_h))
 
 
 # -- engine windows ---------------------------------------------------------
@@ -85,7 +91,7 @@ def engine_lower_z_sc(g: float) -> float:
     """Smallest frequency ratio with nonnegative work, sudden compression.
 
     Positive root of 2 z^2 - g (1 + z) = 0; equals 1 when g = 1, so the
-    engine window closes as tau * f(v) -> 1.
+    engine window closes as the load g = tau * f(v) -> 1.
     """
     if not 0.0 < g <= 1.0:
         raise ValueError(f"reduced coupling must lie in (0, 1], got {g}")
@@ -111,8 +117,9 @@ def engine_lower_z_se(g: float) -> float:
 class ScenarioForms(NamedTuple):
     """Every closed form that tells one asymmetric scenario from the other.
 
-    The heats and the work take (z, g, beta_h) with g = tau * f(v); the
-    other forms take g alone.
+    The heats and the work take the fields (z, g, beta_h) of a
+    ReducedParams, with g = tau * f(v) the reduced load; the other forms
+    take g alone.
 
     efficiency_cubic gives the coefficients (a2, a1, a0) of the monic
     cubic whose largest real root maximizes the efficiency.  The mode
@@ -173,29 +180,21 @@ def scenario_forms(scenario: Scenario) -> ScenarioForms:
 
 def qh(r: ReducedParams, scenario: Scenario) -> float:
     """Hot-bath heat for either asymmetric scenario."""
-    z, tau, v, beta_h = r
-    return scenario_forms(scenario).qh(z, tau * relativistic_factor(v), beta_h)
+    return scenario_forms(scenario).qh(*r)
 
 
 def work(r: ReducedParams, scenario: Scenario) -> float:
     """Net extracted work for either asymmetric scenario."""
-    z, tau, v, beta_h = r
-    return scenario_forms(scenario).work(z, tau * relativistic_factor(v), beta_h)
+    return scenario_forms(scenario).work(*r)
 
 
 def eta(r: ReducedParams, scenario: Scenario) -> Optional[float]:
     """Efficiency work/q_h for either asymmetric scenario, None when q_h <= 0."""
     forms = scenario_forms(scenario)
-    z, tau, v, beta_h = r
-    g = tau * relativistic_factor(v)
-    return _efficiency(forms.work(z, g, beta_h), forms.qh(z, g, beta_h))
+    return _efficiency(forms.work(*r), forms.qh(*r))
 
 
 def performance(r: ReducedParams, scenario: Scenario) -> PerformanceRecord:
     """Assemble the full hot-limit performance record at one point."""
     forms = scenario_forms(scenario)
-    z, tau, v, beta_h = r
-    g = tau * relativistic_factor(v)
-    return PerformanceRecord(
-        forms.qh(z, g, beta_h), forms.qc(z, g, beta_h), forms.work(z, g, beta_h)
-    )
+    return PerformanceRecord(forms.qh(*r), forms.qc(*r), forms.work(*r))

@@ -26,14 +26,16 @@ within ORACLE_AGREEMENT_TOL of z*, the bound to which the tests verify the
 closed forms against the grid oracle.  A candidate that fails raises
 NoInteriorOptimumError; no numeric search stands in for it.
 
-Each optimum builds one engine window, which forms the load g once: the
+Each entry point that takes (tau, v) forms the load g = tau*f(v) once with
+reduced_load, which refuses a tau outside (0, 1) with ValueError.  Below
+that everything takes g: each optimum builds one engine window from it, the
 efficiency root, every candidate and probe read it, and the trade-off
 optimum shares its window with its eta_max.  The window refuses a zero load
-before it checks (tau, v): tau = 0, or a tau*f(v) that underflows, puts the
-efficiency root at z = 0, which is no interior optimum rather than bad
-input.  optimize and engine_window check (tau, v) first.  Since f(v) <= 1,
-the load is at most tau < 1, so the window is never inverted; where its
-floor rounds to 1 it is empty, and every candidate is refused.
+(a tau*f(v) that underflows, or peak_efficiency(0.0, ...)) with
+NoInteriorOptimumError: it puts the efficiency root at z = 0, which is no
+interior optimum rather than bad input.  Since f(v) <= 1, the load is at
+most tau < 1, so the window is never inverted; where its floor rounds to 1
+it is empty, and every candidate is refused.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ from .core import (
     _efficiency,
     _Validated,
     omega_function,
-    relativistic_factor,
 )
 from .cubic import MonicCubic, principal_trig_root
-from .high_temperature import scenario_forms
+from .high_temperature import reduced_load, scenario_forms
 
 __all__ = [
     "ORACLE_AGREEMENT_TOL",
@@ -83,7 +84,7 @@ class NoInteriorOptimumError(ValueError):
     """No certified optimum lies inside the open engine window (lo, 1).
 
     The closed-form ratio fell outside the window or failed its
-    certificate, the load tau*f(v) is 0, or the window is empty because
+    certificate, the load g = tau*f(v) is 0, or the window is empty because
     its floor lo rounds to 1 as tau*f(v) -> 1.
     """
 
@@ -115,24 +116,15 @@ class OptimumReport(_Validated, namedtuple("OptimumReport", "z_star value_at_opt
         return tuple.__new__(cls, (z_star, value_at_opt, eta_at_opt))
 
 
-def _validate_tau_v(tau: float, v: float) -> None:
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if not 0.0 <= v < 1.0:
-        raise ValueError(f"v must lie in [0, 1), got {v}")
-
-
 class _Window:
-    """Load g = tau*f(v), closed forms and engine window (lo, 1) of one optimum."""
+    """Closed forms and engine window (lo, 1) of one optimum at load g."""
 
-    def __init__(self, tau: float, v: float, scenario: Scenario) -> None:
-        self.tau, self.v, self.scenario = tau, v, scenario
+    def __init__(self, g: float, scenario: Scenario) -> None:
+        self.g, self.scenario = g, scenario
         self.forms = scenario_forms(scenario)
-        self.g = g = tau * relativistic_factor(v)
-        # checked before (tau, v): tau = 0 puts the efficiency root at z = 0
+        # a zero load puts the efficiency root at z = 0
         if g == 0.0:
-            raise NoInteriorOptimumError(f"reduced load tau*f(v) is 0 at tau={tau}, v={v}")
-        _validate_tau_v(tau, v)
+            raise NoInteriorOptimumError("reduced load g = tau*f(v) is 0")
         self.lo = self.forms.engine_lower_z(g)
 
     def eta(self, z: float) -> float:
@@ -142,7 +134,7 @@ class _Window:
         # the heater edge), but the two edges can round together as g -> 1
         if value is None:
             raise NoInteriorOptimumError(
-                f"ratio {z} fell outside the engine window at tau={self.tau}, v={self.v}"
+                f"ratio {z} fell outside the engine window at g={self.g}"
             )
         return value
 
@@ -163,8 +155,7 @@ class _Window:
         for probe in (candidate - ORACLE_AGREEMENT_TOL, candidate + ORACLE_AGREEMENT_TOL):
             if lo < probe < hi and not objective(probe) <= peak:
                 raise NoInteriorOptimumError(
-                    f"stationary ratio {candidate} is not a local maximum "
-                    f"at tau={self.tau}, v={self.v}"
+                    f"stationary ratio {candidate} is not a local maximum at g={self.g}"
                 )
         return candidate, peak
 
@@ -188,51 +179,43 @@ def efficiency_cubic(g: float, scenario: Scenario) -> MonicCubic:
     return MonicCubic(a2=a2, a1=a1, a0=a0)
 
 
-def _carnot_tau(eta_c: float) -> float:
-    """Temperature ratio tau = 1 - eta_c of a Carnot efficiency eta_c."""
-    if not 0.0 < eta_c < 1.0:
-        raise ValueError(f"Carnot efficiency must lie in (0, 1), got {eta_c}")
-    return 1.0 - eta_c
-
-
-def peak_efficiency(tau: float, v: float, scenario: Scenario) -> float:
-    """Maximum efficiency over z at (tau, v), eta_c = 1 - tau, at the certified cubic root."""
-    return _Window(tau, v, scenario).peak()[1]
+def peak_efficiency(g: float, scenario: Scenario) -> float:
+    """Maximum efficiency over z at the load g, at the certified cubic root."""
+    return _Window(g, scenario).peak()[1]
 
 
 # perfbench/tracer.py traces eta_max_* and eta_omega_* by name; figure 2 plots eta_omega_*
 def eta_max_sc(eta_c: float, v: float) -> float:
     """Maximum efficiency against Carnot efficiency, compression quench."""
-    return peak_efficiency(_carnot_tau(eta_c), v, SUDDEN_COMPRESSION)
+    return peak_efficiency(reduced_load(1.0 - eta_c, v), SUDDEN_COMPRESSION)
 
 
 def eta_max_se(eta_c: float, v: float) -> float:
     """Maximum efficiency against Carnot efficiency, expansion quench."""
-    return peak_efficiency(_carnot_tau(eta_c), v, SUDDEN_EXPANSION)
+    return peak_efficiency(reduced_load(1.0 - eta_c, v), SUDDEN_EXPANSION)
 
 
 def eta_mw_sc(eta_c: float, v: float) -> float:
     """Efficiency at the certified maximum-work ratio, compression quench."""
     target = OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION)
-    return optimize(target, _carnot_tau(eta_c), v).eta_at_opt
+    return optimize(target, 1.0 - eta_c, v).eta_at_opt
 
 
 def eta_mw_se(eta_c: float, v: float) -> float:
     """Efficiency at the certified maximum-work ratio, expansion quench."""
     target = OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION)
-    return optimize(target, _carnot_tau(eta_c), v).eta_at_opt
+    return optimize(target, 1.0 - eta_c, v).eta_at_opt
 
 
 def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, float]:
     """The interval of ratios with nonnegative work output, (z_low, 1)."""
-    _validate_tau_v(tau, v)
-    return _Window(tau, v, scenario).lo, 1.0
+    return _Window(reduced_load(tau, v), scenario).lo, 1.0
 
 
 def eta_omega_sc(eta_c: float, v: float) -> float:
     """Efficiency at the trade-off optimum, compression quench."""
     target = OptimizationTarget(Objective.OMEGA, SUDDEN_COMPRESSION)
-    return optimize(target, _carnot_tau(eta_c), v).eta_at_opt
+    return optimize(target, 1.0 - eta_c, v).eta_at_opt
 
 
 def eta_omega_se(eta_c: float, v: float) -> float:
@@ -243,7 +226,7 @@ def eta_omega_se(eta_c: float, v: float) -> float:
     operating point.
     """
     target = OptimizationTarget(Objective.OMEGA, SUDDEN_EXPANSION)
-    return optimize(target, _carnot_tau(eta_c), v).eta_at_opt
+    return optimize(target, 1.0 - eta_c, v).eta_at_opt
 
 
 def work_crossing_z(tau: float, v: float) -> float:
@@ -252,8 +235,7 @@ def work_crossing_z(tau: float, v: float) -> float:
     Below the crossing the expansion quench wins, above it the
     compression quench does.
     """
-    _validate_tau_v(tau, v)
-    return math.sqrt(tau * relativistic_factor(v))
+    return math.sqrt(reduced_load(tau, v))
 
 
 def optimize(
@@ -263,11 +245,11 @@ def optimize(
 
     Raises NoInteriorOptimumError when the closed form fails its certificate.
     """
-    _validate_tau_v(tau, v)
+    g = reduced_load(tau, v)
     if not beta_h > 0.0:
         raise ValueError(f"beta_h must be positive, got {beta_h}")
-    w = _Window(tau, v, target.scenario)
-    forms, g = w.forms, w.g
+    w = _Window(g, target.scenario)
+    forms = w.forms
 
     if target.objective == Objective.EFFICIENCY:
         z_star, value = w.peak()

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .core import Scenario, _Validated, relativistic_factor
-from .high_temperature import ReducedParams, performance, scenario_forms
+from .high_temperature import ReducedParams, performance, reduced_load, scenario_forms
 
 __all__ = [
     "BOUNDARY_EPS",
@@ -106,8 +106,7 @@ def classify_by_table(r: ReducedParams, scenario: Scenario) -> OperationalMode:
     of the zero-work line z = 1, report Boundary so ties stay
     deterministic.
     """
-    g = r.tau * relativistic_factor(r.v)
-    fridge_top, heater_top, engine_bottom = _edges(g, scenario)
+    fridge_top, heater_top, engine_bottom = _edges(r.g, scenario)
     z = r.z
     edges = [heater_top, engine_bottom, 1.0]
     if fridge_top is not None:
@@ -131,16 +130,16 @@ def boundary_curves(
     Keys: "qc_zero" (refrigerator/heater edge), "qh_zero"
     (heater/accelerator edge), "engine_min" (accelerator/engine edge).
     Curves return nan where the edge does not exist (the expansion-quench
-    qc_zero below tau*f(v) = 1/2).
+    qc_zero below tau*f(v) = 1/2).  Each curve forms the load with
+    reduced_load, so a tau outside (0, 1) raises ValueError.
     """
     forms = scenario_forms(scenario)
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v}")
-    factor = relativistic_factor(v)
 
     def curve(edge: Callable[[float], Optional[float]]) -> Callable[[float], float]:
         def z_at(tau: float) -> float:
-            z = edge(tau * factor)
+            z = edge(reduced_load(tau, v))
             return math.nan if z is None else z
 
         return z_at

@@ -33,6 +33,7 @@ from otto_rel import (
     optimize,
     performance,
     principal_trig_root,
+    reduced_load,
     relativistic_factor,
     work,
 )
@@ -82,8 +83,7 @@ def test_criterion_1_first_law():
 
             r = ReducedParams(
                 z=rng.uniform(0.01, 1.0),
-                tau=rng.uniform(0.01, 0.99),
-                v=rng.uniform(0.01, 0.99),
+                g=reduced_load(rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)),
                 beta_h=rng.uniform(0.05, 5.0),
             )
             hot = performance(r, ASYMMETRIC[rng.randrange(2)])
@@ -97,6 +97,7 @@ def test_criterion_2_hot_limit_convergence():
     with criterion(2, "exact->hot-limit relative gaps shrink monotonically, < 1 s"):
         start = time.perf_counter()
         z, tau, v, omega_h = 0.7, 0.5, 0.5, 1.0
+        g = reduced_load(tau, v)
         for scenario in ASYMMETRIC:
             gaps_qh, gaps_w = [], []
             for beta_h in (1e-2, 1e-3, 1e-4):
@@ -105,7 +106,7 @@ def test_criterion_2_hot_limit_convergence():
                     omega_c=z * omega_h, omega_h=omega_h,
                 )
                 exact = heats_and_work(params, scenario)
-                hot = performance(ReducedParams(z=z, tau=tau, v=v, beta_h=beta_h), scenario)
+                hot = performance(ReducedParams(z=z, g=g, beta_h=beta_h), scenario)
                 gaps_qh.append(abs(exact.q_h - hot.q_h) / abs(hot.q_h))
                 gaps_w.append(abs(exact.w_ext - hot.w_ext) / abs(hot.w_ext))
             assert gaps_qh[0] > gaps_qh[1] > gaps_qh[2], gaps_qh
@@ -121,7 +122,8 @@ def test_criterion_3_peak_efficiency_vs_oracle():
             for tau in GRID_20:
                 for v in GRID_20:
                     lo, hi = engine_window(tau, v, scenario)
-                    probe = lambda z: eta(ReducedParams(z=z, tau=tau, v=v), scenario)
+                    g = reduced_load(tau, v)
+                    probe = lambda z: eta(ReducedParams(z, g), scenario)
                     z_oracle, _ = maximize(probe, lo, hi)
                     closed = z_star(Objective.EFFICIENCY, scenario, tau, v)
                     assert abs(closed - z_oracle) <= 1e-6, (scenario, tau, v)
@@ -137,14 +139,16 @@ def test_criterion_4_maximum_work_point():
             for tau in GRID_20:
                 for v in GRID_20:
                     lo, hi = engine_window(tau, v, scenario)
-                    probe = lambda z: work(ReducedParams(z=z, tau=tau, v=v), scenario)
+                    g = reduced_load(tau, v)
+                    probe = lambda z: work(ReducedParams(z, g), scenario)
                     z_oracle, _ = maximize(probe, lo, hi)
                     closed = z_star(Objective.WORK, scenario, tau, v)
                     assert abs(closed - z_oracle) <= 1e-6, (scenario, tau, v)
         for tau in GRID_20:
             for v in GRID_20:
+                g = reduced_load(tau, v)
                 for scenario, eta_mw in ((SUDDEN_COMPRESSION, eta_mw_sc), (SUDDEN_EXPANSION, eta_mw_se)):
-                    r = ReducedParams(z=z_star(Objective.WORK, scenario, tau, v), tau=tau, v=v)
+                    r = ReducedParams(z_star(Objective.WORK, scenario, tau, v), g)
                     assert abs(eta_mw(1.0 - tau, v) - eta(r, scenario)) <= 1e-9
 
 
@@ -202,9 +206,9 @@ def test_criterion_6_work_crossing_and_dominance():
     with criterion(6, "work curves cross at sqrt(tau*f) to 1e-13 with the stated dominance on each side"):
         tau = 0.5
         for v in (0.35, 0.75, 0.95):
-            g = tau * relativistic_factor(v)
+            g = reduced_load(tau, v)
             z_cross = math.sqrt(g)
-            r = lambda z: ReducedParams(z=z, tau=tau, v=v)
+            r = lambda z: ReducedParams(z, g)
             w_sc = lambda z: work(r(z), SUDDEN_COMPRESSION)
             w_se = lambda z: work(r(z), SUDDEN_EXPANSION)
             assert abs(w_sc(z_cross) - w_se(z_cross)) <= 1e-13
@@ -229,7 +233,7 @@ def test_criterion_7_phase_diagram_classifiers():
                 counts = {mode: 0 for mode in OperationalMode}
                 for z in centers:
                     for tau in centers:
-                        r = ReducedParams(z=z, tau=tau, v=v)
+                        r = ReducedParams(z=z, g=reduced_load(tau, v))
                         by_signs = classify_by_signs(r, scenario)
                         by_table = classify_by_table(r, scenario)
                         if (

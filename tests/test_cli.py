@@ -27,6 +27,7 @@ from otto_rel import (
     eta_max_sc,
     optimize,
     performance,
+    reduced_load,
 )
 from otto_rel import cli
 from _reference import REFERENCE
@@ -54,7 +55,7 @@ def test_evaluate_json_schema_and_values(capsys):
         "eta", "omega", "mode",
     ]
     data = dict(pairs)
-    rec = performance(ReducedParams(z=0.8, tau=0.5, v=0.5), SUDDEN_COMPRESSION)
+    rec = performance(ReducedParams(z=0.8, g=reduced_load(0.5, 0.5)), SUDDEN_COMPRESSION)
     assert data["q_h"] == pytest.approx(rec.q_h, rel=1e-15)
     assert data["q_c"] == pytest.approx(rec.q_c, rel=1e-15)
     assert data["w_ext"] == pytest.approx(rec.w_ext, rel=1e-15)
@@ -277,11 +278,42 @@ def test_record_runs_no_enum_code(exact):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        record = cli._record(args, 0.8, 0.2)
+        record = cli._record(args, 0.8, reduced_load(0.5, 0.5), 0.2)
     finally:
         sys.setprofile(previous)
     assert entered == []
     assert record["mode"] == "engine"
+
+
+_POINT = ("--scenario", "sc", "--tau", "0.5", "--v", "0.5")
+_SWEEP = ("sweep", *_POINT, "--z-min", "0.1", "--z-max", "0.9")
+
+
+@pytest.mark.parametrize(
+    "argv, factors",
+    [
+        pytest.param(("evaluate", *_POINT, "--z", "0.8"), 1, id="evaluate"),
+        pytest.param(("evaluate", *_POINT, "--z", "0.8", "--exact"), 1, id="evaluate-exact"),
+        *(
+            pytest.param(
+                ("optimize", *_POINT, "--objective", objective), 1, id=f"optimize-{objective}"
+            )
+            for objective in ("eta", "work", "omega")
+        ),
+        pytest.param((*_SWEEP, "--points", "1"), 1, id="sweep-1"),
+        pytest.param((*_SWEEP, "--points", "7"), 1, id="sweep-7"),
+        pytest.param(("figure", "--id", "3"), 3, id="figure-3"),
+        pytest.param(("figure", "--id", "4", "--v-list", "0.2,0.5"), 2, id="figure-4"),
+        # figure 2 is one optimum per row, and each optimum forms its own load
+        pytest.param(("figure", "--id", "2", "--points", "5"), 2 * 3 * 5, id="figure-2"),
+    ],
+)
+def test_one_factor_per_request_and_velocity(capsys, factor_calls, argv, factors):
+    # the load g = tau*f(v) is formed once per request (per velocity for figures)
+    # and passed down, so no row, record or certificate probe forms it again
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert len(factor_calls) == factors
 
 
 def test_subnormal_load_optimum_is_certified(capsys):

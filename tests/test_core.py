@@ -107,6 +107,10 @@ def test_factor_domain_errors():
         relativistic_factor(-0.1)
     with pytest.raises(ValueError):
         relativistic_factor(1.0)
+    # nan fails every comparison, so a check written as v < 0 or v >= 1 let it
+    # through, and the final clamp then returned 1.0
+    with pytest.raises(ValueError):
+        relativistic_factor(math.nan)
 
 
 # -- stroke excitation factor -------------------------------------------------

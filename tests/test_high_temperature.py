@@ -24,13 +24,14 @@ from otto_rel import (
     heats_and_work,
     performance,
     qh,
+    reduced_load,
     relativistic_factor,
     scenario_forms,
     work,
 )
 from _reference import REFERENCE
 
-SPOT = ReducedParams(z=0.7, tau=0.5, v=0.5)
+SPOT = ReducedParams(z=0.7, g=reduced_load(0.5, 0.5))
 
 
 @pytest.mark.parametrize("scenario,key", [(SUDDEN_COMPRESSION, "sc"), (SUDDEN_EXPANSION, "se")])
@@ -44,7 +45,7 @@ def test_frozen_spot_values(scenario, key):
 
 
 _reduced_strategy = st.builds(
-    ReducedParams,
+    lambda z, tau, v, beta_h: ReducedParams(z, reduced_load(tau, v), beta_h),
     z=st.floats(min_value=1e-3, max_value=1.0),
     tau=st.floats(min_value=1e-3, max_value=0.999),
     v=st.floats(min_value=1e-3, max_value=0.999),
@@ -66,7 +67,7 @@ def test_first_law_from_independent_formulas(r, sudden_compression):
 @given(r=_reduced_strategy, sudden_compression=st.booleans())
 def test_all_quantities_scale_as_temperature(r, sudden_compression):
     scenario = SUDDEN_COMPRESSION if sudden_compression else SUDDEN_EXPANSION
-    half = ReducedParams(z=r.z, tau=r.tau, v=r.v, beta_h=2.0 * r.beta_h)
+    half = r._replace(beta_h=2.0 * r.beta_h)
     for fn in (qh, lambda r, s: performance(r, s).q_c, work):
         assert fn(half, scenario) == pytest.approx(fn(r, scenario) / 2.0, rel=1e-12)
     # efficiency is a pure ratio and must not depend on the temperature scale
@@ -83,25 +84,25 @@ def test_sudden_expansion_efficiency_never_exceeds_half():
     for i in range(1, n):
         for j in range(1, n):
             for k in range(1, n):
-                r = ReducedParams(z=i / n, tau=j / n, v=k / n)
+                r = ReducedParams(z=i / n, g=reduced_load(j / n, k / n))
                 e = eta(r, SUDDEN_EXPANSION)
                 if e is not None:
                     worst = max(worst, e)
     assert worst <= 0.5
     # and the bound is approached: deep window, fast oscillator
-    e = eta(ReducedParams(z=0.05, tau=0.01, v=0.99), SUDDEN_EXPANSION)
+    e = eta(ReducedParams(z=0.05, g=reduced_load(0.01, 0.99)), SUDDEN_EXPANSION)
     assert e is not None and e > 0.45
 
 
 def test_eta_none_when_no_heat_uptake():
     # below the hot-heat sign change the ratio is undefined
-    r = ReducedParams(z=0.3, tau=0.5, v=0.5)
+    r = ReducedParams(z=0.3, g=reduced_load(0.5, 0.5))
     assert qh(r, SUDDEN_COMPRESSION) < 0.0
     assert eta(r, SUDDEN_COMPRESSION) is None
 
 
 def test_unit_ratio_gives_zero_work():
-    r = ReducedParams(z=1.0, tau=0.5, v=0.5)
+    r = ReducedParams(z=1.0, g=reduced_load(0.5, 0.5))
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
         assert work(r, scenario) == pytest.approx(0.0, abs=1e-15)
 
@@ -145,10 +146,10 @@ def test_engine_floors_keep_their_digits():
 )
 def test_work_changes_sign_at_window_edge(edge_fn, scenario):
     for tau, v in ((0.5, 0.5), (0.3, 0.75), (0.8, 0.2)):
-        g = tau * relativistic_factor(v)
+        g = reduced_load(tau, v)
         z_edge = edge_fn(g)
-        below = ReducedParams(z=z_edge - 1e-4, tau=tau, v=v)
-        above = ReducedParams(z=z_edge + 1e-4, tau=tau, v=v)
+        below = ReducedParams(z=z_edge - 1e-4, g=g)
+        above = ReducedParams(z=z_edge + 1e-4, g=g)
         assert work(below, scenario) < 0.0 < work(above, scenario)
 
 
@@ -189,16 +190,34 @@ def test_hot_limit_forms_run_no_enum_code():
 
 
 def test_reduced_params_validation():
+    g = reduced_load(0.5, 0.5)
     with pytest.raises(ValueError):
-        ReducedParams(z=0.0, tau=0.5, v=0.5)
+        ReducedParams(z=0.0, g=g)
     with pytest.raises(ValueError):
-        ReducedParams(z=1.2, tau=0.5, v=0.5)
+        ReducedParams(z=1.2, g=g)
+    for bad in (1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="reduced load g must lie in"):
+            ReducedParams(z=0.5, g=bad)
     with pytest.raises(ValueError):
-        ReducedParams(z=0.5, tau=1.0, v=0.5)
-    with pytest.raises(ValueError):
-        ReducedParams(z=0.5, tau=0.5, v=0.0)
-    with pytest.raises(ValueError):
-        ReducedParams(z=0.5, tau=0.5, v=0.5, beta_h=0.0)
+        ReducedParams(z=0.5, g=g, beta_h=0.0)
+    # g = 0 (a load that underflows) is a valid point: sc gives the Otto 1 - z
+    assert eta(ReducedParams(z=0.5, g=0.0), SUDDEN_COMPRESSION) == 0.5
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_reduced_load_rejects_tau_outside_unit_interval(tau):
+    with pytest.raises(ValueError, match="temperature ratio tau must lie in"):
+        reduced_load(tau, 0.5)
+
+
+def test_reduced_load_is_tau_times_factor():
+    for tau, v in ((0.5, 0.5), (0.3, 0.75), (1e-300, 0.999), (0.9999999999999999, 1e-12)):
+        assert reduced_load(tau, v) == tau * relativistic_factor(v)
+    # v keeps the factor's own domain [0, 1): v = 0 is the unboosted limit
+    assert reduced_load(0.5, 0.0) == 0.5
+    for v in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="velocity must satisfy"):
+            reduced_load(0.5, v)
 
 
 def test_agrees_with_exact_cycle_when_hot():
@@ -207,7 +226,7 @@ def test_agrees_with_exact_cycle_when_hot():
     beta_h, omega_h, z, tau, v = 1e-3, 1.0, 0.7, 0.5, 0.5
     params = CycleParams(v=v, beta_c=beta_h / tau, beta_h=beta_h,
                          omega_c=z * omega_h, omega_h=omega_h)
-    r = ReducedParams(z=z, tau=tau, v=v, beta_h=beta_h)
+    r = ReducedParams(z=z, g=reduced_load(tau, v), beta_h=beta_h)
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
         exact = heats_and_work(params, scenario)
         hot = performance(r, scenario)

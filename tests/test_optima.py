@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +34,7 @@ from otto_rel import (
     performance,
     principal_trig_root,
     qh,
+    reduced_load,
     relativistic_factor,
     work,
     work_crossing_z,
@@ -76,7 +76,8 @@ def test_frozen_closed_form_optima(key):
     assert eta_max_sc(eta_c, v) == pytest.approx(want["eta_max_sc"], rel=1e-13)
     assert eta_max_se(eta_c, v) == pytest.approx(want["eta_max_se"], rel=1e-13)
     for scenario, name in ((SUDDEN_COMPRESSION, "eta_max_sc"), (SUDDEN_EXPANSION, "eta_max_se")):
-        assert peak_efficiency(tau, v, scenario) == pytest.approx(want[name], rel=1e-13)
+        cap = peak_efficiency(reduced_load(tau, v), scenario)
+        assert cap == pytest.approx(want[name], rel=1e-13)
 
     assert z_work(tau, v, _SC) == pytest.approx(want["z_work"], rel=1e-15)
     assert z_work(tau, v, _SE) == pytest.approx(want["z_work"], rel=1e-15)
@@ -91,7 +92,7 @@ def test_frozen_closed_form_optima(key):
         want["engine_lb_se"], rel=1e-15
     )
 
-    r = lambda z: ReducedParams(z=z, tau=tau, v=v)
+    r = lambda z: ReducedParams(z=z, g=reduced_load(tau, v))
     assert work(r(want["z_work"]), SUDDEN_COMPRESSION) == pytest.approx(
         want["work_max_sc"], rel=1e-13
     )
@@ -112,8 +113,8 @@ def test_frozen_trade_off_optima(key):
     assert eta_omega_se(eta_c, v) == pytest.approx(want["eta_omega_se"], rel=1e-13)
 
     def omega_at(z, scenario):
-        record = performance(ReducedParams(z=z, tau=tau, v=v), scenario)
-        return omega_function(record, peak_efficiency(tau, v, scenario))
+        record = performance(ReducedParams(z=z, g=reduced_load(tau, v)), scenario)
+        return omega_function(record, peak_efficiency(reduced_load(tau, v), scenario))
 
     assert omega_at(z_omega(tau, v, _SC), SUDDEN_COMPRESSION) == pytest.approx(
         want["omega_max_sc"], rel=1e-12
@@ -139,7 +140,7 @@ def test_frozen_trade_off_efficiency_spots():
 @pytest.mark.parametrize("tau,v", [(0.5, 0.5), (0.3, 0.75), (0.7, 0.2), (0.15, 0.9)])
 def test_peak_efficiency_equals_efficiency_at_peak(tau, v):
     eta_c = 1.0 - tau
-    r = lambda z: ReducedParams(z=z, tau=tau, v=v)
+    r = lambda z: ReducedParams(z=z, g=reduced_load(tau, v))
     assert eta(r(z_eta(tau, v, _SC)), SUDDEN_COMPRESSION) == pytest.approx(
         eta_max_sc(eta_c, v), rel=1e-12
     )
@@ -221,7 +222,7 @@ def test_closed_form_maximizers_stay_inside_window(tau, v):
 
 @pytest.mark.parametrize("tau,v", [(0.5, 0.5), (0.3, 0.75)])
 def test_optima_are_stationary_and_concave(tau, v):
-    r = lambda z: ReducedParams(z=z, tau=tau, v=v)
+    r = lambda z: ReducedParams(z=z, g=reduced_load(tau, v))
     probes = [
         (z_eta(tau, v, _SC), lambda z: eta(r(z), SUDDEN_COMPRESSION)),
         (z_eta(tau, v, _SE), lambda z: eta(r(z), SUDDEN_EXPANSION)),
@@ -313,7 +314,7 @@ def test_trade_off_closed_form_agrees_with_oracle(scenario, cap_fn):
             cap = cap_fn(1.0 - tau, v)
 
             def omega(z):
-                r = ReducedParams(z=z, tau=tau, v=v)
+                r = ReducedParams(z=z, g=reduced_load(tau, v))
                 return 2.0 * work(r, scenario) - cap * qh(r, scenario)
 
             lo, hi = engine_window(tau, v, scenario)
@@ -358,18 +359,18 @@ def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
     root = z_eta(0.5, 0.5, _SC)
     monkeypatch.setattr(optima, "principal_trig_root", lambda cubic: 0.9 * root)
     with pytest.raises(NoInteriorOptimumError):
-        peak_efficiency(0.5, 0.5, SUDDEN_COMPRESSION)
+        peak_efficiency(reduced_load(0.5, 0.5), SUDDEN_COMPRESSION)
     with pytest.raises(NoInteriorOptimumError):
         z_omega(0.5, 0.5, _SC)
     # below the load the expansion quench draws no heat; its window floor,
     # about 2g at small g, refuses this root before an efficiency is formed
-    g = 1e-20 * relativistic_factor(0.5)
+    g = reduced_load(1e-20, 0.5)
     monkeypatch.setattr(optima, "principal_trig_root", lambda cubic: 0.5 * g)
     with pytest.raises(NoInteriorOptimumError, match="is outside the engine window"):
-        peak_efficiency(1e-20, 0.5, SUDDEN_EXPANSION)
+        peak_efficiency(g, SUDDEN_EXPANSION)
     # the efficiency itself refuses a ratio at or below the load, where q_h <= 0
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        window = optima._Window(1e-20, 0.5, scenario)
+        window = optima._Window(g, scenario)
         for z in (0.5 * g, g):
             with pytest.raises(NoInteriorOptimumError, match="fell outside the engine window"):
                 window.eta(z)
@@ -388,34 +389,23 @@ def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
             for scenario, suffix in ((_SC, ""), (_SE, "-se"))
             for objective in Objective
         ),
-        pytest.param(lambda: peak_efficiency(0.5, 0.5, _SC), id="peak-sc"),
-        pytest.param(lambda: peak_efficiency(0.5, 0.5, _SE), id="peak-se"),
+        pytest.param(lambda: peak_efficiency(reduced_load(0.5, 0.5), _SC), id="peak-sc"),
+        pytest.param(lambda: peak_efficiency(reduced_load(0.5, 0.5), _SE), id="peak-se"),
         *(
             pytest.param(lambda fn=fn: fn(0.5, 0.5), id=fn.__name__)
             for fn in (eta_max_sc, eta_max_se, eta_omega_sc, eta_omega_se, eta_mw_sc, eta_mw_se)
         ),
     ],
 )
-def test_trade_off_optimum_builds_its_load_once(monkeypatch, call):
+def test_trade_off_optimum_builds_its_load_once(monkeypatch, factor_calls, call):
     # one f(v) per optimum: the window's load feeds the efficiency root, the
     # candidate, every probe and eta_max; no per-probe ReducedParams
-    real = relativistic_factor
-    calls = []
-
-    def counted(v):
-        calls.append(v)
-        return real(v)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "otto_rel" and vars(module).get("relativistic_factor") is real:
-            monkeypatch.setattr(module, "relativistic_factor", counted)
-
     def refuse(cls, *args, **kwargs):
         raise AssertionError("ReducedParams built")
 
     monkeypatch.setattr(ReducedParams, "__new__", refuse)
     call()
-    assert len(calls) == 1
+    assert len(factor_calls) == 1
 
 
 EDGE_AXIS = [1e-6] + [k / 65 for k in range(1, 65)] + [0.999999]
@@ -426,9 +416,9 @@ def test_optimize_returns_the_closed_form_on_edge_rows(tau):
     # at tau = 1e-6 the se objectives are flat to rounding; at tau = 0.999999
     # the engine window can be narrower than the pair of certificate probes
     for v in EDGE_AXIS:
-        g = tau * relativistic_factor(v)
+        g = reduced_load(tau, v)
         for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-            cap = peak_efficiency(tau, v, scenario)
+            cap = peak_efficiency(g, scenario)
             want = {
                 Objective.EFFICIENCY: principal_trig_root(efficiency_cubic(g, scenario)),
                 Objective.WORK: g ** (1.0 / 3.0),
@@ -459,10 +449,10 @@ def test_no_engine_window_when_load_saturates():
     # tiny v it is tau itself, the window's floor is tau too, and every
     # closed form rounds to 1, outside the window
     tau, v = 0.9999999999999999, 1.673740958757154e-16
-    assert relativistic_factor(v) == 1.0 and tau * relativistic_factor(v) == tau
+    assert relativistic_factor(v) == 1.0 and reduced_load(tau, v) == tau
     for scenario in (_SC, _SE):
         assert engine_window(tau, v, scenario) == (tau, 1.0)
-        calls = [lambda: peak_efficiency(tau, v, scenario)]
+        calls = [lambda: peak_efficiency(reduced_load(tau, v), scenario)]
         calls += [
             lambda objective=objective: optimize(OptimizationTarget(objective, scenario), tau, v)
             for objective in Objective
@@ -474,16 +464,17 @@ def test_no_engine_window_when_load_saturates():
 
 def test_no_interior_optimum_at_zero_load():
     with pytest.raises(NoInteriorOptimumError):
-        peak_efficiency(0.0, 0.5, SUDDEN_COMPRESSION)
+        peak_efficiency(0.0, SUDDEN_COMPRESSION)
     with pytest.raises(NoInteriorOptimumError):
-        peak_efficiency(0.0, 0.5, SUDDEN_EXPANSION)
+        peak_efficiency(0.0, SUDDEN_EXPANSION)
 
 
 @pytest.mark.parametrize(
     "call, error",
     [
-        pytest.param(lambda: peak_efficiency(0.0, 0.5, _SC), NoInteriorOptimumError, id="peak-sc"),
-        pytest.param(lambda: peak_efficiency(0.0, 0.5, _SE), NoInteriorOptimumError, id="peak-se"),
+        pytest.param(lambda: peak_efficiency(0.0, _SC), NoInteriorOptimumError, id="peak-sc"),
+        pytest.param(lambda: peak_efficiency(0.0, _SE), NoInteriorOptimumError, id="peak-se"),
+        pytest.param(lambda: reduced_load(0.0, 0.5), ValueError, id="reduced_load"),
         pytest.param(lambda: engine_window(0.0, 0.5, _SC), ValueError, id="engine_window-sc"),
         pytest.param(lambda: engine_window(0.0, 0.5, _SE), ValueError, id="engine_window-se"),
         *(
@@ -498,9 +489,9 @@ def test_no_interior_optimum_at_zero_load():
     ],
 )
 def test_zero_tau_exception_classes(call, error):
-    # tau = 0 is a zero load: the efficiency root sits at z = 0, so the
-    # entry points built on it find no interior optimum; the others refuse
-    # tau outside (0, 1) as bad input
+    # a zero load g puts the efficiency root at z = 0, so peak_efficiency
+    # finds no interior optimum; every entry point that takes (tau, v) forms
+    # g with reduced_load, which refuses tau = 0 as bad input
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is error
@@ -514,7 +505,7 @@ def test_domain_validation_errors():
     with pytest.raises(ValueError):
         eta_omega_sc(-0.1, 0.5)
     with pytest.raises(ValueError):  # tau > 1 with a load below 1
-        peak_efficiency(1.2, 0.9, SUDDEN_COMPRESSION)
+        peak_efficiency(reduced_load(1.2, 0.9), SUDDEN_COMPRESSION)
     with pytest.raises(ValueError):
         work_crossing_z(1.2, 0.5)
     with pytest.raises(ValueError):
@@ -531,7 +522,8 @@ def test_stationary_velocity_limit():
     assert eta_mw_sc(0.5, 0.0) > 0.0
     # every optimum accepts the v = 0 limit that its domain [0, 1) admits
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        assert peak_efficiency(0.5, 0.0, scenario) == peak_efficiency(0.5, 1e-12, scenario)
+        at_rest = peak_efficiency(reduced_load(0.5, 0.0), scenario)
+        assert at_rest == peak_efficiency(reduced_load(0.5, 1e-12), scenario)
         target = OptimizationTarget(Objective.OMEGA, scenario)
         assert optimize(target, 0.5, 0.0).z_star == optimize(target, 0.5, 1e-12).z_star
     assert eta_omega_sc(0.5, 0.0) == eta_omega_sc(0.5, 1e-12)
@@ -540,7 +532,7 @@ def test_stationary_velocity_limit():
 def test_work_dominance_swaps_at_crossing():
     tau, v = 0.5, 0.5
     z_cross = work_crossing_z(tau, v)
-    r = lambda z: ReducedParams(z=z, tau=tau, v=v)
+    r = lambda z: ReducedParams(z=z, g=reduced_load(tau, v))
     for z in (z_cross - 0.05, z_cross - 0.01):
         assert work(r(z), SUDDEN_EXPANSION) > work(r(z), SUDDEN_COMPRESSION)
     for z in (z_cross + 0.01, z_cross + 0.05):

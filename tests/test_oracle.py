@@ -15,6 +15,7 @@ from otto_rel import (
     omega_function,
     peak_efficiency,
     performance,
+    reduced_load,
     relativistic_factor,
 )
 from _reference import REFERENCE
@@ -58,7 +59,7 @@ def test_agrees_with_plain_golden_section():
 
 
 def test_efficiency_argmax_matches_reference():
-    r = lambda z: ReducedParams(z=z, tau=0.5, v=0.5)
+    r = lambda z: ReducedParams(z=z, g=reduced_load(0.5, 0.5))
     for scenario, key in ((SUDDEN_COMPRESSION, "z_eta_sc"), (SUDDEN_EXPANSION, "z_eta_se")):
         f = lambda z, s=scenario: eta(r(z), s)
         x, _ = maximize(f, 0.01, 0.999)
@@ -144,10 +145,9 @@ def test_observed_order_is_quadratic():
 
 
 def test_stationarity_of_trade_off_maximum():
-    cap = peak_efficiency(0.5, 0.5, SUDDEN_COMPRESSION)
-    f = lambda z: omega_function(
-        performance(ReducedParams(z=z, tau=0.5, v=0.5), SUDDEN_COMPRESSION), cap
-    )
+    g = reduced_load(0.5, 0.5)
+    cap = peak_efficiency(g, SUDDEN_COMPRESSION)
+    f = lambda z: omega_function(performance(ReducedParams(z, g), SUDDEN_COMPRESSION), cap)
     report = derivative_check(f, OPT["z_omega_sc"])
     assert abs(report.value) <= 1e-6
 

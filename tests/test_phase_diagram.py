@@ -24,6 +24,7 @@ from otto_rel import (
     performance,
     qh,
     rasterize,
+    reduced_load,
     relativistic_factor,
     scenario_forms,
 )
@@ -170,7 +171,7 @@ def test_known_mode_points_compression():
     # tau=0.5, v=0.5 puts the edges near 0.476, 0.559, 0.621
     pts = {0.3: R, 0.5: H, 0.59: T, 0.8: E, 0.9: E}
     for z, want in pts.items():
-        r = ReducedParams(z=z, tau=0.5, v=0.5)
+        r = ReducedParams(z=z, g=reduced_load(0.5, 0.5))
         assert classify_by_signs(r, SUDDEN_COMPRESSION) is want
         assert classify_by_table(r, SUDDEN_COMPRESSION) is want
 
@@ -179,18 +180,18 @@ def test_known_mode_points_expansion():
     # same loading: no refrigerator interval, edges near 0.476 and 0.596
     pts = {0.2: H, 0.3: H, 0.5: T, 0.7: E}
     for z, want in pts.items():
-        r = ReducedParams(z=z, tau=0.5, v=0.5)
+        r = ReducedParams(z=z, g=reduced_load(0.5, 0.5))
         assert classify_by_signs(r, SUDDEN_EXPANSION) is want
         assert classify_by_table(r, SUDDEN_EXPANSION) is want
 
 
 def test_engine_example_point():
-    r = ReducedParams(z=0.9, tau=0.3, v=0.5)
+    r = ReducedParams(z=0.9, g=reduced_load(0.3, 0.5))
     assert classify_by_signs(r, SUDDEN_COMPRESSION) is E
 
 
 def test_unit_ratio_is_boundary():
-    r = ReducedParams(z=1.0, tau=0.5, v=0.5)
+    r = ReducedParams(z=1.0, g=reduced_load(0.5, 0.5))
     assert classify_by_signs(r, SUDDEN_COMPRESSION) is B
     assert classify_by_table(r, SUDDEN_COMPRESSION) is B
 
@@ -202,7 +203,7 @@ def test_classifiers_agree_away_from_edges(scenario, v):
     disagreements = 0
     for i in range(n):
         for j in range(n):
-            r = ReducedParams(z=(i + 0.5) / n, tau=(j + 0.5) / n, v=v)
+            r = ReducedParams(z=(i + 0.5) / n, g=reduced_load((j + 0.5) / n, v))
             by_signs = classify_by_signs(r, scenario)
             by_table = classify_by_table(r, scenario)
             if B in (by_signs, by_table):
@@ -219,7 +220,7 @@ def test_stage_progression_is_monotone_in_z():
         for tau in (0.2, 0.5, 0.8):
             seen = -1
             for i in range(1, 199):
-                r = ReducedParams(z=i / 200, tau=tau, v=0.5)
+                r = ReducedParams(z=i / 200, g=reduced_load(tau, 0.5))
                 mode = classify_by_signs(r, scenario)
                 if mode is B:
                     continue
@@ -233,10 +234,10 @@ def test_tightening_eps_only_reclassifies_boundary_cells(monkeypatch):
     probes = []
     for tau in (0.3, 0.5, 0.7):
         for name in ("qc_zero", "qh_zero", "engine_min"):
-            edge = curves[name](tau)
+            edge, g = curves[name](tau), reduced_load(tau, 0.5)
             for delta in (1e-10, 5e-10, 3e-9, 1e-4):
-                probes.append(ReducedParams(z=edge + delta, tau=tau, v=0.5))
-                probes.append(ReducedParams(z=edge - delta, tau=tau, v=0.5))
+                probes.append(ReducedParams(z=edge + delta, g=g))
+                probes.append(ReducedParams(z=edge - delta, g=g))
 
     def classify_at(eps):
         monkeypatch.setattr(phase_diagram, "BOUNDARY_EPS", eps)
@@ -257,13 +258,14 @@ def test_boundary_curves_match_sign_changes():
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
         curves = boundary_curves(scenario, 0.6)
         for tau in (0.4, 0.7):
+            g = reduced_load(tau, 0.6)
             z_qh = curves["qh_zero"](tau)
-            assert qh(ReducedParams(z=z_qh - 1e-6, tau=tau, v=0.6), scenario) < 0
-            assert qh(ReducedParams(z=z_qh + 1e-6, tau=tau, v=0.6), scenario) > 0
+            assert qh(ReducedParams(z=z_qh - 1e-6, g=g), scenario) < 0
+            assert qh(ReducedParams(z=z_qh + 1e-6, g=g), scenario) > 0
             z_qc = curves["qc_zero"](tau)
             if not math.isnan(z_qc):
-                assert performance(ReducedParams(z=z_qc - 1e-6, tau=tau, v=0.6), scenario).q_c > 0
-                assert performance(ReducedParams(z=z_qc + 1e-6, tau=tau, v=0.6), scenario).q_c < 0
+                assert performance(ReducedParams(z=z_qc - 1e-6, g=g), scenario).q_c > 0
+                assert performance(ReducedParams(z=z_qc + 1e-6, g=g), scenario).q_c < 0
 
 
 def test_expansion_refrigerator_vanishes_at_low_load():
@@ -273,7 +275,7 @@ def test_expansion_refrigerator_vanishes_at_low_load():
     curves = boundary_curves(SUDDEN_EXPANSION, v)
     assert math.isnan(curves["qc_zero"](tau))
     for i in range(1, 100):
-        r = ReducedParams(z=i / 100, tau=tau, v=v)
+        r = ReducedParams(z=i / 100, g=reduced_load(tau, v))
         assert classify_by_signs(r, SUDDEN_EXPANSION) is not R
     # and it reappears once the load is high enough
     assert not math.isnan(curves["qc_zero"](0.9))
@@ -284,6 +286,12 @@ def test_boundary_curve_guards():
         boundary_curves(BOTH_SUDDEN, 0.5)
     with pytest.raises(ValueError):
         boundary_curves(SUDDEN_COMPRESSION, 0.0)
+    # each curve forms its load with reduced_load, so tau outside (0, 1) is bad input
+    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
+        for name, curve in boundary_curves(scenario, 0.5).items():
+            for tau in (-0.5, 0.0, 1.0, 1.5):
+                with pytest.raises(ValueError, match="temperature ratio tau must lie in"):
+                    curve(tau)
 
 
 def test_rasterize_layout_and_determinism():
@@ -291,7 +299,7 @@ def test_rasterize_layout_and_determinism():
     assert pm.z_axis[0] == pytest.approx(0.5 / 24)
     assert pm.z_axis[-1] == pytest.approx(23.5 / 24)
     assert len(pm.cells) == 24 and len(pm.cells[0]) == 24
-    r = ReducedParams(z=pm.z_axis[3], tau=pm.tau_axis[17], v=0.5)
+    r = ReducedParams(z=pm.z_axis[3], g=reduced_load(pm.tau_axis[17], 0.5))
     assert pm.cells[3][17] is classify_by_signs(r, SUDDEN_COMPRESSION)
     assert rasterize(SUDDEN_COMPRESSION, 0.5, resolution=24) == pm
     with pytest.raises(ValueError):
@@ -308,7 +316,7 @@ def test_rasterize_matches_per_point_classifier(scenario, v):
     pm = rasterize(scenario, v, resolution=40)
     for z, row in zip(pm.z_axis, pm.cells):
         for tau, mode in zip(pm.tau_axis, row):
-            assert mode is classify_by_signs(ReducedParams(z=z, tau=tau, v=v), scenario)
+            assert mode is classify_by_signs(ReducedParams(z=z, g=reduced_load(tau, v)), scenario)
 
 
 def test_phase_map_shape_validation():
