@@ -81,8 +81,8 @@ def _require_finite(pairs: Iterable[tuple[str, object]], error=FloatingPointErro
             raise error(f"{key} is not finite ({value!r})")
 
 
-def _check_domain(args, *, z: bool = False) -> None:
-    """Validate numeric flags before any dispatch, naming the domain."""
+def _check_domain(args, *ratios: str) -> None:
+    """Validate numeric flags and the ratio flags named in ratios before any dispatch."""
     flags = vars(args).items()
     _require_finite(((name.replace("_", "-"), value) for name, value in flags), ValueError)
     if not 0.0 < args.tau < 1.0:
@@ -91,20 +91,33 @@ def _check_domain(args, *, z: bool = False) -> None:
         raise ValueError(f"v must lie in (0,1), got {args.v}")
     if not args.beta_h > 0.0:
         raise ValueError(f"beta-h must be positive, got {args.beta_h}")
-    if z and not 0.0 < args.z <= 1.0:
-        raise ValueError(f"z must lie in (0,1], got {args.z}")
+    for name in ratios:
+        value = getattr(args, name)
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"{name.replace('_', '-')} must lie in (0,1], got {value}")
 
 
-def _record(args, z: float, g: float, cap: float) -> dict:
+def _cap(g: float, token: str) -> Optional[float]:
+    """eta_max at load g for the omega column; None where it cannot be certified."""
+    try:
+        return peak_efficiency(g, _SCENARIOS[token])
+    except NoInteriorOptimumError:
+        return None
+
+
+def _record(args, z: float, g: float, cap: Optional[float]) -> dict:
     """One evaluation at load g = tau*f(v) rendered as the fixed-order output mapping."""
     token, tau, v, beta_h = args.scenario, args.tau, args.v, args.beta_h
     scenario = _SCENARIOS[token]
     if args.exact:
-        omega_h = args.omega_h
-        params = CycleParams(v, beta_h / tau, beta_h, z * omega_h, omega_h)
-        rec = heats_and_work(params, scenario)
+        # the mode reads the energies in units of omega_h
+        unit = omega_h = args.omega_h
+        rec = heats_and_work(CycleParams(v, beta_h / tau, beta_h, z * omega_h, omega_h), scenario)
+        scale = 1.0
     else:
-        rec = performance(ReducedParams(z, g, beta_h), scenario)
+        # the mode reads the unit-free forms; the energies print in units of 1/beta_h
+        rec = performance(ReducedParams(z, g), scenario)
+        unit, scale = 1.0, beta_h
     q_h, q_c, w_ext = rec
     return {
         "z": z,
@@ -112,12 +125,12 @@ def _record(args, z: float, g: float, cap: float) -> dict:
         "v": v,
         "beta_h": beta_h,
         "scenario": token,
-        "q_h": q_h,
-        "q_c": q_c,
-        "w_ext": w_ext,
+        "q_h": q_h / scale,
+        "q_c": q_c / scale,
+        "w_ext": w_ext / scale,
         "eta": rec.eta,
-        "omega": omega_function(rec, cap),
-        "mode": _MODE_TOKENS[classify_signs(w_ext, q_h, q_c)],
+        "omega": None if cap is None else omega_function(rec, cap) / scale,
+        "mode": _MODE_TOKENS[classify_signs(w_ext / unit, q_h / unit, q_c / unit)],
     }
 
 
@@ -130,12 +143,11 @@ def _render_mapping(mapping: dict, fmt: str, output: Optional[str]) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_domain(args, z=True)
+    _check_domain(args, "z")
     if args.exact and not args.omega_h > 0.0:
         raise ValueError(f"omega-h must be positive, got {args.omega_h}")
     g = reduced_load(args.tau, args.v)
-    cap = peak_efficiency(g, _SCENARIOS[args.scenario])
-    _render_mapping(_record(args, args.z, g, cap), args.format, args.output)
+    _render_mapping(_record(args, args.z, g, _cap(g, args.scenario)), args.format, args.output)
     return 0
 
 
@@ -144,7 +156,9 @@ def _cmd_optimize(args) -> int:
     target = OptimizationTarget(
         objective=Objective(args.objective), scenario=_SCENARIOS[args.scenario]
     )
-    report = optimize(target, args.tau, args.v, beta_h=args.beta_h)
+    report = optimize(target, args.tau, args.v)
+    # work and omega print in units of 1/beta_h; eta is a ratio
+    scale = 1.0 if target.objective is Objective.EFFICIENCY else args.beta_h
     mapping = {
         "objective": args.objective,
         "scenario": args.scenario,
@@ -152,7 +166,7 @@ def _cmd_optimize(args) -> int:
         "v": args.v,
         "beta_h": args.beta_h,
         "z_star": report.z_star,
-        "value": report.value_at_opt,
+        "value": report.value_at_opt / scale,
         "eta": report.eta_at_opt,
         "source": "closed-form",
     }
@@ -176,7 +190,7 @@ _EVAL_HEADER = (
 
 
 def _cmd_sweep(args) -> int:
-    _check_domain(args)
+    _check_domain(args, "z_min", "z_max")
     if args.points < 1 or args.points > 10_000:
         raise ValueError(f"points must lie in [1, 10000], got {args.points}")
     if args.z_max < args.z_min:
@@ -186,7 +200,7 @@ def _cmd_sweep(args) -> int:
     points = 1 if args.z_max == args.z_min else args.points
     grid = _linspace(args.z_min, args.z_max, points)
     g = reduced_load(args.tau, args.v)
-    cap = peak_efficiency(g, _SCENARIOS[args.scenario])
+    cap = _cap(g, args.scenario)
     rows = [[_record(args, z, g, cap)[key] for key in _EVAL_HEADER] for z in grid]
     _require_finite(zip(itertools.cycle(_EVAL_HEADER), itertools.chain.from_iterable(rows)))
     _emit(_csv(_EVAL_HEADER, rows), args.output)

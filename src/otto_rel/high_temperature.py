@@ -1,26 +1,26 @@
 """Hot-limit closed forms for the two asymmetric driving scenarios.
 
 When both thermal occupations are large (beta_h omega_h << 1 at fixed
-ratios) every cycle quantity collapses onto three reduced variables:
+ratios) beta_h times every cycle energy is a function of two variables:
 
     z      = omega_c / omega_h   frequency ratio, 0 < z <= 1,
     g      = tau * f(v)          reduced load, 0 <= g < 1,
-    beta_h                       kept explicit as the energy scale,
 
 where tau = beta_h / beta_c in (0, 1) is the inverse-temperature ratio
 and f the velocity reduction factor of v in [0, 1).  tau and v enter
 every closed form only through the load g, which reduced_load forms and
-checks once per request.  The per-cycle quantities are
+checks once per request.  The forms are unit-free (beta_h times each
+energy), so no mode, efficiency or optimum depends on the unit of energy:
 
     sudden compression (quenched A->B stroke):
-        q_h  = [2 z^2 - g (z^2 + 1)] / (2 z^2 beta_h)
-        q_c  = (g - z) / beta_h
-        work = (1 - z) [2 z^2 - g (1 + z)] / (2 z^2 beta_h)
+        beta_h q_h  = [2 z^2 - g (z^2 + 1)] / (2 z^2)
+        beta_h q_c  = g - z
+        beta_h work = (1 - z) [2 z^2 - g (1 + z)] / (2 z^2)
 
     sudden expansion (quenched C->D stroke):
-        q_h  = (z - g) / (z beta_h)
-        q_c  = [g - (1 + z^2)/2] / beta_h
-        work = (1 - z) [z (1 + z) - 2 g] / (2 z beta_h)
+        beta_h q_h  = (z - g) / z
+        beta_h q_c  = g - (1 + z^2)/2
+        beta_h work = (1 - z) [z (1 + z) - 2 g] / (2 z)
 
 Efficiency is work / q_h wherever q_h > 0; cycles with q_h <= 0 are not
 engines and the efficiency functions return None for them (a typed
@@ -69,19 +69,17 @@ def reduced_load(tau: float, v: float) -> float:
     return tau * relativistic_factor(v)
 
 
-class ReducedParams(_Validated, namedtuple("ReducedParams", "z g beta_h")):
-    """Reduced operating point of the hot-limit cycle: ratio z, load g, beta_h."""
+class ReducedParams(_Validated, namedtuple("ReducedParams", "z g")):
+    """Reduced operating point of the hot-limit cycle: ratio z and load g."""
 
     __slots__ = ()
 
-    def __new__(cls, z: float, g: float, beta_h: float = 1.0) -> ReducedParams:
+    def __new__(cls, z: float, g: float) -> ReducedParams:
         if not 0.0 < z <= 1.0:
             raise ValueError(f"frequency ratio z must lie in (0, 1], got {z}")
         if not 0.0 <= g < 1.0:
             raise ValueError(f"reduced load g must lie in [0, 1), got {g}")
-        if not beta_h > 0.0:
-            raise ValueError(f"beta_h must be positive, got {beta_h}")
-        return tuple.__new__(cls, (z, g, beta_h))
+        return tuple.__new__(cls, (z, g))
 
 
 # -- engine windows ---------------------------------------------------------
@@ -117,9 +115,9 @@ def engine_lower_z_se(g: float) -> float:
 class ScenarioForms(NamedTuple):
     """Every closed form that tells one asymmetric scenario from the other.
 
-    The heats and the work take the fields (z, g, beta_h) of a
-    ReducedParams, with g = tau * f(v) the reduced load; the other forms
-    take g alone.
+    The heats and the work take the fields (z, g) of a ReducedParams,
+    with g = tau * f(v) the reduced load, and return beta_h times the
+    energy; the other forms take g alone.
 
     efficiency_cubic gives the coefficients (a2, a1, a0) of the monic
     cubic whose largest real root maximizes the efficiency.  The mode
@@ -128,9 +126,9 @@ class ScenarioForms(NamedTuple):
     engine_lower_z (accelerator/engine).
     """
 
-    qh: Callable[[float, float, float], float]
-    qc: Callable[[float, float, float], float]
-    work: Callable[[float, float, float], float]
+    qh: Callable[[float, float], float]
+    qc: Callable[[float, float], float]
+    work: Callable[[float, float], float]
     engine_lower_z: Callable[[float], float]
     efficiency_cubic: Callable[[float], tuple[float, float, float]]
     fridge_top: Callable[[float], Optional[float]]
@@ -140,9 +138,9 @@ class ScenarioForms(NamedTuple):
 _FORMS = {
     # Quenched A->B stroke.
     SUDDEN_COMPRESSION: ScenarioForms(
-        qh=lambda z, g, beta_h: (2.0 * z * z - g * (z * z + 1.0)) / (2.0 * z * z * beta_h),
-        qc=lambda z, g, beta_h: (g - z) / beta_h,
-        work=lambda z, g, beta_h: (1.0 - z) * (2.0 * z * z - g * (1.0 + z)) / (2.0 * z * z * beta_h),
+        qh=lambda z, g: (2.0 * z * z - g * (z * z + 1.0)) / (2.0 * z * z),
+        qc=lambda z, g: g - z,
+        work=lambda z, g: (1.0 - z) * (2.0 * z * z - g * (1.0 + z)) / (2.0 * z * z),
         engine_lower_z=engine_lower_z_sc,
         efficiency_cubic=lambda g: (0.0, -3.0 * g / (2.0 - g), 2.0 * g * g / (2.0 - g)),
         fridge_top=lambda g: g,
@@ -153,9 +151,9 @@ _FORMS = {
     # extractable work at any operating point.  The refrigerator edge
     # z**2 = 2g - 1 has no real solution when g <= 1/2.
     SUDDEN_EXPANSION: ScenarioForms(
-        qh=lambda z, g, beta_h: (z - g) / (z * beta_h),
-        qc=lambda z, g, beta_h: (g - 0.5 * (1.0 + z * z)) / beta_h,
-        work=lambda z, g, beta_h: (1.0 - z) * (z * (1.0 + z) - 2.0 * g) / (2.0 * z * beta_h),
+        qh=lambda z, g: (z - g) / z,
+        qc=lambda z, g: g - 0.5 * (1.0 + z * z),
+        work=lambda z, g: (1.0 - z) * (z * (1.0 + z) - 2.0 * g) / (2.0 * z),
         engine_lower_z=engine_lower_z_se,
         efficiency_cubic=lambda g: (-1.5 * g, 0.0, -0.5 * g * (1.0 - 2.0 * g)),
         fridge_top=lambda g: math.sqrt(2.0 * g - 1.0) if 2.0 * g > 1.0 else None,
@@ -179,12 +177,12 @@ def scenario_forms(scenario: Scenario) -> ScenarioForms:
 
 
 def qh(r: ReducedParams, scenario: Scenario) -> float:
-    """Hot-bath heat for either asymmetric scenario."""
+    """Hot-bath heat (times beta_h) for either asymmetric scenario."""
     return scenario_forms(scenario).qh(*r)
 
 
 def work(r: ReducedParams, scenario: Scenario) -> float:
-    """Net extracted work for either asymmetric scenario."""
+    """Net extracted work (times beta_h) for either asymmetric scenario."""
     return scenario_forms(scenario).work(*r)
 
 
@@ -195,6 +193,6 @@ def eta(r: ReducedParams, scenario: Scenario) -> Optional[float]:
 
 
 def performance(r: ReducedParams, scenario: Scenario) -> PerformanceRecord:
-    """Assemble the full hot-limit performance record at one point."""
+    """The hot-limit performance record at one point, each energy times beta_h."""
     forms = scenario_forms(scenario)
     return PerformanceRecord(forms.qh(*r), forms.qc(*r), forms.work(*r))

@@ -128,8 +128,8 @@ class _Window:
         self.lo = self.forms.engine_lower_z(g)
 
     def eta(self, z: float) -> float:
-        """Efficiency at z, with beta_h = 1 (it cancels)."""
-        value = _efficiency(self.forms.work(z, self.g, 1.0), self.forms.qh(z, self.g, 1.0))
+        """Efficiency at z, a ratio of the unit-free forms."""
+        value = _efficiency(self.forms.work(z, self.g), self.forms.qh(z, self.g))
         # lo < z implies q_h > 0 in exact arithmetic (the engine floor lies above
         # the heater edge), but the two edges can round together as g -> 1
         if value is None:
@@ -238,31 +238,26 @@ def work_crossing_z(tau: float, v: float) -> float:
     return math.sqrt(reduced_load(tau, v))
 
 
-def optimize(
-    target: OptimizationTarget, tau: float, v: float, beta_h: float = 1.0
-) -> OptimumReport:
+def optimize(target: OptimizationTarget, tau: float, v: float) -> OptimumReport:
     """Run one objective end to end and report the certified optimum.
 
+    The work and trade-off values are unit-free: beta_h times the energy.
     Raises NoInteriorOptimumError when the closed form fails its certificate.
     """
     g = reduced_load(tau, v)
-    if not beta_h > 0.0:
-        raise ValueError(f"beta_h must be positive, got {beta_h}")
     w = _Window(g, target.scenario)
     forms = w.forms
 
     if target.objective == Objective.EFFICIENCY:
         z_star, value = w.peak()
     elif target.objective == Objective.WORK:
-        z_star, value = w.certified(g ** (1.0 / 3.0), lambda z: forms.work(z, g, beta_h))
+        z_star, value = w.certified(g ** (1.0 / 3.0), lambda z: forms.work(z, g))
     elif target.objective == Objective.OMEGA:
         # eta_max is certified on the same window
         _, cap = w.peak()
 
         def omega(z: float) -> float:
-            record = PerformanceRecord(
-                forms.qh(z, g, beta_h), forms.qc(z, g, beta_h), forms.work(z, g, beta_h)
-            )
+            record = PerformanceRecord(forms.qh(z, g), forms.qc(z, g), forms.work(z, g))
             return omega_function(record, cap)
 
         z_star, value = w.certified((g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), omega)

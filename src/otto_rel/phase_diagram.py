@@ -6,7 +6,7 @@ Q_c <= 0), or a thermal accelerator (W <= 0, Q_h >= 0, Q_c <= 0).  Two
 independent classifiers are provided: one reads the computed signs, the
 other the closed-form interval edges in z, and tests require them to
 agree away from the boundaries.  Quantities within BOUNDARY_EPS of zero
-(with beta_h = 1) are deliberately left unclassified as Boundary.
+are deliberately left unclassified as Boundary.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _column_runs(scenario: Scenario, axis: tuple[float, ...], g: float) -> tuple
 
     def mode_at(i: int) -> OperationalMode:
         z = axis[i]
-        return classify_signs(forms.work(z, g, 1.0), forms.qh(z, g, 1.0), forms.qc(z, g, 1.0))
+        return classify_signs(forms.work(z, g), forms.qh(z, g), forms.qc(z, g))
 
     last = len(axis) - 1
     pending = [0, last]

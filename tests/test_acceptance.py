@@ -19,6 +19,7 @@ from otto_rel import (
     MonicCubic,
     Objective,
     OptimizationTarget,
+    PerformanceRecord,
     ReducedParams,
     classify_by_signs,
     classify_by_table,
@@ -53,6 +54,11 @@ def z_star(objective, scenario, tau, v):
     return optimize(OptimizationTarget(objective, scenario), tau, v).z_star
 
 
+def in_units_of_temperature(record, beta_h):
+    """A unit-free hot-limit record (beta_h times each energy) divided by beta_h."""
+    return PerformanceRecord(*(energy / beta_h for energy in record))
+
+
 @contextmanager
 def criterion(number: int, summary: str):
     try:
@@ -84,9 +90,9 @@ def test_criterion_1_first_law():
             r = ReducedParams(
                 z=rng.uniform(0.01, 1.0),
                 g=reduced_load(rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)),
-                beta_h=rng.uniform(0.05, 5.0),
             )
-            hot = performance(r, ASYMMETRIC[rng.randrange(2)])
+            beta_h = rng.uniform(0.05, 5.0)
+            hot = in_units_of_temperature(performance(r, ASYMMETRIC[rng.randrange(2)]), beta_h)
             scale = max(1.0, abs(hot.q_h), abs(hot.q_c))
             assert abs(hot.w_ext - (hot.q_h + hot.q_c)) <= 1e-12 * scale
         elapsed = time.perf_counter() - start
@@ -106,7 +112,9 @@ def test_criterion_2_hot_limit_convergence():
                     omega_c=z * omega_h, omega_h=omega_h,
                 )
                 exact = heats_and_work(params, scenario)
-                hot = performance(ReducedParams(z=z, g=g, beta_h=beta_h), scenario)
+                hot = in_units_of_temperature(
+                    performance(ReducedParams(z=z, g=g), scenario), beta_h
+                )
                 gaps_qh.append(abs(exact.q_h - hot.q_h) / abs(hot.q_h))
                 gaps_w.append(abs(exact.w_ext - hot.w_ext) / abs(hot.w_ext))
             assert gaps_qh[0] > gaps_qh[1] > gaps_qh[2], gaps_qh

@@ -355,11 +355,6 @@ def test_tiny_expansion_load_optimum_reaches_the_root(capsys):
              "--tau", "0.9999999819051079", "--v", "1e-190"),
             id="omega-negative-eta-max",
         ),
-        pytest.param(
-            ("evaluate", "--scenario", "sc", "--z", "0.9999999999",
-             "--tau", "0.9999999999999979", "--v", "1e-12"),
-            id="evaluate-negative-eta-max",
-        ),
         # the cubic root lands just below an engine window 6.7e-10 wide
         pytest.param(
             ("optimize", "--objective", "eta", "--scenario", "sc",
@@ -384,6 +379,39 @@ def test_uncertified_optimum_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("otto-rel: error:") and err.count("\n") == 1, err
+
+
+# the cubic root leaves the engine window, so eta_max would be negative
+_NEGATIVE_ETA_MAX = ("--scenario", "sc", "--tau", "0.9999999999999979", "--v", "1e-12")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("evaluate", *_NEGATIVE_ETA_MAX, "--z", "0.9999999999"), id="evaluate"),
+        pytest.param(("evaluate", *_NEGATIVE_ETA_MAX, "--z", "0.5", "--exact"), id="exact"),
+        pytest.param(
+            ("sweep", *_NEGATIVE_ETA_MAX, "--z-min", "0.5", "--z-max", "1", "--points", "3"),
+            id="sweep",
+        ),
+    ],
+)
+def test_uncertified_eta_max_leaves_only_omega_empty(capsys, argv):
+    # omega alone needs eta_max; the heats, work, eta and mode are still printed
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    if argv[0] == "evaluate":
+        assert '"omega": null' in out
+        rows = [json.loads(out, parse_constant=_reject_constant)]
+    else:
+        lines = out.splitlines()
+        rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+        assert len(rows) == 3 and all(row["omega"] == "" for row in rows)
+    for row in rows:
+        for key in ("q_h", "q_c", "w_ext"):
+            assert math.isfinite(float(row[key]))
+        assert row["eta"] in (None, "") or math.isfinite(float(row["eta"]))
+        assert row["mode"] in ("engine", "refrigerator", "heater", "accelerator", "boundary")
 
 
 _EVALUATE_TINY_BETA = (
@@ -483,6 +511,102 @@ def test_sweep_validation(capsys):
         "--z-min", "0.1", "--z-max", "0.9", "--points", "20000",
     )
     assert code == 2 and "points" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(
+            ("--tau", "0.9999999999999979", "--v", "1e-12", "--z-min", "0", "--z-max", "1"),
+            "z-min",
+            id="z-min-zero",
+        ),
+        pytest.param(
+            ("--tau", "5e-324", "--v", "0.99", "--z-min", "0.1", "--z-max", "1.5"),
+            "z-max",
+            id="z-max-above-one",
+        ),
+    ],
+)
+def test_sweep_validates_its_ratios_before_computing(capsys, argv, flag):
+    # both loads fail in the physics (a zero z, a zero load), so only the
+    # order of the checks gives exit 2
+    code, out, err = run(capsys, "sweep", "--scenario", "sc", *argv, "--points", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"otto-rel: error: {flag} must lie in (0,1]") and err.count("\n") == 1
+
+
+# -- the unit of energy ------------------------------------------------------------
+
+
+def _main(*argv: str) -> tuple[int, str, str]:
+    """cli.main with its streams captured, for tests that cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_RATIO = st.floats(min_value=1e-3, max_value=0.999)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    scenario=st.sampled_from(("sc", "se")),
+    z=st.floats(min_value=1e-3, max_value=1.0),
+    tau=_RATIO,
+    v=_RATIO,
+    exponent=st.floats(min_value=-6.0, max_value=10.0),
+)
+def test_hot_limit_mode_and_eta_do_not_depend_on_beta_h(scenario, z, tau, v, exponent):
+    point = ("evaluate", "--scenario", scenario, "--z", repr(z), "--tau", repr(tau), "--v", repr(v))
+    code, unit, _ = _main(*point)
+    scaled_code, scaled, _ = _main(*point, "--beta-h", repr(10.0**exponent))
+    assert (code, scaled_code) == (0, 0)
+    unit, scaled = json.loads(unit), json.loads(scaled)
+    assert (scaled["mode"], scaled["eta"]) == (unit["mode"], unit["eta"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    scenario=st.sampled_from(("sc", "se")),
+    z=st.floats(min_value=0.05, max_value=1.0),
+    tau=st.floats(min_value=0.05, max_value=0.95),
+    v=st.floats(min_value=0.05, max_value=0.95),
+    beta_h=st.floats(min_value=0.05, max_value=5.0),
+    omega_h=st.floats(min_value=0.5, max_value=2.0),
+    k=st.integers(min_value=-60, max_value=60),
+)
+def test_exact_mode_does_not_depend_on_the_unit_of_frequency(
+    scenario, z, tau, v, beta_h, omega_h, k
+):
+    # (beta_h, omega_h) -> (beta_h 2**-k, omega_h 2**k) is the same cycle in
+    # another unit; powers of two make the rescaling exact
+    point = ("evaluate", "--exact", "--scenario", scenario, "--z", repr(z),
+             "--tau", repr(tau), "--v", repr(v))
+    code, unit, _ = _main(*point, "--beta-h", repr(beta_h), "--omega-h", repr(omega_h))
+    scaled_code, scaled, _ = _main(*point, "--beta-h", repr(math.ldexp(beta_h, -k)),
+                                   "--omega-h", repr(math.ldexp(omega_h, k)))
+    assert (code, scaled_code) == (0, 0)
+    assert json.loads(scaled)["mode"] == json.loads(unit)["mode"]
+
+
+@pytest.mark.parametrize("k", [-1026, -60, -1, 1, 60, 1000])
+def test_optimize_reports_the_unit_free_optimum(capsys, k):
+    # beta_h = 2**k: the optimum and eta do not move, and the work and
+    # trade-off values scale by exactly 2**-k (2**-1026 is subnormal)
+    for objective in ("eta", "work", "omega"):
+        for scenario in ("sc", "se"):
+            for tau, v in (("0.5", "0.5"), ("0.3", "0.75")):
+                argv = ("optimize", "--objective", objective, "--scenario", scenario,
+                        "--tau", tau, "--v", v)
+                want = json.loads(run(capsys, *argv)[1])
+                code, out, err = run(capsys, *argv, "--beta-h", repr(math.ldexp(1.0, k)))
+                assert code == 0 and err == ""
+                got = json.loads(out)
+                assert (got["z_star"], got["eta"]) == (want["z_star"], want["eta"])
+                scale = 0 if objective == "eta" else -k
+                assert got["value"] == math.ldexp(want["value"], scale), (objective, scenario)
 
 
 # -- phase-map -------------------------------------------------------------------
@@ -833,10 +957,7 @@ def test_every_accepted_input_ends_in_output_or_one_line_error(tmp_path_factory,
     raster.unlink(missing_ok=True)
     if argv[0] == "phase-map":
         argv = argv + [f"--output={raster}"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _main(*argv)
     event(f"{argv[0]} exit {code}")
     if code == 0:
         assert err == ""

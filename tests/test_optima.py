@@ -1,5 +1,6 @@
 """Closed-form optima against the frozen references and the grid oracle."""
 
+import json
 import math
 import random
 
@@ -39,7 +40,7 @@ from otto_rel import (
     work,
     work_crossing_z,
 )
-from otto_rel import optima
+from otto_rel import cli, optima
 from _printed_forms import printed_omega_maximizer_sc, printed_omega_maximizer_se
 from _reference import REFERENCE
 
@@ -275,15 +276,18 @@ def test_optimize_efficiency_report():
     assert report.eta_at_opt == pytest.approx(want["eta_max_sc"], rel=1e-12)
 
 
-def test_optimize_work_report_scales_with_temperature():
+def test_optimize_work_report_scales_with_temperature(capsys):
     want = REFERENCE["optima"]["tau=0.3,v=0.75"]
     target = OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION)
     base = optimize(target, 0.3, 0.75)
     assert base.z_star == pytest.approx(want["z_work"], rel=1e-13)
     assert base.value_at_opt == pytest.approx(want["work_max_se"], rel=1e-12)
-    colder = optimize(target, 0.3, 0.75, beta_h=2.0)
-    assert colder.value_at_opt == pytest.approx(base.value_at_opt / 2.0, rel=1e-12)
-    assert colder.z_star == base.z_star
+    # optimize is unit-free; the CLI prints the work in units of 1/beta_h
+    assert cli.main(["optimize", "--objective", "work", "--scenario", "se",
+                     "--tau", "0.3", "--v", "0.75", "--beta-h", "2.0"]) == 0
+    colder = json.loads(capsys.readouterr().out)
+    assert colder["value"] == pytest.approx(base.value_at_opt / 2.0, rel=1e-12)
+    assert colder["z_star"] == base.z_star
 
 
 def test_optimize_trade_off_uses_closed_form():

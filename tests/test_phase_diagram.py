@@ -360,7 +360,7 @@ def _per_cell_raster(scenario, v, resolution):
     loads = [tau * factor for tau in axis]
     return tuple(
         tuple(
-            classify_signs(forms.work(z, g, 1.0), forms.qh(z, g, 1.0), forms.qc(z, g, 1.0))
+            classify_signs(forms.work(z, g), forms.qh(z, g), forms.qc(z, g))
             for g in loads
         )
         for z in axis

@@ -85,13 +85,12 @@ CASES = [
     ),
     Case(
         ReducedParams,
-        dict(z=0.5, g=0.5, beta_h=1.0),
+        dict(z=0.5, g=0.5),
         dict(g=0.25),
-        "ReducedParams(z=0.5, g=0.5, beta_h=1.0)",
+        "ReducedParams(z=0.5, g=0.5)",
         [
             (dict(z=2.0), "frequency ratio z must lie in (0, 1], got 2.0"),
             (dict(g=1.0), "reduced load g must lie in [0, 1), got 1.0"),
-            (dict(beta_h=0.0), "beta_h must be positive, got 0.0"),
         ],
     ),
     Case(
@@ -181,7 +180,6 @@ def test_keyword_and_positional_construction_agree(case):
 
 
 def test_defaults():
-    assert ReducedParams(0.5, 0.5).beta_h == 1.0
     # the grid oracle's fixed resolution
     assert (otto_rel.oracle.GRID_POINTS, otto_rel.oracle.REFINE_TOL) == (2048, 1e-10)
 
