@@ -176,6 +176,7 @@ def scenario_forms(scenario: Scenario) -> ScenarioForms:
 # -- either scenario at one reduced point -----------------------------------
 
 
+# perfbench/tracer.py traces qh, work and eta by name; they leave src/ with ROADMAP.md item 4
 def qh(r: ReducedParams, scenario: Scenario) -> float:
     """Hot-bath heat (times beta_h) for either asymmetric scenario."""
     return scenario_forms(scenario).qh(*r)

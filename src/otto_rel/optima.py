@@ -14,11 +14,11 @@ the compression ratio z at fixed (tau, v), with g = tau*f(v):
   (g (1 - eta_max/2))**(1/3).
 
 optimize is the one path that computes an optimum.  The functions of the
-Carnot efficiency eta_c = 1 - tau read it: eta_mw_* and eta_omega_* are the
-efficiency it reports, and eta_max_* is peak_efficiency, the efficiency at
-the certified cubic root that optimize(EFFICIENCY) reports.  Every closed-form
-candidate, the efficiency root behind eta_max and the work optimum behind
-eta_mw included, passes a cheap certificate before it is returned: it must
+Carnot efficiency eta_c = 1 - tau read it: eta_omega_* is the efficiency it
+reports at the trade-off optimum, and eta_max_* is peak_efficiency, the
+efficiency at the certified cubic root that optimize(EFFICIENCY) reports.
+Every closed-form candidate, the efficiency root behind eta_max and the work
+optimum included, passes a cheap certificate before it is returned: it must
 lie strictly inside the engine window, and the objective there must be no
 lower than at z* -/+ ORACLE_AGREEMENT_TOL (each probe checked when it lies
 inside the window).  For a unimodal objective this puts the true argmax
@@ -40,7 +40,6 @@ it is empty, and every candidate is refused.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from enum import Enum
 
@@ -66,12 +65,8 @@ __all__ = [
     "eta_max_sc",
     "eta_max_se",
     "peak_efficiency",
-    "eta_mw_sc",
-    "eta_mw_se",
-    "engine_window",
     "eta_omega_sc",
     "eta_omega_se",
-    "work_crossing_z",
     "optimize",
 ]
 
@@ -184,7 +179,8 @@ def peak_efficiency(g: float, scenario: Scenario) -> float:
     return _Window(g, scenario).peak()[1]
 
 
-# perfbench/tracer.py traces eta_max_* and eta_omega_* by name; figure 2 plots eta_omega_*
+# perfbench/tracer.py traces eta_max_* and eta_omega_* by name; figure 2 plots eta_omega_*,
+# and eta_max_*, which no src/ code calls, leaves src/ with ROADMAP.md item 4
 def eta_max_sc(eta_c: float, v: float) -> float:
     """Maximum efficiency against Carnot efficiency, compression quench."""
     return peak_efficiency(reduced_load(1.0 - eta_c, v), SUDDEN_COMPRESSION)
@@ -193,23 +189,6 @@ def eta_max_sc(eta_c: float, v: float) -> float:
 def eta_max_se(eta_c: float, v: float) -> float:
     """Maximum efficiency against Carnot efficiency, expansion quench."""
     return peak_efficiency(reduced_load(1.0 - eta_c, v), SUDDEN_EXPANSION)
-
-
-def eta_mw_sc(eta_c: float, v: float) -> float:
-    """Efficiency at the certified maximum-work ratio, compression quench."""
-    target = OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION)
-    return optimize(target, 1.0 - eta_c, v).eta_at_opt
-
-
-def eta_mw_se(eta_c: float, v: float) -> float:
-    """Efficiency at the certified maximum-work ratio, expansion quench."""
-    target = OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION)
-    return optimize(target, 1.0 - eta_c, v).eta_at_opt
-
-
-def engine_window(tau: float, v: float, scenario: Scenario) -> tuple[float, float]:
-    """The interval of ratios with nonnegative work output, (z_low, 1)."""
-    return _Window(reduced_load(tau, v), scenario).lo, 1.0
 
 
 def eta_omega_sc(eta_c: float, v: float) -> float:
@@ -227,15 +206,6 @@ def eta_omega_se(eta_c: float, v: float) -> float:
     """
     target = OptimizationTarget(Objective.OMEGA, SUDDEN_EXPANSION)
     return optimize(target, 1.0 - eta_c, v).eta_at_opt
-
-
-def work_crossing_z(tau: float, v: float) -> float:
-    """Ratio where the two scenarios extract equal work: sqrt(tau*f(v)).
-
-    Below the crossing the expansion quench wins, above it the
-    compression quench does.
-    """
-    return math.sqrt(reduced_load(tau, v))
 
 
 def optimize(target: OptimizationTarget, tau: float, v: float) -> OptimumReport:

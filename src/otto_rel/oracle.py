@@ -1,23 +1,19 @@
-"""Derivative-free numeric checks used to verify the closed forms.
+"""Derivative-free grid maximizer used to verify the closed forms.
 
-Every analytic optimum in this package is cross-checked against this
-module: a deterministic coarse grid scan followed by golden-section
-refinement of the best bracket (maximize), and a Richardson-extrapolated
-central difference for stationarity checks (derivative_check).  All
-routines are pure functions of their inputs so repeated runs produce
-bit-identical results.
+The tests cross-check every analytic optimum of this package against
+maximize: a deterministic coarse grid scan followed by golden-section
+refinement of the best bracket.  It is a pure function of its inputs, so
+repeated runs produce bit-identical results.  No src/ code calls it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable
 
 __all__ = [
     "OracleFailure",
-    "DerivativeReport",
     "maximize",
-    "derivative_check",
 ]
 
 #: Samples of the coarse scan, placed uniformly on [lo, hi] with both ends.
@@ -40,6 +36,7 @@ def _safe(f: Callable[[float], float], x: float) -> float:
     return y
 
 
+# perfbench/tracer.py traces maximize by name; it leaves src/ with ROADMAP.md item 4
 def maximize(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Locate the maximum of f on the window [lo, hi].
 
@@ -95,58 +92,3 @@ def maximize(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, 
             f2 = _safe(f, x2)
     x_star = 0.5 * (a + b)
     return x_star, _safe(f, x_star)
-
-
-class DerivativeReport(NamedTuple):
-    """Result of a finite-difference derivative check.
-
-    value is the Richardson extrapolation of the two finest central
-    differences; order estimates the observed convergence rate (about 2
-    for a smooth integrand); converged is False when the samples neither
-    follow a power law nor sit at rounding level, in which case value
-    should be treated with suspicion.
-    """
-
-    value: float
-    order: float
-    samples: tuple[float, ...]
-    converged: bool
-
-
-def derivative_check(
-    f: Callable[[float], float],
-    x: float,
-    h_schedule: Sequence[float] = (1e-4, 1e-5, 1e-6),
-) -> DerivativeReport:
-    """Central-difference derivative of f at x with Richardson extrapolation.
-
-    h_schedule must list at least two strictly decreasing positive steps.
-    """
-    steps = tuple(h_schedule)
-    if len(steps) < 2:
-        raise ValueError("h_schedule needs at least two step sizes")
-    if any(h <= 0.0 for h in steps) or any(
-        steps[i] <= steps[i + 1] for i in range(len(steps) - 1)
-    ):
-        raise ValueError(f"h_schedule must be strictly decreasing and positive: {steps}")
-
-    samples = tuple((f(x + h) - f(x - h)) / (2.0 * h) for h in steps)
-
-    h1, h2 = steps[-2], steps[-1]
-    d1, d2 = samples[-2], samples[-1]
-    weight = (h2 * h2) / (h1 * h1 - h2 * h2)
-    value = d2 + (d2 - d1) * weight
-
-    scale = max(1.0, abs(value))
-    gaps = [abs(samples[i] - samples[i + 1]) for i in range(len(samples) - 1)]
-    if gaps[-1] <= 1e-12 * scale:
-        # Finest differences at rounding level: already converged, order moot.
-        return DerivativeReport(value=value, order=math.inf, samples=samples, converged=True)
-    order = 0.0
-    converged = False
-    if len(gaps) >= 2 and gaps[-2] > 0.0 and gaps[-1] > 0.0:
-        # Error ~ C h^p gives gap(h_i, h_{i+1}) ~ C h_i^p, so the gap
-        # ratio recovers p against the matching step ratio.
-        order = math.log(gaps[-2] / gaps[-1]) / math.log(steps[-3] / steps[-2])
-        converged = 0.5 <= order <= 4.0
-    return DerivativeReport(value=value, order=order, samples=samples, converged=converged)

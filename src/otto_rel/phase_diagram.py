@@ -2,23 +2,22 @@
 
 A cycle point either runs as an engine (W >= 0, Q_h >= 0, Q_c <= 0), a
 refrigerator (W <= 0, Q_h <= 0, Q_c >= 0), a heater (W <= 0, Q_h <= 0,
-Q_c <= 0), or a thermal accelerator (W <= 0, Q_h >= 0, Q_c <= 0).  Two
-independent classifiers are provided: one reads the computed signs, the
-other the closed-form interval edges in z, and tests require them to
-agree away from the boundaries.  Quantities within BOUNDARY_EPS of zero
-are deliberately left unclassified as Boundary.
+Q_c <= 0), or a thermal accelerator (W <= 0, Q_h >= 0, Q_c <= 0).  The
+mode is read from the computed signs; the closed-form mode edges in z
+only tell rasterize where to look.  The tests check the sign route against
+an independent classifier that reads the edges.  Quantities within
+BOUNDARY_EPS of zero are deliberately left unclassified as Boundary.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import namedtuple
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import Scenario, _Validated, relativistic_factor
-from .high_temperature import ReducedParams, performance, reduced_load, scenario_forms
+from .high_temperature import ReducedParams, performance, scenario_forms
 
 __all__ = [
     "BOUNDARY_EPS",
@@ -26,8 +25,6 @@ __all__ = [
     "PhaseMap",
     "classify_signs",
     "classify_by_signs",
-    "classify_by_table",
-    "boundary_curves",
     "rasterize",
     "mode_fractions",
 ]
@@ -82,6 +79,7 @@ def classify_signs(w_ext: float, q_h: float, q_c: float) -> OperationalMode:
     return OperationalMode.BOUNDARY
 
 
+# perfbench/tracer.py traces classify_by_signs by name; it leaves src/ with ROADMAP.md item 4
 def classify_by_signs(r: ReducedParams, scenario: Scenario) -> OperationalMode:
     """Classify one reduced point by the signs of its heats and work (classify_signs)."""
     rec = performance(r, scenario)
@@ -97,58 +95,6 @@ def _edges(g: float, scenario: Scenario) -> tuple[Optional[float], float, float]
     """
     forms = scenario_forms(scenario)
     return forms.fridge_top(g), forms.heater_top(g), forms.engine_lower_z(g)
-
-
-def classify_by_table(r: ReducedParams, scenario: Scenario) -> OperationalMode:
-    """Classify one reduced point by the closed-form interval edges in z.
-
-    Points within BOUNDARY_EPS (in z, read on every call) of any edge, or
-    of the zero-work line z = 1, report Boundary so ties stay
-    deterministic.
-    """
-    fridge_top, heater_top, engine_bottom = _edges(r.g, scenario)
-    z = r.z
-    edges = [heater_top, engine_bottom, 1.0]
-    if fridge_top is not None:
-        edges.append(fridge_top)
-    if any(abs(z - edge) <= BOUNDARY_EPS for edge in edges):
-        return OperationalMode.BOUNDARY
-    if fridge_top is not None and z < fridge_top:
-        return OperationalMode.REFRIGERATOR
-    if z < heater_top:
-        return OperationalMode.HEATER
-    if z < engine_bottom:
-        return OperationalMode.THERMAL_ACCELERATOR
-    return OperationalMode.ENGINE
-
-
-def boundary_curves(
-    scenario: Scenario, v: float
-) -> dict[str, Callable[[float], float]]:
-    """Closed-form mode edges as functions tau -> z at fixed velocity.
-
-    Keys: "qc_zero" (refrigerator/heater edge), "qh_zero"
-    (heater/accelerator edge), "engine_min" (accelerator/engine edge).
-    Curves return nan where the edge does not exist (the expansion-quench
-    qc_zero below tau*f(v) = 1/2).  Each curve forms the load with
-    reduced_load, so a tau outside (0, 1) raises ValueError.
-    """
-    forms = scenario_forms(scenario)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v must lie in (0, 1), got {v}")
-
-    def curve(edge: Callable[[float], Optional[float]]) -> Callable[[float], float]:
-        def z_at(tau: float) -> float:
-            z = edge(reduced_load(tau, v))
-            return math.nan if z is None else z
-
-        return z_at
-
-    return {
-        "qc_zero": curve(forms.fridge_top),
-        "qh_zero": curve(forms.heater_top),
-        "engine_min": curve(forms.engine_lower_z),
-    }
 
 
 class PhaseMap(_Validated, namedtuple("PhaseMap", "v z_axis tau_axis runs scenario")):
@@ -180,19 +126,6 @@ class PhaseMap(_Validated, namedtuple("PhaseMap", "v z_axis tau_axis runs scenar
                 if after <= start or next_mode is mode:
                     raise ValueError("run starts must rise and adjacent modes differ")
         return tuple.__new__(cls, (v, z_axis, tau_axis, runs, scenario))
-
-    @property
-    def cells(self) -> tuple[tuple[OperationalMode, ...], ...]:
-        """cells[i][j] is the mode at (z_axis[i], tau_axis[j]), expanded from the runs."""
-        size = len(self.z_axis)
-        columns = []
-        for column in self.runs:
-            ends = [start for start, _ in column[1:]] + [size]
-            cells: list[OperationalMode] = []
-            for (start, mode), end in zip(column, ends):
-                cells += [mode] * (end - start)
-            columns.append(cells)
-        return tuple(zip(*columns))
 
 
 def _merge(classified: list[_Run]) -> Optional[list[_Run]]:

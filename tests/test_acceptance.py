@@ -22,11 +22,7 @@ from otto_rel import (
     PerformanceRecord,
     ReducedParams,
     classify_by_signs,
-    classify_by_table,
-    engine_window,
     eta,
-    eta_mw_sc,
-    eta_mw_se,
     eta_omega_sc,
     eta_omega_se,
     heats_and_work,
@@ -36,12 +32,14 @@ from otto_rel import (
     principal_trig_root,
     reduced_load,
     relativistic_factor,
+    scenario_forms,
     work,
 )
 from otto_rel import cli
 from otto_rel.phase_diagram import OperationalMode
 from _printed_forms import printed_omega_maximizer_sc, printed_omega_maximizer_se
 from _reference import REFERENCE
+from _scaffold import classify_by_table
 
 ASYMMETRIC = (SUDDEN_COMPRESSION, SUDDEN_EXPANSION)
 ALL_SCENARIOS = ASYMMETRIC + (BOTH_ADIABATIC, BOTH_SUDDEN)
@@ -129,8 +127,8 @@ def test_criterion_3_peak_efficiency_vs_oracle():
         for scenario in ASYMMETRIC:
             for tau in GRID_20:
                 for v in GRID_20:
-                    lo, hi = engine_window(tau, v, scenario)
                     g = reduced_load(tau, v)
+                    lo, hi = scenario_forms(scenario).engine_lower_z(g), 1.0
                     probe = lambda z: eta(ReducedParams(z, g), scenario)
                     z_oracle, _ = maximize(probe, lo, hi)
                     closed = z_star(Objective.EFFICIENCY, scenario, tau, v)
@@ -146,8 +144,8 @@ def test_criterion_4_maximum_work_point():
         for scenario in ASYMMETRIC:
             for tau in GRID_20:
                 for v in GRID_20:
-                    lo, hi = engine_window(tau, v, scenario)
                     g = reduced_load(tau, v)
+                    lo, hi = scenario_forms(scenario).engine_lower_z(g), 1.0
                     probe = lambda z: work(ReducedParams(z, g), scenario)
                     z_oracle, _ = maximize(probe, lo, hi)
                     closed = z_star(Objective.WORK, scenario, tau, v)
@@ -155,9 +153,10 @@ def test_criterion_4_maximum_work_point():
         for tau in GRID_20:
             for v in GRID_20:
                 g = reduced_load(tau, v)
-                for scenario, eta_mw in ((SUDDEN_COMPRESSION, eta_mw_sc), (SUDDEN_EXPANSION, eta_mw_se)):
-                    r = ReducedParams(z_star(Objective.WORK, scenario, tau, v), g)
-                    assert abs(eta_mw(1.0 - tau, v) - eta(r, scenario)) <= 1e-9
+                for scenario in ASYMMETRIC:
+                    report = optimize(OptimizationTarget(Objective.WORK, scenario), tau, v)
+                    r = ReducedParams(report.z_star, g)
+                    assert abs(report.eta_at_opt - eta(r, scenario)) <= 1e-9
 
 
 def test_criterion_5_trade_off_optima():
@@ -166,7 +165,7 @@ def test_criterion_5_trade_off_optima():
         for scenario in ASYMMETRIC:
             for tau in grid:
                 for v in grid:
-                    lo, hi = engine_window(tau, v, scenario)
+                    lo, hi = scenario_forms(scenario).engine_lower_z(reduced_load(tau, v)), 1.0
                     assert lo < z_star(Objective.OMEGA, scenario, tau, v) < hi, (scenario, tau, v)
 
         axis = [0.01 + 0.98 * i / 99 for i in range(100)]

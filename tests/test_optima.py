@@ -18,14 +18,10 @@ from otto_rel import (
     OptimizationTarget,
     OptimumReport,
     ReducedParams,
-    derivative_check,
     efficiency_cubic,
-    engine_window,
     eta,
     eta_max_sc,
     eta_max_se,
-    eta_mw_sc,
-    eta_mw_se,
     eta_omega_sc,
     eta_omega_se,
     maximize,
@@ -37,12 +33,13 @@ from otto_rel import (
     qh,
     reduced_load,
     relativistic_factor,
+    scenario_forms,
     work,
-    work_crossing_z,
 )
 from otto_rel import cli, optima
 from _printed_forms import printed_omega_maximizer_sc, printed_omega_maximizer_se
 from _reference import REFERENCE
+from _scaffold import derivative_check
 
 POINTS = {
     "tau=0.5,v=0.5": (0.5, 0.5),
@@ -66,6 +63,16 @@ def z_omega(tau, v, scenario):
     return optimize(OptimizationTarget(Objective.OMEGA, scenario), tau, v).z_star
 
 
+def eta_mw(tau, v, scenario):
+    """The efficiency at the certified work-maximizing ratio."""
+    return optimize(OptimizationTarget(Objective.WORK, scenario), tau, v).eta_at_opt
+
+
+def engine_floor(tau, v, scenario):
+    """The lower edge of the engine window (z_low, 1)."""
+    return scenario_forms(scenario).engine_lower_z(reduced_load(tau, v))
+
+
 @pytest.mark.parametrize("key", sorted(POINTS))
 def test_frozen_closed_form_optima(key):
     tau, v = POINTS[key]
@@ -82,16 +89,12 @@ def test_frozen_closed_form_optima(key):
 
     assert z_work(tau, v, _SC) == pytest.approx(want["z_work"], rel=1e-15)
     assert z_work(tau, v, _SE) == pytest.approx(want["z_work"], rel=1e-15)
-    assert eta_mw_sc(eta_c, v) == pytest.approx(want["eta_mw_sc"], rel=1e-13)
-    assert eta_mw_se(eta_c, v) == pytest.approx(want["eta_mw_se"], rel=1e-13)
+    assert eta_mw(tau, v, _SC) == pytest.approx(want["eta_mw_sc"], rel=1e-13)
+    assert eta_mw(tau, v, _SE) == pytest.approx(want["eta_mw_se"], rel=1e-13)
 
-    assert work_crossing_z(tau, v) == pytest.approx(want["crossing_z"], rel=1e-15)
-    assert engine_window(tau, v, SUDDEN_COMPRESSION)[0] == pytest.approx(
-        want["engine_lb_sc"], rel=1e-15
-    )
-    assert engine_window(tau, v, SUDDEN_EXPANSION)[0] == pytest.approx(
-        want["engine_lb_se"], rel=1e-15
-    )
+    assert math.sqrt(reduced_load(tau, v)) == pytest.approx(want["crossing_z"], rel=1e-15)
+    assert engine_floor(tau, v, _SC) == pytest.approx(want["engine_lb_sc"], rel=1e-15)
+    assert engine_floor(tau, v, _SE) == pytest.approx(want["engine_lb_se"], rel=1e-15)
 
     r = lambda z: ReducedParams(z=z, g=reduced_load(tau, v))
     assert work(r(want["z_work"]), SUDDEN_COMPRESSION) == pytest.approx(
@@ -149,10 +152,10 @@ def test_peak_efficiency_equals_efficiency_at_peak(tau, v):
         eta_max_se(eta_c, v), rel=1e-12
     )
     assert eta(r(z_work(tau, v, _SC)), SUDDEN_COMPRESSION) == pytest.approx(
-        eta_mw_sc(eta_c, v), rel=1e-12
+        eta_mw(tau, v, _SC), rel=1e-12
     )
     assert eta(r(z_work(tau, v, _SE)), SUDDEN_EXPANSION) == pytest.approx(
-        eta_mw_se(eta_c, v), rel=1e-12
+        eta_mw(tau, v, _SE), rel=1e-12
     )
 
 
@@ -170,19 +173,19 @@ def test_trade_off_maximizer_satisfies_stationarity_identity(tau, v):
 def test_figure_of_merit_ordering():
     for eta_c in (0.3, 0.5, 0.7):
         for v in (0.2, 0.5, 0.9):
-            for cap_fn, mid_fn, low_fn in (
-                (eta_max_sc, eta_omega_sc, eta_mw_sc),
-                (eta_max_se, eta_omega_se, eta_mw_se),
+            for scenario, cap_fn, mid_fn in (
+                (_SC, eta_max_sc, eta_omega_sc),
+                (_SE, eta_max_se, eta_omega_se),
             ):
                 top = cap_fn(eta_c, v)
                 mid = mid_fn(eta_c, v)
-                low = low_fn(eta_c, v)
+                low = eta_mw(1.0 - eta_c, v, scenario)
                 assert top > mid > low
 
 
 CARNOT_VIEWS = {
-    _SC: {Objective.EFFICIENCY: eta_max_sc, Objective.WORK: eta_mw_sc, Objective.OMEGA: eta_omega_sc},
-    _SE: {Objective.EFFICIENCY: eta_max_se, Objective.WORK: eta_mw_se, Objective.OMEGA: eta_omega_se},
+    _SC: {Objective.EFFICIENCY: eta_max_sc, Objective.OMEGA: eta_omega_sc},
+    _SE: {Objective.EFFICIENCY: eta_max_se, Objective.OMEGA: eta_omega_se},
 }
 
 
@@ -216,7 +219,7 @@ def test_trade_off_efficiency_monotone_in_carnot_limit():
 )
 def test_closed_form_maximizers_stay_inside_window(tau, v):
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        lo, hi = engine_window(tau, v, scenario)
+        lo, hi = engine_floor(tau, v, scenario), 1.0
         assert lo < z_eta(tau, v, scenario) < hi
         assert lo < z_work(tau, v, scenario) < hi
 
@@ -321,7 +324,7 @@ def test_trade_off_closed_form_agrees_with_oracle(scenario, cap_fn):
                 r = ReducedParams(z=z, g=reduced_load(tau, v))
                 return 2.0 * work(r, scenario) - cap * qh(r, scenario)
 
-            lo, hi = engine_window(tau, v, scenario)
+            lo, hi = engine_floor(tau, v, scenario), 1.0
             z_oracle, _ = maximize(omega, lo, hi)
             assert abs(z_omega(tau, v, scenario) - z_oracle) <= ORACLE_AGREEMENT_TOL, (tau, v)
 
@@ -342,7 +345,7 @@ def inject_work_candidate(monkeypatch, candidate):
 
 def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
-    lo, _ = engine_window(0.5, 0.5, SUDDEN_COMPRESSION)
+    lo = engine_floor(0.5, 0.5, _SC)
     # inside the window, but on the rising flank below the true maximizer
     inject_work_candidate(monkeypatch, 0.5 * (lo + want["z_work"]))
     with pytest.raises(NoInteriorOptimumError, match="not a local maximum"):
@@ -351,7 +354,7 @@ def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
 
 @pytest.mark.parametrize("bad", ["below-window", 1.5, math.nan, math.inf])
 def test_optimize_falls_back_when_candidate_leaves_window(monkeypatch, bad):
-    lo, _ = engine_window(0.5, 0.5, SUDDEN_EXPANSION)
+    lo = engine_floor(0.5, 0.5, _SE)
     candidate = 0.5 * lo if bad == "below-window" else bad
     inject_work_candidate(monkeypatch, candidate)
     with pytest.raises(NoInteriorOptimumError, match="is outside the engine window"):
@@ -397,7 +400,7 @@ def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
         pytest.param(lambda: peak_efficiency(reduced_load(0.5, 0.5), _SE), id="peak-se"),
         *(
             pytest.param(lambda fn=fn: fn(0.5, 0.5), id=fn.__name__)
-            for fn in (eta_max_sc, eta_max_se, eta_omega_sc, eta_omega_se, eta_mw_sc, eta_mw_se)
+            for fn in (eta_max_sc, eta_max_se, eta_omega_sc, eta_omega_se)
         ),
     ],
 )
@@ -447,15 +450,14 @@ def test_report_validates_ratio():
 
 
 def test_no_engine_window_when_load_saturates():
-    lo, hi = engine_window(0.999, 0.001, SUDDEN_COMPRESSION)
-    assert 0.0 < lo < hi == 1.0
+    assert 0.0 < engine_floor(0.999, 0.001, _SC) < 1.0
     # f(v) <= 1, so the load is at most tau < 1; at tau = 1 - 2**-53 and a
     # tiny v it is tau itself, the window's floor is tau too, and every
     # closed form rounds to 1, outside the window
     tau, v = 0.9999999999999999, 1.673740958757154e-16
     assert relativistic_factor(v) == 1.0 and reduced_load(tau, v) == tau
     for scenario in (_SC, _SE):
-        assert engine_window(tau, v, scenario) == (tau, 1.0)
+        assert engine_floor(tau, v, scenario) == tau
         calls = [lambda: peak_efficiency(reduced_load(tau, v), scenario)]
         calls += [
             lambda objective=objective: optimize(OptimizationTarget(objective, scenario), tau, v)
@@ -479,8 +481,6 @@ def test_no_interior_optimum_at_zero_load():
         pytest.param(lambda: peak_efficiency(0.0, _SC), NoInteriorOptimumError, id="peak-sc"),
         pytest.param(lambda: peak_efficiency(0.0, _SE), NoInteriorOptimumError, id="peak-se"),
         pytest.param(lambda: reduced_load(0.0, 0.5), ValueError, id="reduced_load"),
-        pytest.param(lambda: engine_window(0.0, 0.5, _SC), ValueError, id="engine_window-sc"),
-        pytest.param(lambda: engine_window(0.0, 0.5, _SE), ValueError, id="engine_window-se"),
         *(
             pytest.param(
                 lambda objective=objective: optimize(OptimizationTarget(objective, _SC), 0.0, 0.5),
@@ -489,7 +489,6 @@ def test_no_interior_optimum_at_zero_load():
             )
             for objective in Objective
         ),
-        pytest.param(lambda: work_crossing_z(0.0, 0.5), ValueError, id="work_crossing_z"),
     ],
 )
 def test_zero_tau_exception_classes(call, error):
@@ -505,13 +504,11 @@ def test_domain_validation_errors():
     with pytest.raises(ValueError):
         eta_max_sc(1.0, 0.5)
     with pytest.raises(ValueError):
-        eta_mw_se(0.0, 0.5)
+        eta_mw(1.0, 0.5, _SE)
     with pytest.raises(ValueError):
         eta_omega_sc(-0.1, 0.5)
     with pytest.raises(ValueError):  # tau > 1 with a load below 1
         peak_efficiency(reduced_load(1.2, 0.9), SUDDEN_COMPRESSION)
-    with pytest.raises(ValueError):
-        work_crossing_z(1.2, 0.5)
     with pytest.raises(ValueError):
         efficiency_cubic(1.0, SUDDEN_COMPRESSION)
     with pytest.raises(ValueError):
@@ -522,8 +519,8 @@ def test_stationary_velocity_limit():
     # v = 0 collapses the factor to 1: plain temperature-ratio load
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
         assert z_work(0.5, 0.0, scenario) == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
-    assert work_crossing_z(0.5, 0.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert eta_mw_sc(0.5, 0.0) > 0.0
+    assert math.sqrt(reduced_load(0.5, 0.0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert eta_mw(0.5, 0.0, _SC) > 0.0
     # every optimum accepts the v = 0 limit that its domain [0, 1) admits
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
         at_rest = peak_efficiency(reduced_load(0.5, 0.0), scenario)
@@ -535,7 +532,7 @@ def test_stationary_velocity_limit():
 
 def test_work_dominance_swaps_at_crossing():
     tau, v = 0.5, 0.5
-    z_cross = work_crossing_z(tau, v)
+    z_cross = math.sqrt(reduced_load(tau, v))
     r = lambda z: ReducedParams(z=z, g=reduced_load(tau, v))
     for z in (z_cross - 0.05, z_cross - 0.01):
         assert work(r(z), SUDDEN_EXPANSION) > work(r(z), SUDDEN_COMPRESSION)

@@ -9,7 +9,6 @@ from otto_rel import (
     SUDDEN_EXPANSION,
     OracleFailure,
     ReducedParams,
-    derivative_check,
     eta,
     maximize,
     omega_function,
@@ -19,6 +18,7 @@ from otto_rel import (
     relativistic_factor,
 )
 from _reference import REFERENCE
+from _scaffold import derivative_check
 
 OPT = REFERENCE["optima"]["tau=0.5,v=0.5"]
 

@@ -1,4 +1,4 @@
-"""Mode classification: sign route vs interval route, rasters, curves."""
+"""Mode classification: sign route vs interval route, rasters, mode edges."""
 
 import math
 from collections import Counter
@@ -16,9 +16,7 @@ from otto_rel import (
     OperationalMode,
     PhaseMap,
     ReducedParams,
-    boundary_curves,
     classify_by_signs,
-    classify_by_table,
     classify_signs,
     mode_fractions,
     performance,
@@ -28,6 +26,7 @@ from otto_rel import (
     relativistic_factor,
     scenario_forms,
 )
+from _scaffold import cells, classify_by_table
 
 E = OperationalMode.ENGINE
 R = OperationalMode.REFRIGERATOR
@@ -230,11 +229,11 @@ def test_stage_progression_is_monotone_in_z():
 
 
 def test_tightening_eps_only_reclassifies_boundary_cells(monkeypatch):
-    curves = boundary_curves(SUDDEN_COMPRESSION, 0.5)
+    forms = scenario_forms(SUDDEN_COMPRESSION)
     probes = []
     for tau in (0.3, 0.5, 0.7):
-        for name in ("qc_zero", "qh_zero", "engine_min"):
-            edge, g = curves[name](tau), reduced_load(tau, 0.5)
+        g = reduced_load(tau, 0.5)
+        for edge in (forms.fridge_top(g), forms.heater_top(g), forms.engine_lower_z(g)):
             for delta in (1e-10, 5e-10, 3e-9, 1e-4):
                 probes.append(ReducedParams(z=edge + delta, g=g))
                 probes.append(ReducedParams(z=edge - delta, g=g))
@@ -256,14 +255,14 @@ def test_tightening_eps_only_reclassifies_boundary_cells(monkeypatch):
 
 def test_boundary_curves_match_sign_changes():
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        curves = boundary_curves(scenario, 0.6)
+        forms = scenario_forms(scenario)
         for tau in (0.4, 0.7):
             g = reduced_load(tau, 0.6)
-            z_qh = curves["qh_zero"](tau)
+            z_qh = forms.heater_top(g)
             assert qh(ReducedParams(z=z_qh - 1e-6, g=g), scenario) < 0
             assert qh(ReducedParams(z=z_qh + 1e-6, g=g), scenario) > 0
-            z_qc = curves["qc_zero"](tau)
-            if not math.isnan(z_qc):
+            z_qc = forms.fridge_top(g)
+            if z_qc is not None:
                 assert performance(ReducedParams(z=z_qc - 1e-6, g=g), scenario).q_c > 0
                 assert performance(ReducedParams(z=z_qc + 1e-6, g=g), scenario).q_c < 0
 
@@ -272,35 +271,22 @@ def test_expansion_refrigerator_vanishes_at_low_load():
     # 2 tau f(v) < 1: no ratio refrigerates under the expansion quench
     tau, v = 0.4, 0.5
     assert 2.0 * tau * relativistic_factor(v) < 1.0
-    curves = boundary_curves(SUDDEN_EXPANSION, v)
-    assert math.isnan(curves["qc_zero"](tau))
+    fridge_top = scenario_forms(SUDDEN_EXPANSION).fridge_top
+    assert fridge_top(reduced_load(tau, v)) is None
     for i in range(1, 100):
         r = ReducedParams(z=i / 100, g=reduced_load(tau, v))
         assert classify_by_signs(r, SUDDEN_EXPANSION) is not R
     # and it reappears once the load is high enough
-    assert not math.isnan(curves["qc_zero"](0.9))
-
-
-def test_boundary_curve_guards():
-    with pytest.raises(ValueError):
-        boundary_curves(BOTH_SUDDEN, 0.5)
-    with pytest.raises(ValueError):
-        boundary_curves(SUDDEN_COMPRESSION, 0.0)
-    # each curve forms its load with reduced_load, so tau outside (0, 1) is bad input
-    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        for name, curve in boundary_curves(scenario, 0.5).items():
-            for tau in (-0.5, 0.0, 1.0, 1.5):
-                with pytest.raises(ValueError, match="temperature ratio tau must lie in"):
-                    curve(tau)
+    assert fridge_top(reduced_load(0.9, v)) is not None
 
 
 def test_rasterize_layout_and_determinism():
     pm = rasterize(SUDDEN_COMPRESSION, 0.5, resolution=24)
     assert pm.z_axis[0] == pytest.approx(0.5 / 24)
     assert pm.z_axis[-1] == pytest.approx(23.5 / 24)
-    assert len(pm.cells) == 24 and len(pm.cells[0]) == 24
+    assert len(cells(pm)) == 24 and len(cells(pm)[0]) == 24
     r = ReducedParams(z=pm.z_axis[3], g=reduced_load(pm.tau_axis[17], 0.5))
-    assert pm.cells[3][17] is classify_by_signs(r, SUDDEN_COMPRESSION)
+    assert cells(pm)[3][17] is classify_by_signs(r, SUDDEN_COMPRESSION)
     assert rasterize(SUDDEN_COMPRESSION, 0.5, resolution=24) == pm
     with pytest.raises(ValueError):
         rasterize(SUDDEN_COMPRESSION, 0.5, resolution=1)
@@ -314,7 +300,7 @@ def test_rasterize_layout_and_determinism():
 @pytest.mark.parametrize("v", [0.35, 0.95])
 def test_rasterize_matches_per_point_classifier(scenario, v):
     pm = rasterize(scenario, v, resolution=40)
-    for z, row in zip(pm.z_axis, pm.cells):
+    for z, row in zip(pm.z_axis, cells(pm)):
         for tau, mode in zip(pm.tau_axis, row):
             assert mode is classify_by_signs(ReducedParams(z=z, g=reduced_load(tau, v)), scenario)
 
@@ -347,9 +333,7 @@ def test_phase_map_cells_expand_the_runs():
         runs=(((0, R), (2, T), (3, E)), ((0, H), (4, B))),
         scenario=SUDDEN_COMPRESSION,
     )
-    assert pm.cells == ((R, H), (R, H), (T, H), (E, H), (E, B))
-    with pytest.raises(AttributeError):
-        pm.cells = ()
+    assert cells(pm) == ((R, H), (R, H), (T, H), (E, H), (E, B))
 
 
 def _per_cell_raster(scenario, v, resolution):
@@ -412,7 +396,7 @@ def test_runs_equal_per_cell_classification(request):
     # At v = 1e-6, f(v) is 1 to 1e-13: the diagonal cells tau = z sit on a
     # heat's zero and come out Boundary in the middle of a column.
     scenario, v, resolution = request
-    assert rasterize(scenario, v, resolution).cells == _per_cell_raster(scenario, v, resolution)
+    assert cells(rasterize(scenario, v, resolution)) == _per_cell_raster(scenario, v, resolution)
 
 
 @pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
@@ -429,7 +413,7 @@ def test_unpredicted_mode_change_rescans_the_column(monkeypatch, scenario, edges
     # give the per-cell raster.
     monkeypatch.setattr(phase_diagram, "_edges", edges)
     for v in (1e-6, 0.6):
-        assert rasterize(scenario, v, 60).cells == _per_cell_raster(scenario, v, 60)
+        assert cells(rasterize(scenario, v, 60)) == _per_cell_raster(scenario, v, 60)
 
 
 @pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
@@ -474,7 +458,7 @@ def test_mode_fractions_complete_and_normalized():
 @pytest.mark.parametrize("v,resolution", [(0.05, 17), (0.35, 40), (0.75, 33), (0.95, 64)])
 def test_mode_fractions_equal_per_cell_count(scenario, v, resolution):
     pm = rasterize(scenario, v, resolution=resolution)
-    counts = Counter(mode for row in pm.cells for mode in row)
+    counts = Counter(mode for row in cells(pm) for mode in row)
     want = {mode.value: counts[mode] / resolution**2 for mode in OperationalMode}
     fractions = mode_fractions(pm)
     assert fractions == want
