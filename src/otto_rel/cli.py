@@ -31,7 +31,6 @@ from .high_temperature import ReducedParams, performance, reduced_load
 from .optima import (
     NoInteriorOptimumError,
     Objective,
-    OptimizationTarget,
     eta_omega_sc,
     eta_omega_se,
     optimize,
@@ -81,20 +80,37 @@ def _require_finite(pairs: Iterable[tuple[str, object]], error=FloatingPointErro
             raise error(f"{key} is not finite ({value!r})")
 
 
-def _check_domain(args, *ratios: str) -> None:
-    """Validate numeric flags and the ratio flags named in ratios before any dispatch."""
+_OPEN = (lambda x: 0.0 < x < 1.0, "lie in (0,1)")
+_RATIO = (lambda x: 0.0 < x <= 1.0, "lie in (0,1]")
+_POSITIVE = (lambda x: x > 0.0, "be positive")
+
+# The domain of every numeric flag, checked even where a subcommand or figure ignores it.
+_DOMAINS = {
+    "tau": _OPEN,
+    "v": _OPEN,
+    "beta_h": _POSITIVE,
+    "omega_h": _POSITIVE,
+    "z": _RATIO,
+    "z_min": _RATIO,
+    "z_max": _RATIO,
+    "points": (lambda n: 1 <= n <= 10_000, "lie in [1, 10000]"),
+    "resolution": (lambda n: 2 <= n <= 10_000, "lie in [2, 10000]"),
+}
+
+
+def _check(name: str, value) -> None:
+    test, domain = _DOMAINS[name]
+    if not test(value):
+        raise ValueError(f"{name.replace('_', '-')} must {domain}, got {value}")
+
+
+def _check_domains(args) -> None:
+    """Validate every numeric flag given, finiteness first, before any dispatch."""
     flags = vars(args).items()
     _require_finite(((name.replace("_", "-"), value) for name, value in flags), ValueError)
-    if not 0.0 < args.tau < 1.0:
-        raise ValueError(f"tau must lie in (0,1), got {args.tau}")
-    if not 0.0 < args.v < 1.0:
-        raise ValueError(f"v must lie in (0,1), got {args.v}")
-    if not args.beta_h > 0.0:
-        raise ValueError(f"beta-h must be positive, got {args.beta_h}")
-    for name in ratios:
-        value = getattr(args, name)
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name.replace('_', '-')} must lie in (0,1], got {value}")
+    for name, value in flags:
+        if name in _DOMAINS and value is not None:
+            _check(name, value)
 
 
 def _cap(g: float, token: str) -> Optional[float]:
@@ -112,7 +128,12 @@ def _record(args, z: float, g: float, cap: Optional[float]) -> dict:
     if args.exact:
         # the mode reads the energies in units of omega_h
         unit = omega_h = args.omega_h
-        rec = heats_and_work(CycleParams(v, beta_h / tau, beta_h, z * omega_h, omega_h), scenario)
+        omega_c, beta_c = z * omega_h, beta_h / tau
+        if omega_c == 0.0:
+            raise FloatingPointError(f"omega_c = z*omega_h underflows to 0 at omega-h={omega_h}")
+        if beta_c == math.inf:
+            raise FloatingPointError(f"beta_c = beta_h/tau overflows at beta-h={beta_h}")
+        rec = heats_and_work(CycleParams(v, beta_c, beta_h, omega_c, omega_h), scenario)
         scale = 1.0
     else:
         # the mode reads the unit-free forms; the energies print in units of 1/beta_h
@@ -143,22 +164,16 @@ def _render_mapping(mapping: dict, fmt: str, output: Optional[str]) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_domain(args, "z")
-    if args.exact and not args.omega_h > 0.0:
-        raise ValueError(f"omega-h must be positive, got {args.omega_h}")
     g = reduced_load(args.tau, args.v)
     _render_mapping(_record(args, args.z, g, _cap(g, args.scenario)), args.format, args.output)
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    _check_domain(args)
-    target = OptimizationTarget(
-        objective=Objective(args.objective), scenario=_SCENARIOS[args.scenario]
-    )
-    report = optimize(target, args.tau, args.v)
+    objective = Objective(args.objective)
+    report = optimize(objective, _SCENARIOS[args.scenario], args.tau, args.v)
     # work and omega print in units of 1/beta_h; eta is a ratio
-    scale = 1.0 if target.objective is Objective.EFFICIENCY else args.beta_h
+    scale = 1.0 if objective is Objective.EFFICIENCY else args.beta_h
     mapping = {
         "objective": args.objective,
         "scenario": args.scenario,
@@ -190,9 +205,6 @@ _EVAL_HEADER = (
 
 
 def _cmd_sweep(args) -> int:
-    _check_domain(args, "z_min", "z_max")
-    if args.points < 1 or args.points > 10_000:
-        raise ValueError(f"points must lie in [1, 10000], got {args.points}")
     if args.z_max < args.z_min:
         raise ValueError(
             f"z-max {args.z_max} must not be below z-min {args.z_min}"
@@ -207,11 +219,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check_resolution(resolution: int) -> None:
-    if resolution < 2 or resolution > 10_000:
-        raise ValueError(f"resolution must lie in [2, 10000], got {resolution}")
-
-
 _RASTER_HEADER = ("z", "tau", "v", "scenario", "mode")
 
 
@@ -224,15 +231,15 @@ def _write_raster(handle: TextIO, token: str, phase_maps: Iterable[PhaseMap]) ->
     handle.write(_csv(_RASTER_HEADER, ()))
     for phase_map in phase_maps:
         v = repr(phase_map.v)
-        taus, columns = phase_map.tau_axis, phase_map.runs
+        axis, columns = phase_map.axis, phase_map.runs
         tails = [""] * len(columns)
         next_run = [0] * len(columns)
         # Row index -> columns whose next run starts there.
         due = {0: list(range(len(columns)))}
-        for i, z in enumerate(phase_map.z_axis):
+        for i, z in enumerate(axis):
             for j in due.pop(i, ()):
                 column, k = columns[j], next_run[j]
-                tails[j] = f"{taus[j]!r},{v},{token},{_MODE_TOKENS[column[k][1]]}\n"
+                tails[j] = f"{axis[j]!r},{v},{token},{_MODE_TOKENS[column[k][1]]}\n"
                 if k + 1 < len(column):
                     next_run[j] = k + 1
                     due.setdefault(column[k + 1][0], []).append(j)
@@ -241,9 +248,6 @@ def _write_raster(handle: TextIO, token: str, phase_maps: Iterable[PhaseMap]) ->
 
 
 def _cmd_phase_map(args) -> int:
-    if not 0.0 < args.v < 1.0:
-        raise ValueError(f"v must lie in (0,1), got {args.v}")
-    _check_resolution(args.resolution)
     phase_map = rasterize(_SCENARIOS[args.scenario], args.v, args.resolution)
     with _output(args.output) as handle:
         _write_raster(handle, args.scenario, [phase_map])
@@ -261,11 +265,8 @@ def _parse_v_list(raw: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in raw.split(","))
     except ValueError as exc:
         raise ValueError(f"could not parse v-list {raw!r}") from exc
-    if not values:
-        raise ValueError("v-list must not be empty")
     for v in values:
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"v must lie in (0, 1), got {v}")
+        _check("v", v)
     return values
 
 
@@ -310,9 +311,6 @@ def _figure_z(v_list, tau: float, points: int, columns: tuple[str, ...]) -> str:
 
 def _cmd_figure(args) -> int:
     v_list = _parse_v_list(args.v_list)
-    if args.points is not None and not 1 <= args.points <= 10_000:
-        raise ValueError(f"points must lie in [1, 10000], got {args.points}")
-    _check_resolution(args.resolution)
     if args.id == 2:
         points = args.points if args.points is not None else 100
         text = _figure_2(v_list, points)
@@ -416,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_domains(args)
         return args.handler(args)
     except NoInteriorOptimumError as exc:
         print(f"otto-rel: error: {exc}", file=sys.stderr)

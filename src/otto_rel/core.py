@@ -144,11 +144,6 @@ class CycleParams(_Validated, namedtuple("CycleParams", "v beta_c beta_h omega_c
         """Frequency ratio omega_c / omega_h, in (0, 1]."""
         return self.omega_c / self.omega_h
 
-    @property
-    def tau(self) -> float:
-        """Inverse-temperature ratio beta_h / beta_c."""
-        return self.beta_h / self.beta_c
-
 
 class EnergyBook(NamedTuple):
     """Mean oscillator energies at the four cycle corners."""

@@ -47,6 +47,7 @@ from .core import (
     _Validated,
     relativistic_factor,
 )
+from .cubic import MonicCubic
 
 __all__ = [
     "reduced_load",
@@ -119,8 +120,8 @@ class ScenarioForms(NamedTuple):
     with g = tau * f(v) the reduced load, and return beta_h times the
     energy; the other forms take g alone.
 
-    efficiency_cubic gives the coefficients (a2, a1, a0) of the monic
-    cubic whose largest real root maximizes the efficiency.  The mode
+    efficiency_cubic gives the MonicCubic whose largest real root maximizes
+    the efficiency (d(eta)/dz = 0 with its denominators cleared).  The mode
     edges in z are fridge_top (refrigerator/heater, None where the
     refrigerator region is absent), heater_top (heater/accelerator) and
     engine_lower_z (accelerator/engine).
@@ -130,7 +131,7 @@ class ScenarioForms(NamedTuple):
     qc: Callable[[float, float], float]
     work: Callable[[float, float], float]
     engine_lower_z: Callable[[float], float]
-    efficiency_cubic: Callable[[float], tuple[float, float, float]]
+    efficiency_cubic: Callable[[float], MonicCubic]
     fridge_top: Callable[[float], Optional[float]]
     heater_top: Callable[[float], float]
 
@@ -142,7 +143,7 @@ _FORMS = {
         qc=lambda z, g: g - z,
         work=lambda z, g: (1.0 - z) * (2.0 * z * z - g * (1.0 + z)) / (2.0 * z * z),
         engine_lower_z=engine_lower_z_sc,
-        efficiency_cubic=lambda g: (0.0, -3.0 * g / (2.0 - g), 2.0 * g * g / (2.0 - g)),
+        efficiency_cubic=lambda g: MonicCubic(0.0, -3.0 * g / (2.0 - g), 2.0 * g * g / (2.0 - g)),
         fridge_top=lambda g: g,
         heater_top=lambda g: math.sqrt(g / (2.0 - g)),
     ),
@@ -155,7 +156,7 @@ _FORMS = {
         qc=lambda z, g: g - 0.5 * (1.0 + z * z),
         work=lambda z, g: (1.0 - z) * (z * (1.0 + z) - 2.0 * g) / (2.0 * z),
         engine_lower_z=engine_lower_z_se,
-        efficiency_cubic=lambda g: (-1.5 * g, 0.0, -0.5 * g * (1.0 - 2.0 * g)),
+        efficiency_cubic=lambda g: MonicCubic(-1.5 * g, 0.0, -0.5 * g * (1.0 - 2.0 * g)),
         fridge_top=lambda g: math.sqrt(2.0 * g - 1.0) if 2.0 * g > 1.0 else None,
         heater_top=lambda g: g,
     ),

@@ -13,10 +13,13 @@ the compression ratio z at fixed (tau, v), with g = tau*f(v):
   stationarity condition to z**3 = g (1 - eta_max/2), so the optimum is
   (g (1 - eta_max/2))**(1/3).
 
-optimize is the one path that computes an optimum.  The functions of the
-Carnot efficiency eta_c = 1 - tau read it: eta_omega_* is the efficiency it
-reports at the trade-off optimum, and eta_max_* is peak_efficiency, the
-efficiency at the certified cubic root that optimize(EFFICIENCY) reports.
+optimize(objective, scenario, tau, v) is the one path that computes an
+optimum; the efficiency root is the largest real root of the scenario
+table's efficiency cubic (high_temperature.ScenarioForms).  The functions of
+the Carnot efficiency eta_c = 1 - tau read optimize: eta_omega_* is the
+efficiency it reports at the trade-off optimum, and eta_max_* is
+peak_efficiency(g, scenario), the efficiency at the certified cubic root
+that optimize(EFFICIENCY) reports.
 Every closed-form candidate, the efficiency root behind eta_max and the work
 optimum included, passes a cheap certificate before it is returned: it must
 lie strictly inside the engine window, and the objective there must be no
@@ -52,16 +55,14 @@ from .core import (
     _Validated,
     omega_function,
 )
-from .cubic import MonicCubic, principal_trig_root
+from .cubic import principal_trig_root
 from .high_temperature import reduced_load, scenario_forms
 
 __all__ = [
     "ORACLE_AGREEMENT_TOL",
     "Objective",
-    "OptimizationTarget",
     "OptimumReport",
     "NoInteriorOptimumError",
-    "efficiency_cubic",
     "eta_max_sc",
     "eta_max_se",
     "peak_efficiency",
@@ -90,16 +91,6 @@ class Objective(str, Enum):
     OMEGA = "omega"
 
 
-class OptimizationTarget(_Validated, namedtuple("OptimizationTarget", "objective scenario")):
-    """An objective paired with one of the two asymmetric scenarios."""
-
-    __slots__ = ()
-
-    def __new__(cls, objective: Objective, scenario: Scenario) -> OptimizationTarget:
-        scenario_forms(scenario)
-        return tuple.__new__(cls, (objective, scenario))
-
-
 class OptimumReport(_Validated, namedtuple("OptimumReport", "z_star value_at_opt eta_at_opt")):
     """Certified optimal ratio plus the objective value and efficiency there."""
 
@@ -115,7 +106,7 @@ class _Window:
     """Closed forms and engine window (lo, 1) of one optimum at load g."""
 
     def __init__(self, g: float, scenario: Scenario) -> None:
-        self.g, self.scenario = g, scenario
+        self.g = g
         self.forms = scenario_forms(scenario)
         # a zero load puts the efficiency root at z = 0
         if g == 0.0:
@@ -156,22 +147,8 @@ class _Window:
 
     def peak(self) -> tuple[float, float]:
         """The certified root of the efficiency cubic and eta_max there."""
-        root = principal_trig_root(efficiency_cubic(self.g, self.scenario))
+        root = principal_trig_root(self.forms.efficiency_cubic(self.g))
         return self.certified(root, self.eta)
-
-
-def efficiency_cubic(g: float, scenario: Scenario) -> MonicCubic:
-    """Monic cubic whose largest real root is the efficiency-optimal ratio.
-
-    g is the reduced load tau*f(v).  Compression-quench scenario:
-    z**3 - (3g/(2-g)) z + 2g**2/(2-g) = 0.  Expansion-quench scenario:
-    z**3 - (3g/2) z**2 - g(1-2g)/2 = 0.  Both come from clearing
-    denominators in d(eta)/dz = 0.
-    """
-    if not 0.0 <= g < 1.0:
-        raise ValueError(f"reduced load must lie in [0, 1), got {g}")
-    a2, a1, a0 = scenario_forms(scenario).efficiency_cubic(g)
-    return MonicCubic(a2=a2, a1=a1, a0=a0)
 
 
 def peak_efficiency(g: float, scenario: Scenario) -> float:
@@ -193,8 +170,7 @@ def eta_max_se(eta_c: float, v: float) -> float:
 
 def eta_omega_sc(eta_c: float, v: float) -> float:
     """Efficiency at the trade-off optimum, compression quench."""
-    target = OptimizationTarget(Objective.OMEGA, SUDDEN_COMPRESSION)
-    return optimize(target, 1.0 - eta_c, v).eta_at_opt
+    return optimize(Objective.OMEGA, SUDDEN_COMPRESSION, 1.0 - eta_c, v).eta_at_opt
 
 
 def eta_omega_se(eta_c: float, v: float) -> float:
@@ -204,25 +180,24 @@ def eta_omega_se(eta_c: float, v: float) -> float:
     least half the absorbed heat on parasitic excitation at this
     operating point.
     """
-    target = OptimizationTarget(Objective.OMEGA, SUDDEN_EXPANSION)
-    return optimize(target, 1.0 - eta_c, v).eta_at_opt
+    return optimize(Objective.OMEGA, SUDDEN_EXPANSION, 1.0 - eta_c, v).eta_at_opt
 
 
-def optimize(target: OptimizationTarget, tau: float, v: float) -> OptimumReport:
+def optimize(objective: Objective, scenario: Scenario, tau: float, v: float) -> OptimumReport:
     """Run one objective end to end and report the certified optimum.
 
     The work and trade-off values are unit-free: beta_h times the energy.
     Raises NoInteriorOptimumError when the closed form fails its certificate.
     """
     g = reduced_load(tau, v)
-    w = _Window(g, target.scenario)
+    w = _Window(g, scenario)
     forms = w.forms
 
-    if target.objective == Objective.EFFICIENCY:
+    if objective == Objective.EFFICIENCY:
         z_star, value = w.peak()
-    elif target.objective == Objective.WORK:
+    elif objective == Objective.WORK:
         z_star, value = w.certified(g ** (1.0 / 3.0), lambda z: forms.work(z, g))
-    elif target.objective == Objective.OMEGA:
+    elif objective == Objective.OMEGA:
         # eta_max is certified on the same window
         _, cap = w.peak()
 
@@ -232,6 +207,6 @@ def optimize(target: OptimizationTarget, tau: float, v: float) -> OptimumReport:
 
         z_star, value = w.certified((g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), omega)
     else:
-        raise ValueError(f"unknown objective {target.objective}")
+        raise ValueError(f"unknown objective {objective}")
 
     return OptimumReport(z_star=z_star, value_at_opt=value, eta_at_opt=w.eta(z_star))

@@ -97,35 +97,31 @@ def _edges(g: float, scenario: Scenario) -> tuple[Optional[float], float, float]
     return forms.fridge_top(g), forms.heater_top(g), forms.engine_lower_z(g)
 
 
-class PhaseMap(_Validated, namedtuple("PhaseMap", "v z_axis tau_axis runs scenario")):
+class PhaseMap(_Validated, namedtuple("PhaseMap", "v axis runs")):
     """Immutable mode raster over the open unit square of (z, tau).
 
-    runs[j] holds tau column j as runs of equal mode along z: (start, mode)
-    pairs with rising starts, the first at 0, each run ending where the
-    next starts (the last at the end of z_axis).  Adjacent runs differ in
-    mode, so equal rasters have equal runs.
+    axis holds the cell centers of both z and tau.  runs[j] holds tau
+    column j as runs of equal mode along z: (start, mode) pairs with rising
+    starts, the first at 0, each run ending where the next starts (the last
+    at the end of the axis).  Adjacent runs differ in mode, so equal
+    rasters have equal runs.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        v: float,
-        z_axis: tuple[float, ...],
-        tau_axis: tuple[float, ...],
-        runs: tuple[tuple[_Run, ...], ...],
-        scenario: Scenario,
+        cls, v: float, axis: tuple[float, ...], runs: tuple[tuple[_Run, ...], ...]
     ) -> PhaseMap:
-        if len(runs) != len(tau_axis):
-            raise ValueError("runs column count must match tau_axis length")
-        size = len(z_axis)
+        size = len(axis)
+        if len(runs) != size:
+            raise ValueError("runs column count must match axis length")
         for column in runs:
             if not column or column[0][0] != 0 or column[-1][0] >= size:
-                raise ValueError("each column's runs must start at 0 and inside z_axis")
+                raise ValueError("each column's runs must start at 0 and inside axis")
             for (start, mode), (after, next_mode) in zip(column, column[1:]):
                 if after <= start or next_mode is mode:
                     raise ValueError("run starts must rise and adjacent modes differ")
-        return tuple.__new__(cls, (v, z_axis, tau_axis, runs, scenario))
+        return tuple.__new__(cls, (v, axis, runs))
 
 
 def _merge(classified: list[_Run]) -> Optional[list[_Run]]:
@@ -198,13 +194,13 @@ def rasterize(scenario: Scenario, v: float, resolution: int = 200) -> PhaseMap:
     # directly with g = tau * f(v) computed once per tau column.
     factor = relativistic_factor(v)
     runs = tuple(_column_runs(scenario, axis, tau * factor) for tau in axis)
-    return PhaseMap(v=v, z_axis=axis, tau_axis=axis, runs=runs, scenario=scenario)
+    return PhaseMap(v=v, axis=axis, runs=runs)
 
 
 def mode_fractions(phase_map: PhaseMap) -> dict[str, float]:
     """Fraction of cells per mode, keyed by mode token, all keys present."""
     counts = dict.fromkeys(OperationalMode, 0)
-    size = len(phase_map.z_axis)
+    size = len(phase_map.axis)
     for column in phase_map.runs:
         end = size
         for start, mode in reversed(column):

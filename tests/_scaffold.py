@@ -45,8 +45,8 @@ def classify_by_table(r: ReducedParams, scenario: Scenario) -> OperationalMode:
 
 
 def cells(phase_map: PhaseMap) -> tuple[tuple[OperationalMode, ...], ...]:
-    """cells[i][j] is the mode at (z_axis[i], tau_axis[j]), expanded from the runs."""
-    size = len(phase_map.z_axis)
+    """cells[i][j] is the mode at (z, tau) = (axis[i], axis[j]), expanded from the runs."""
+    size = len(phase_map.axis)
     columns = []
     for column in phase_map.runs:
         ends = [start for start, _ in column[1:]] + [size]

@@ -18,7 +18,6 @@ from otto_rel import (
     CycleParams,
     MonicCubic,
     Objective,
-    OptimizationTarget,
     PerformanceRecord,
     ReducedParams,
     classify_by_signs,
@@ -49,7 +48,7 @@ GRID_20 = [0.05 + 0.9 * i / 19 for i in range(20)]
 
 def z_star(objective, scenario, tau, v):
     """The certified optimal ratio of one objective."""
-    return optimize(OptimizationTarget(objective, scenario), tau, v).z_star
+    return optimize(objective, scenario, tau, v).z_star
 
 
 def in_units_of_temperature(record, beta_h):
@@ -154,7 +153,7 @@ def test_criterion_4_maximum_work_point():
             for v in GRID_20:
                 g = reduced_load(tau, v)
                 for scenario in ASYMMETRIC:
-                    report = optimize(OptimizationTarget(Objective.WORK, scenario), tau, v)
+                    report = optimize(Objective.WORK, scenario, tau, v)
                     r = ReducedParams(report.z_star, g)
                     assert abs(report.eta_at_opt - eta(r, scenario)) <= 1e-9
 
@@ -204,7 +203,7 @@ def test_criterion_5_trade_off_optima():
         want = REFERENCE["optima"]["tau=0.5,v=0.5"]
         for label, scenario in (("sc", SUDDEN_COMPRESSION), ("se", SUDDEN_EXPANSION)):
             # optimize returns the closed form only once it is certified
-            report = optimize(OptimizationTarget(Objective.OMEGA, scenario), 0.5, 0.5)
+            report = optimize(Objective.OMEGA, scenario, 0.5, 0.5)
             print(f"  status: certified trade-off optimum ({label}): z*={report.z_star!r}")
             assert abs(report.z_star - want[f"z_omega_{label}"]) <= 1e-13 * want[f"z_omega_{label}"]
 
@@ -275,10 +274,8 @@ def test_criterion_8_cubic_solver():
 
         # the expansion-quench efficiency cubic at (0.5, 0.5) has its
         # arccos argument above 1 and must come out of the cosh branch
-        from otto_rel.optima import efficiency_cubic
-
         g = 0.5 * relativistic_factor(0.5)
-        cubic = efficiency_cubic(g, SUDDEN_EXPANSION)
+        cubic = scenario_forms(SUDDEN_EXPANSION).efficiency_cubic(g)
         spread = cubic.a2**2 - 3.0 * cubic.a1
         x = -(2 * cubic.a2**3 - 9 * cubic.a2 * cubic.a1 + 27 * cubic.a0) / (
             2.0 * spread * math.sqrt(spread)

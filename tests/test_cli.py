@@ -22,7 +22,6 @@ from otto_rel import (
     SUDDEN_COMPRESSION,
     NoInteriorOptimumError,
     Objective,
-    OptimizationTarget,
     ReducedParams,
     eta_max_sc,
     optimize,
@@ -125,6 +124,9 @@ def test_evaluate_csv_format(capsys):
         (("--z", "0.5", "--tau", "0.5", "--v", "0.5", "--beta-h", "inf"), "beta-h is not finite"),
         (("--z", "0.5", "--tau", "0.5", "--v", "0.5", "--exact", "--omega-h", "inf"),
          "omega-h is not finite"),
+        # checked without --exact too, where nothing reads it
+        (("--z", "0.5", "--tau", "0.5", "--v", "0.5", "--omega-h", "-1"),
+         "omega-h must be positive, got -1.0"),
     ],
 )
 def test_evaluate_rejects_out_of_domain(capsys, flags, needle):
@@ -261,6 +263,23 @@ def test_exact_subnormal_sinh_gap_exits_3(capsys, flags):
     assert out == ""
     assert err.startswith("otto-rel: error:") and err.count("\n") == 1, err
     assert "2x*sinh(s)" in err and "beta_c=" in err and "omega_c=" in err and "v=" in err
+
+
+@pytest.mark.parametrize(
+    "argv, product",
+    [
+        pytest.param(("--z", "1e-10", "--omega-h", "1e-320"), "omega_c = z*omega_h", id="omega_c"),
+        pytest.param(("--z", "0.5", "--beta-h", "1e308", "--omega-h", "1e10"),
+                     "beta_c = beta_h/tau", id="beta_c"),
+    ],
+)
+def test_exact_product_that_leaves_the_doubles_exits_3(capsys, argv, product):
+    # every flag is in its domain, but omega_c underflows to 0 or beta_c overflows
+    code, out, err = run(
+        capsys, "evaluate", "--scenario", "sc", "--exact", "--tau", "0.5", "--v", "0.5", *argv
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(f"otto-rel: error: numeric failure: {product}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exact", [(), ("--exact",)], ids=["hot-limit", "exact"])
@@ -461,7 +480,7 @@ def test_sweep_grid_and_peak(capsys):
     z_col = [float(line.split(",")[0]) for line in lines[2:]]
     peak_z = z_col[work_col.index(max(work_col))]
     step = (1.0 - 0.05) / 95
-    z_work = optimize(OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION), 0.5, 0.5).z_star
+    z_work = optimize(Objective.WORK, SUDDEN_COMPRESSION, 0.5, 0.5).z_star
     assert abs(peak_z - z_work) <= step
 
 
@@ -821,6 +840,21 @@ def test_phase_map_memory_grows_with_columns_not_cells(capsys, tmp_path, scenari
     assert large < 2 * 4 * small, f"traced peak {large} B at 1200**2, {small} B at 300**2"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # figure 2 reads no --tau, yet a non-finite one is refused
+        (("--id", "2", "--points", "2", "--v-list", "0.5", "--tau", "nan"),
+         "tau is not finite (nan)"),
+        (("--id", "3", "--tau", "1.5"), "tau must lie in (0,1), got 1.5"),
+    ],
+    ids=["figure-2-tau-nan", "figure-3-tau-above-one"],
+)
+def test_figure_checks_tau_against_its_domain(capsys, argv, message):
+    code, out, err = run(capsys, "figure", *argv)
+    assert (code, out, err) == (2, "", f"otto-rel: error: {message}\n")
+
+
 def test_figure_rejects_unknown_id(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["figure", "--id", "7"])
@@ -859,8 +893,9 @@ def test_figure_rejects_resolution_out_of_range(capsys, resolution):
 
 
 def test_figure_rejects_bad_v_list(capsys):
-    code, _, err = run(capsys, "figure", "--id", "2", "--v-list", "0.5,nope")
-    assert code == 2 and "v-list" in err
+    for v_list in ("0.5,nope", "", ","):
+        code, _, err = run(capsys, "figure", "--id", "2", "--v-list", v_list)
+        assert code == 2 and "v-list" in err
     code, _, err = run(capsys, "figure", "--id", "2", "--v-list", "1.5")
     assert code == 2
 

@@ -273,7 +273,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CycleParams(v=0.5, beta_c=1.0, beta_h=1.0, omega_c=3.0, omega_h=2.0)
     p = CycleParams(v=0.5, beta_c=2.0, beta_h=1.0, omega_c=1.0, omega_h=4.0)
-    assert p.z == 0.25 and p.tau == 0.5
+    assert p.z == 0.25
 
 
 # -- derived figures -----------------------------------------------------------

@@ -15,8 +15,7 @@ from otto_rel import (
     relativistic_factor,
 )
 from otto_rel import cubic as cubic_module
-from otto_rel.optima import efficiency_cubic
-from otto_rel import SUDDEN_COMPRESSION, SUDDEN_EXPANSION
+from otto_rel import SUDDEN_COMPRESSION, SUDDEN_EXPANSION, scenario_forms
 from _reference import REFERENCE
 
 
@@ -133,7 +132,7 @@ def test_expansion_efficiency_cubic_uses_hyperbolic_branch():
     # stationary ratio comes from the cosh continuation
     g = 0.5 * relativistic_factor(0.5)
     assert g < 0.5
-    cubic = efficiency_cubic(g, SUDDEN_EXPANSION)
+    cubic = scenario_forms(SUDDEN_EXPANSION).efficiency_cubic(g)
     x = acos_argument(cubic)
     assert x > 1.0
     assert x == pytest.approx((g * g - 4 * g + 2) / (g * g), rel=1e-12)
@@ -145,7 +144,7 @@ def test_subnormal_load_keeps_the_principal_root():
     # At a subnormal load 2 * spread * sqrt(spread) underflows to 0, yet the
     # arccos argument is O(1) and the root sqrt(3g/(2-g)) exists.
     g = 1e-310 * relativistic_factor(0.99)
-    cubic = efficiency_cubic(g, SUDDEN_COMPRESSION)
+    cubic = scenario_forms(SUDDEN_COMPRESSION).efficiency_cubic(g)
     spread = cubic.a2 ** 2 - 3.0 * cubic.a1
     assert spread > 0.0 and 2.0 * spread * math.sqrt(spread) == 0.0
     root = principal_trig_root(cubic)
@@ -158,7 +157,7 @@ def test_overflowing_argument_keeps_the_real_root(tau):
     # and the hyperbolic argument overflows to inf, yet the one real root,
     # (g (1 - 2g) / 2)**(1/3) up to a relative O(g**(2/3)), exists.
     g = tau * relativistic_factor(0.5)
-    cubic = efficiency_cubic(g, SUDDEN_EXPANSION)
+    cubic = scenario_forms(SUDDEN_EXPANSION).efficiency_cubic(g)
     spread = cubic.a2 ** 2 - 3.0 * cubic.a1
     numerator = 27.0 * cubic.a0 + 2.0 * cubic.a2 ** 3
     assert 0.0 < spread < sys.float_info.min
@@ -187,7 +186,7 @@ def test_underflowed_spread_bisects_to_the_root():
     # Cauchy bound all the way down.
     for k in range(166, 309):
         g = float(f"1e-{k}")
-        cubic = efficiency_cubic(g, SUDDEN_EXPANSION)
+        cubic = scenario_forms(SUDDEN_EXPANSION).efficiency_cubic(g)
         assert cubic.a2 ** 2 - 3.0 * cubic.a1 == 0.0
         root = principal_trig_root(cubic)
         want = _decimal_root(cubic, (0.5 * g) ** (1.0 / 3.0))
@@ -198,7 +197,7 @@ def test_underflowed_spread_bisects_to_the_root():
 def test_normal_scale_keeps_the_one_step_division():
     # Away from underflow the arccos argument is the single division it
     # always was; dividing in two steps here moves the root by an ulp.
-    cubic = efficiency_cubic(0.3, SUDDEN_COMPRESSION)
+    cubic = scenario_forms(SUDDEN_COMPRESSION).efficiency_cubic(0.3)
     a2, a1, a0 = cubic.a2, cubic.a1, cubic.a0
     spread = a2 * a2 - 3.0 * a1
     half = math.sqrt(spread)

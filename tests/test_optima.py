@@ -15,10 +15,8 @@ from otto_rel import (
     SUDDEN_EXPANSION,
     NoInteriorOptimumError,
     Objective,
-    OptimizationTarget,
     OptimumReport,
     ReducedParams,
-    efficiency_cubic,
     eta,
     eta_max_sc,
     eta_max_se,
@@ -50,22 +48,22 @@ _SC, _SE = SUDDEN_COMPRESSION, SUDDEN_EXPANSION
 
 def z_eta(tau, v, scenario):
     """The certified efficiency-maximizing ratio."""
-    return optimize(OptimizationTarget(Objective.EFFICIENCY, scenario), tau, v).z_star
+    return optimize(Objective.EFFICIENCY, scenario, tau, v).z_star
 
 
 def z_work(tau, v, scenario):
     """The certified work-maximizing ratio."""
-    return optimize(OptimizationTarget(Objective.WORK, scenario), tau, v).z_star
+    return optimize(Objective.WORK, scenario, tau, v).z_star
 
 
 def z_omega(tau, v, scenario):
     """The certified trade-off-maximizing ratio."""
-    return optimize(OptimizationTarget(Objective.OMEGA, scenario), tau, v).z_star
+    return optimize(Objective.OMEGA, scenario, tau, v).z_star
 
 
 def eta_mw(tau, v, scenario):
     """The efficiency at the certified work-maximizing ratio."""
-    return optimize(OptimizationTarget(Objective.WORK, scenario), tau, v).eta_at_opt
+    return optimize(Objective.WORK, scenario, tau, v).eta_at_opt
 
 
 def engine_floor(tau, v, scenario):
@@ -196,7 +194,7 @@ def test_carnot_views_are_optimize():
         eta_c, v = rng.uniform(1e-3, 0.999), rng.uniform(0.0, 0.999)
         for scenario, views in CARNOT_VIEWS.items():
             for objective, view in views.items():
-                report = optimize(OptimizationTarget(objective, scenario), 1.0 - eta_c, v)
+                report = optimize(objective, scenario, 1.0 - eta_c, v)
                 assert view(eta_c, v) == report.eta_at_opt, (eta_c, v, view.__name__)
 
 
@@ -272,7 +270,7 @@ def test_printed_form_guards():
 
 def test_optimize_efficiency_report():
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
-    report = optimize(OptimizationTarget(Objective.EFFICIENCY, SUDDEN_COMPRESSION), 0.5, 0.5)
+    report = optimize(Objective.EFFICIENCY, SUDDEN_COMPRESSION, 0.5, 0.5)
     assert isinstance(report, OptimumReport)
     assert report.z_star == pytest.approx(want["z_eta_sc"], rel=1e-13)
     assert report.value_at_opt == report.eta_at_opt
@@ -281,8 +279,7 @@ def test_optimize_efficiency_report():
 
 def test_optimize_work_report_scales_with_temperature(capsys):
     want = REFERENCE["optima"]["tau=0.3,v=0.75"]
-    target = OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION)
-    base = optimize(target, 0.3, 0.75)
+    base = optimize(Objective.WORK, SUDDEN_EXPANSION, 0.3, 0.75)
     assert base.z_star == pytest.approx(want["z_work"], rel=1e-13)
     assert base.value_at_opt == pytest.approx(want["work_max_se"], rel=1e-12)
     # optimize is unit-free; the CLI prints the work in units of 1/beta_h
@@ -299,7 +296,7 @@ def test_optimize_trade_off_uses_closed_form():
         (SUDDEN_COMPRESSION, "z_omega_sc", "omega_max_sc"),
         (SUDDEN_EXPANSION, "z_omega_se", "omega_max_se"),
     ):
-        report = optimize(OptimizationTarget(Objective.OMEGA, scenario), 0.5, 0.5)
+        report = optimize(Objective.OMEGA, scenario, 0.5, 0.5)
         assert report.z_star == pytest.approx(want[z_key], rel=1e-13)
         assert report.value_at_opt == pytest.approx(want[w_key], rel=1e-12)
 
@@ -349,7 +346,7 @@ def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
     # inside the window, but on the rising flank below the true maximizer
     inject_work_candidate(monkeypatch, 0.5 * (lo + want["z_work"]))
     with pytest.raises(NoInteriorOptimumError, match="not a local maximum"):
-        optimize(OptimizationTarget(Objective.WORK, SUDDEN_COMPRESSION), 0.5, 0.5)
+        optimize(Objective.WORK, SUDDEN_COMPRESSION, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("bad", ["below-window", 1.5, math.nan, math.inf])
@@ -358,7 +355,7 @@ def test_optimize_falls_back_when_candidate_leaves_window(monkeypatch, bad):
     candidate = 0.5 * lo if bad == "below-window" else bad
     inject_work_candidate(monkeypatch, candidate)
     with pytest.raises(NoInteriorOptimumError, match="is outside the engine window"):
-        optimize(OptimizationTarget(Objective.WORK, SUDDEN_EXPANSION), 0.5, 0.5)
+        optimize(Objective.WORK, SUDDEN_EXPANSION, 0.5, 0.5)
 
 
 def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
@@ -389,7 +386,7 @@ def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
         *(
             pytest.param(
                 lambda objective=objective, scenario=scenario: optimize(
-                    OptimizationTarget(objective, scenario), 0.5, 0.5
+                    objective, scenario, 0.5, 0.5
                 ),
                 id=f"optimize-{objective.value}{suffix}",
             )
@@ -427,18 +424,18 @@ def test_optimize_returns_the_closed_form_on_edge_rows(tau):
         for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
             cap = peak_efficiency(g, scenario)
             want = {
-                Objective.EFFICIENCY: principal_trig_root(efficiency_cubic(g, scenario)),
+                Objective.EFFICIENCY: principal_trig_root(scenario_forms(scenario).efficiency_cubic(g)),
                 Objective.WORK: g ** (1.0 / 3.0),
                 Objective.OMEGA: (g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0),
             }
             for objective, z_want in want.items():
-                report = optimize(OptimizationTarget(objective, scenario), tau, v)
+                report = optimize(objective, scenario, tau, v)
                 assert report.z_star == z_want, (tau, v, scenario, objective)
 
 
 def test_target_rejects_symmetric_scenarios():
     with pytest.raises(ValueError):
-        OptimizationTarget(Objective.WORK, BOTH_SUDDEN)
+        optimize(Objective.WORK, BOTH_SUDDEN, 0.5, 0.5)
 
 
 def test_report_validates_ratio():
@@ -460,7 +457,7 @@ def test_no_engine_window_when_load_saturates():
         assert engine_floor(tau, v, scenario) == tau
         calls = [lambda: peak_efficiency(reduced_load(tau, v), scenario)]
         calls += [
-            lambda objective=objective: optimize(OptimizationTarget(objective, scenario), tau, v)
+            lambda objective=objective: optimize(objective, scenario, tau, v)
             for objective in Objective
         ]
         for call in calls:
@@ -483,7 +480,7 @@ def test_no_interior_optimum_at_zero_load():
         pytest.param(lambda: reduced_load(0.0, 0.5), ValueError, id="reduced_load"),
         *(
             pytest.param(
-                lambda objective=objective: optimize(OptimizationTarget(objective, _SC), 0.0, 0.5),
+                lambda objective=objective: optimize(objective, _SC, 0.0, 0.5),
                 ValueError,
                 id=f"optimize-{objective.value}",
             )
@@ -510,9 +507,9 @@ def test_domain_validation_errors():
     with pytest.raises(ValueError):  # tau > 1 with a load below 1
         peak_efficiency(reduced_load(1.2, 0.9), SUDDEN_COMPRESSION)
     with pytest.raises(ValueError):
-        efficiency_cubic(1.0, SUDDEN_COMPRESSION)
+        peak_efficiency(1.0, SUDDEN_COMPRESSION)
     with pytest.raises(ValueError):
-        efficiency_cubic(0.5, BOTH_SUDDEN)
+        peak_efficiency(0.5, BOTH_SUDDEN)
 
 
 def test_stationary_velocity_limit():
@@ -525,8 +522,8 @@ def test_stationary_velocity_limit():
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
         at_rest = peak_efficiency(reduced_load(0.5, 0.0), scenario)
         assert at_rest == peak_efficiency(reduced_load(0.5, 1e-12), scenario)
-        target = OptimizationTarget(Objective.OMEGA, scenario)
-        assert optimize(target, 0.5, 0.0).z_star == optimize(target, 0.5, 1e-12).z_star
+        at_rest = optimize(Objective.OMEGA, scenario, 0.5, 0.0)
+        assert at_rest.z_star == optimize(Objective.OMEGA, scenario, 0.5, 1e-12).z_star
     assert eta_omega_sc(0.5, 0.0) == eta_omega_sc(0.5, 1e-12)
 
 

@@ -282,10 +282,10 @@ def test_expansion_refrigerator_vanishes_at_low_load():
 
 def test_rasterize_layout_and_determinism():
     pm = rasterize(SUDDEN_COMPRESSION, 0.5, resolution=24)
-    assert pm.z_axis[0] == pytest.approx(0.5 / 24)
-    assert pm.z_axis[-1] == pytest.approx(23.5 / 24)
+    assert pm.axis[0] == pytest.approx(0.5 / 24)
+    assert pm.axis[-1] == pytest.approx(23.5 / 24)
     assert len(cells(pm)) == 24 and len(cells(pm)[0]) == 24
-    r = ReducedParams(z=pm.z_axis[3], g=reduced_load(pm.tau_axis[17], 0.5))
+    r = ReducedParams(z=pm.axis[3], g=reduced_load(pm.axis[17], 0.5))
     assert cells(pm)[3][17] is classify_by_signs(r, SUDDEN_COMPRESSION)
     assert rasterize(SUDDEN_COMPRESSION, 0.5, resolution=24) == pm
     with pytest.raises(ValueError):
@@ -300,15 +300,15 @@ def test_rasterize_layout_and_determinism():
 @pytest.mark.parametrize("v", [0.35, 0.95])
 def test_rasterize_matches_per_point_classifier(scenario, v):
     pm = rasterize(scenario, v, resolution=40)
-    for z, row in zip(pm.z_axis, cells(pm)):
-        for tau, mode in zip(pm.tau_axis, row):
+    for z, row in zip(pm.axis, cells(pm)):
+        for tau, mode in zip(pm.axis, row):
             assert mode is classify_by_signs(ReducedParams(z=z, g=reduced_load(tau, v)), scenario)
 
 
 def test_phase_map_shape_validation():
     mismatched = {
         "too few columns": (((0, E),),),
-        "start past z_axis": (((0, E),), ((0, R), (2, E))),
+        "start past the axis": (((0, E),), ((0, R), (2, E))),
         "first start not 0": (((0, E),), ((1, E),)),
         "empty column": (((0, E),), ()),
         "starts not rising": (((0, R), (1, E)), ((0, R), (0, E))),
@@ -316,24 +316,16 @@ def test_phase_map_shape_validation():
     }
     for runs in mismatched.values():
         with pytest.raises(ValueError):
-            PhaseMap(
-                v=0.5,
-                z_axis=(0.25, 0.75),
-                tau_axis=(0.25, 0.75),
-                runs=runs,
-                scenario=SUDDEN_COMPRESSION,
-            )
+            PhaseMap(v=0.5, axis=(0.25, 0.75), runs=runs)
 
 
 def test_phase_map_cells_expand_the_runs():
     pm = PhaseMap(
         v=0.5,
-        z_axis=(0.1, 0.3, 0.5, 0.7, 0.9),
-        tau_axis=(0.25, 0.75),
-        runs=(((0, R), (2, T), (3, E)), ((0, H), (4, B))),
-        scenario=SUDDEN_COMPRESSION,
+        axis=(0.25, 0.5, 0.75),
+        runs=(((0, R), (1, T), (2, E)), ((0, H), (2, B)), ((0, E),)),
     )
-    assert cells(pm) == ((R, H), (R, H), (T, H), (E, H), (E, B))
+    assert cells(pm) == ((R, H, E), (T, H, E), (E, B, E))
 
 
 def _per_cell_raster(scenario, v, resolution):

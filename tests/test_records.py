@@ -8,14 +8,10 @@ import pytest
 
 import otto_rel
 from otto_rel import (
-    BOTH_SUDDEN,
-    SUDDEN_COMPRESSION,
     CycleParams,
     EnergyBook,
     MonicCubic,
-    Objective,
     OperationalMode,
-    OptimizationTarget,
     OptimumReport,
     PerformanceRecord,
     PhaseMap,
@@ -29,10 +25,6 @@ from _scaffold import DerivativeReport
 SC_TEXT = (
     "Scenario(compression=<StrokeProtocol.SUDDEN: 'sudden'>, "
     "expansion=<StrokeProtocol.ADIABATIC: 'adiabatic'>)"
-)
-BOTH_SUDDEN_TEXT = (
-    "Scenario(compression=<StrokeProtocol.SUDDEN: 'sudden'>, "
-    "expansion=<StrokeProtocol.SUDDEN: 'sudden'>)"
 )
 HEATER, ENGINE = OperationalMode.HEATER, OperationalMode.ENGINE
 
@@ -105,19 +97,6 @@ CASES = [
         ],
     ),
     Case(
-        OptimizationTarget,
-        dict(objective=Objective.WORK, scenario=SUDDEN_COMPRESSION),
-        dict(objective=Objective.OMEGA),
-        f"OptimizationTarget(objective=<Objective.WORK: 'work'>, scenario={SC_TEXT})",
-        [
-            (
-                dict(scenario=BOTH_SUDDEN),
-                "hot-limit closed forms cover only the two asymmetric scenarios "
-                f"(one sudden stroke, one adiabatic), got {BOTH_SUDDEN_TEXT}",
-            ),
-        ],
-    ),
-    Case(
         OptimumReport,
         dict(z_star=0.5, value_at_opt=0.125, eta_at_opt=0.25),
         dict(eta_at_opt=0.5),
@@ -134,22 +113,19 @@ CASES = [
     ),
     Case(
         PhaseMap,
-        dict(
-            v=0.5,
-            z_axis=(0.25, 0.75),
-            tau_axis=(0.5,),
-            runs=(((0, HEATER), (1, ENGINE)),),
-            scenario=SUDDEN_COMPRESSION,
-        ),
-        dict(runs=(((0, ENGINE),),)),
-        "PhaseMap(v=0.5, z_axis=(0.25, 0.75), tau_axis=(0.5,), "
-        "runs=(((0, <OperationalMode.HEATER: 'heater'>), (1, <OperationalMode.ENGINE: 'engine'>)),), "
-        f"scenario={SC_TEXT})",
+        dict(v=0.5, axis=(0.25, 0.75), runs=(((0, HEATER), (1, ENGINE)), ((0, ENGINE),))),
+        dict(runs=(((0, ENGINE),), ((0, ENGINE),))),
+        "PhaseMap(v=0.5, axis=(0.25, 0.75), "
+        "runs=(((0, <OperationalMode.HEATER: 'heater'>), (1, <OperationalMode.ENGINE: 'engine'>)), "
+        "((0, <OperationalMode.ENGINE: 'engine'>),)))",
         [
-            (dict(tau_axis=(0.25, 0.75)), "runs column count must match tau_axis length"),
-            (dict(runs=(((1, ENGINE),),)), "each column's runs must start at 0 and inside z_axis"),
+            (dict(axis=(0.5,)), "runs column count must match axis length"),
             (
-                dict(runs=(((0, ENGINE), (1, ENGINE)),)),
+                dict(runs=(((1, ENGINE),), ((0, ENGINE),))),
+                "each column's runs must start at 0 and inside axis",
+            ),
+            (
+                dict(runs=(((0, ENGINE), (1, ENGINE)), ((0, ENGINE),))),
                 "run starts must rise and adjacent modes differ",
             ),
         ],
@@ -169,7 +145,7 @@ def test_every_validated_record_is_covered():
         obj for obj in vars(otto_rel).values() if isinstance(obj, type) and issubclass(obj, _Validated)
     }
     assert validated == {case.cls for case in CASES if case.errors}
-    assert len(CASES) == 10
+    assert len(CASES) == 9
 
 
 @BY_NAME
