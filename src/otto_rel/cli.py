@@ -226,23 +226,20 @@ def _write_raster(handle: TextIO, token: str, phase_maps: Iterable[PhaseMap]) ->
     """Raster CSV, one write per z row.
 
     Each column keeps its tail "tau,v,scenario,mode" and changes it only
-    where its next run starts, so a row is its z joined to the tails.
+    where one of its runs starts, so a row is its z joined to the tails.
     """
     handle.write(_csv(_RASTER_HEADER, ()))
     for phase_map in phase_maps:
-        v = repr(phase_map.v)
-        axis, columns = phase_map.axis, phase_map.runs
-        tails = [""] * len(columns)
-        next_run = [0] * len(columns)
-        # Row index -> columns whose next run starts there.
-        due = {0: list(range(len(columns)))}
-        for i, z in enumerate(axis):
-            for j in due.pop(i, ()):
-                column, k = columns[j], next_run[j]
-                tails[j] = f"{axis[j]!r},{v},{token},{_MODE_TOKENS[column[k][1]]}\n"
-                if k + 1 < len(column):
-                    next_run[j] = k + 1
-                    due.setdefault(column[k + 1][0], []).append(j)
+        v, axis = repr(phase_map.v), phase_map.axis
+        # z row -> the (column, mode) runs that start there
+        starts = [[] for _ in axis]
+        for j, column in enumerate(phase_map.runs):
+            for start, mode in column:
+                starts[start].append((j, mode))
+        tails = [""] * len(axis)
+        for z, due in zip(axis, starts):
+            for j, mode in due:
+                tails[j] = f"{axis[j]!r},{v},{token},{_MODE_TOKENS[mode]}\n"
             head = repr(z) + ","
             handle.write(head + head.join(tails))
 
@@ -309,28 +306,26 @@ def _figure_z(v_list, tau: float, points: int, columns: tuple[str, ...]) -> str:
     return _csv(("z", "v", "scenario", *columns), rows)
 
 
+# Figures 3 and 4: their default tau and their columns along z.
+_Z_FIGURES = {3: (0.5, ("work",)), 4: (0.4, ("eta", "work"))}
+
+
 def _cmd_figure(args) -> int:
     v_list = _parse_v_list(args.v_list)
-    if args.id == 2:
-        points = args.points if args.points is not None else 100
-        text = _figure_2(v_list, points)
-    elif args.id == 3:
-        points = args.points if args.points is not None else 200
-        tau = args.tau if args.tau is not None else 0.5
-        text = _figure_z(v_list, tau, points, ("work",))
-    elif args.id == 4:
-        points = args.points if args.points is not None else 200
-        tau = args.tau if args.tau is not None else 0.4
-        text = _figure_z(v_list, tau, points, ("eta", "work"))
-    elif args.id in (5, 6):
+    if args.id in (5, 6):
         # v-list and resolution are validated, so no raster raises mid-file
         token = "sc" if args.id == 5 else "se"
         maps = (rasterize(_SCENARIOS[token], v, args.resolution) for v in v_list)
         with _output(args.output) as handle:
             _write_raster(handle, token, maps)
         return 0
-    else:  # argparse choices make this unreachable
-        raise ValueError(f"unknown figure id {args.id}")
+    points = (100 if args.id == 2 else 200) if args.points is None else args.points
+    if args.id == 2:
+        text = _figure_2(v_list, points)
+    else:
+        default_tau, columns = _Z_FIGURES[args.id]
+        tau = default_tau if args.tau is None else args.tau
+        text = _figure_z(v_list, tau, points, columns)
     _emit(text, args.output)
     return 0
 

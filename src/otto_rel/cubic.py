@@ -48,7 +48,7 @@ CLAMP_EPS = 1e-12
 RESIDUAL_TOL = 1e-9
 
 
-class CubicSolveError(RuntimeError):
+class CubicSolveError(ArithmeticError):
     """Raised when a computed root fails the residual validation."""
 
 

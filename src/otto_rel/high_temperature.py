@@ -58,8 +58,6 @@ __all__ = [
     "work",
     "eta",
     "performance",
-    "engine_lower_z_sc",
-    "engine_lower_z_se",
 ]
 
 
@@ -83,33 +81,6 @@ class ReducedParams(_Validated, namedtuple("ReducedParams", "z g")):
         return tuple.__new__(cls, (z, g))
 
 
-# -- engine windows ---------------------------------------------------------
-
-
-def engine_lower_z_sc(g: float) -> float:
-    """Smallest frequency ratio with nonnegative work, sudden compression.
-
-    Positive root of 2 z^2 - g (1 + z) = 0; equals 1 when g = 1, so the
-    engine window closes as the load g = tau * f(v) -> 1.
-    """
-    if not 0.0 < g <= 1.0:
-        raise ValueError(f"reduced coupling must lie in (0, 1], got {g}")
-    return 0.25 * (g + math.sqrt(g * (g + 8.0)))
-
-
-def engine_lower_z_se(g: float) -> float:
-    """Smallest frequency ratio with nonnegative work, sudden expansion.
-
-    Positive root of z (1 + z) - 2 g = 0; equals 1 when g = 1.  Written
-    as 4g / (sqrt(1 + 8g) + 1), not (sqrt(1 + 8g) - 1) / 2, whose
-    subtraction cancels at small g (0.11 relative error at g = 1e-16, and
-    0 below about 1.4e-17).
-    """
-    if not 0.0 < g <= 1.0:
-        raise ValueError(f"reduced coupling must lie in (0, 1], got {g}")
-    return 4.0 * g / (math.sqrt(1.0 + 8.0 * g) + 1.0)
-
-
 # -- one record per scenario ------------------------------------------------
 
 
@@ -120,18 +91,19 @@ class ScenarioForms(NamedTuple):
     with g = tau * f(v) the reduced load, and return beta_h times the
     energy; the other forms take g alone.
 
-    efficiency_cubic gives the MonicCubic whose largest real root maximizes
-    the efficiency (d(eta)/dz = 0 with its denominators cleared).  The mode
-    edges in z are fridge_top (refrigerator/heater, None where the
-    refrigerator region is absent), heater_top (heater/accelerator) and
-    engine_lower_z (accelerator/engine).
+    efficiency_cubic(g, s) gives the MonicCubic in w = s z (s a power of
+    two, 1 by default) whose largest real root maximizes the efficiency
+    (d(eta)/dz = 0 with its denominators cleared).  The mode edges in z
+    are fridge_top (refrigerator/heater, None where the refrigerator
+    region is absent), heater_top (heater/accelerator) and engine_lower_z
+    (accelerator/engine).
     """
 
     qh: Callable[[float, float], float]
     qc: Callable[[float, float], float]
     work: Callable[[float, float], float]
     engine_lower_z: Callable[[float], float]
-    efficiency_cubic: Callable[[float], MonicCubic]
+    efficiency_cubic: Callable[..., MonicCubic]
     fridge_top: Callable[[float], Optional[float]]
     heater_top: Callable[[float], float]
 
@@ -142,8 +114,10 @@ _FORMS = {
         qh=lambda z, g: (2.0 * z * z - g * (z * z + 1.0)) / (2.0 * z * z),
         qc=lambda z, g: g - z,
         work=lambda z, g: (1.0 - z) * (2.0 * z * z - g * (1.0 + z)) / (2.0 * z * z),
-        engine_lower_z=engine_lower_z_sc,
-        efficiency_cubic=lambda g: MonicCubic(0.0, -3.0 * g / (2.0 - g), 2.0 * g * g / (2.0 - g)),
+        engine_lower_z=lambda g: 0.25 * (g + math.sqrt(g * (g + 8.0))),
+        efficiency_cubic=lambda g, s=1.0: MonicCubic(
+            0.0, -3.0 * (g * s * s) / (2.0 - g), 2.0 * (g * s) * (g * s * s) / (2.0 - g)
+        ),
         fridge_top=lambda g: g,
         heater_top=lambda g: math.sqrt(g / (2.0 - g)),
     ),
@@ -155,8 +129,11 @@ _FORMS = {
         qh=lambda z, g: (z - g) / z,
         qc=lambda z, g: g - 0.5 * (1.0 + z * z),
         work=lambda z, g: (1.0 - z) * (z * (1.0 + z) - 2.0 * g) / (2.0 * z),
-        engine_lower_z=engine_lower_z_se,
-        efficiency_cubic=lambda g: MonicCubic(-1.5 * g, 0.0, -0.5 * g * (1.0 - 2.0 * g)),
+        # not (sqrt(1 + 8g) - 1)/2, whose subtraction cancels at small g
+        engine_lower_z=lambda g: 4.0 * g / (math.sqrt(1.0 + 8.0 * g) + 1.0),
+        efficiency_cubic=lambda g, s=1.0: MonicCubic(
+            -1.5 * (g * s), 0.0, -0.5 * (g * s * s * s) * (1.0 - 2.0 * g)
+        ),
         fridge_top=lambda g: math.sqrt(2.0 * g - 1.0) if 2.0 * g > 1.0 else None,
         heater_top=lambda g: g,
     ),

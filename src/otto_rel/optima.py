@@ -43,6 +43,8 @@ it is empty, and every candidate is refused.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import namedtuple
 from enum import Enum
 
@@ -147,8 +149,11 @@ class _Window:
 
     def peak(self) -> tuple[float, float]:
         """The certified root of the efficiency cubic and eta_max there."""
-        root = principal_trig_root(self.forms.efficiency_cubic(self.g))
-        return self.certified(root, self.eta)
+        # Below 2**-1021 the load's coefficients would be subnormal and lose
+        # bits; in w = 2**64 z they are normal, and the root unscales exactly.
+        k = 64 if self.g < 2.0 * sys.float_info.min else 0
+        cubic = self.forms.efficiency_cubic(self.g, math.ldexp(1.0, k))
+        return self.certified(math.ldexp(principal_trig_root(cubic), -k), self.eta)
 
 
 def peak_efficiency(g: float, scenario: Scenario) -> float:

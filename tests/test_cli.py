@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,18 @@ def test_window_failures_exit_3(capsys, monkeypatch):
     assert "outside the engine window" in err
 
 
+def test_cubic_residual_failure_exits_3(capsys, monkeypatch):
+    # a root that fails the cubic's residual gate is a numeric failure, not a traceback
+    monkeypatch.setattr(otto_rel.cubic, "RESIDUAL_TOL", -1.0)
+    code, out, err = run(
+        capsys, "optimize", "--objective", "eta", "--scenario", "sc",
+        "--tau", "0.5", "--v", "0.5",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("otto-rel: error: numeric failure: root ") and err.count("\n") == 1
+
+
 def test_arithmetic_failure_exits_3_without_traceback(capsys):
     # z**2 underflows to zero inside the hot-bath heat
     code, out, err = run(
@@ -356,6 +369,27 @@ def test_tiny_expansion_load_optimum_reaches_the_root(capsys):
     )
     assert code == 0 and err == ""
     assert json.loads(out)["z_star"] == 1.6818284554978302e-67
+
+
+@pytest.mark.parametrize(
+    "scenario, root",
+    [
+        # 80-digit roots of the efficiency cubic at g = 5e-324
+        ("sc", "2.7223123787726305239705988594767059547735071197052851163851552e-162"),
+        ("se", "1.3518179858534569563922748001792423031956789142974046376386161e-108"),
+    ],
+    ids=["sc", "se"],
+)
+def test_smallest_subnormal_load_optimum_reaches_the_root(capsys, scenario, root):
+    # tau * f(v) rounds to 5e-324, where the unscaled cubic's load
+    # coefficients would round to one bit or to 0
+    code, out, err = run(
+        capsys, "optimize", "--objective", "eta", "--scenario", scenario,
+        "--tau", "5e-324", "--v", "0.5",
+    )
+    assert code == 0 and err == ""
+    z_star = json.loads(out)["z_star"]
+    assert abs(Decimal(z_star) - Decimal(root)) <= 4 * Decimal(math.ulp(z_star))
 
 
 @pytest.mark.parametrize(
@@ -1062,21 +1096,48 @@ def test_console_script_round_trip(tmp_path):
     assert data["eta"] == pytest.approx(want, rel=1e-10)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
-    # dataclasses (which pulls in inspect) cost about a fifth of the CLI's
-    # startup; a module set, unlike a wall-clock bound, cannot flake
+@pytest.fixture(scope="module")
+def cli_import_modules(tmp_path_factory) -> set[str]:
+    """The modules that import otto_rel.cli adds to a fresh interpreter."""
+    cwd = tmp_path_factory.mktemp("imports")
+
     def loaded(statement: str) -> set[str]:
         proc = subprocess.run(
             [sys.executable, "-c", f"{statement}import sys; print(' '.join(sys.modules))"],
             capture_output=True,
             text=True,
             env=_source_first_env(),
-            cwd=tmp_path,
+            cwd=cwd,
             timeout=60,
             check=True,
         )
         return set(proc.stdout.split())
 
-    added = loaded("import otto_rel.cli; ") - loaded("")
-    assert "otto_rel.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    return loaded("import otto_rel.cli; ") - loaded("")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(cli_import_modules):
+    # dataclasses (which pulls in inspect) cost about a fifth of the CLI's
+    # startup; a module set, unlike a wall-clock bound, cannot flake
+    assert "otto_rel.cli" in cli_import_modules
+    assert not cli_import_modules & {"dataclasses", "inspect"}
+
+
+def test_cli_runtime_is_stdlib_only(cli_import_modules):
+    # the package declares no runtime dependencies
+    packages = {name.split(".")[0] for name in cli_import_modules}
+    assert "otto_rel" in packages
+    assert not packages - sys.stdlib_module_names - {"otto_rel"}
+
+
+@pytest.mark.parametrize(
+    "command", [(), ("evaluate",), ("optimize",), ("sweep",), ("phase-map",), ("figure",)],
+    ids=lambda command: command[0] if command else "otto-rel",
+)
+def test_help_renders(capsys, command):
+    # argparse formats help only when asked, so a bad help string fails here
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*command, "--help"])
+    out = capsys.readouterr().out
+    assert excinfo.value.code == 0
+    assert out.startswith("usage: otto-rel")

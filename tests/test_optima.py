@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -510,6 +511,58 @@ def test_domain_validation_errors():
         peak_efficiency(1.0, SUDDEN_COMPRESSION)
     with pytest.raises(ValueError):
         peak_efficiency(0.5, BOTH_SUDDEN)
+
+
+def _decimal_efficiency_root(g: float, scenario) -> Decimal:
+    """Largest root of the efficiency cubic at the double g, by Newton in 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        d_g = Decimal(g)
+        if scenario == SUDDEN_COMPRESSION:
+            # (2 - g) z^3 - 3 g z + 2 g^2, the root near sqrt(3g/2)
+            def f(z):
+                return (2 - d_g) * z**3 - 3 * d_g * z + 2 * d_g * d_g
+
+            def df(z):
+                return 3 * (2 - d_g) * z * z - 3 * d_g
+
+            z = (3 * d_g / 2).sqrt()
+        else:
+            # z^3 - (3/2) g z^2 - g (1 - 2g)/2, the root near (g/2)^(1/3)
+            def f(z):
+                return z**3 - Decimal("1.5") * d_g * z * z - d_g * (1 - 2 * d_g) / 2
+
+            def df(z):
+                return 3 * z * z - 3 * d_g * z
+
+            z = (d_g / 2) ** (Decimal(1) / 3)
+        for _ in range(100):
+            step = f(z) / df(z)
+            z -= step
+            if abs(step) <= z.copy_abs() * Decimal("1e-75"):
+                return z
+        raise AssertionError(f"Newton did not converge at g={g}")
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION], ids=["sc", "se"])
+def test_subnormal_load_efficiency_root_is_within_4_ulps(scenario):
+    # a subnormal load would make the cubic's load coefficients subnormal too;
+    # v = 0 makes the load tau itself
+    for g in (5e-324, 1e-322, 1e-320, 1e-315, 1e-310):
+        z_star = optimize(Objective.EFFICIENCY, scenario, g, 0.0).z_star
+        want = _decimal_efficiency_root(g, scenario)
+        assert abs(Decimal(z_star) - want) <= 4 * Decimal(math.ulp(z_star)), (g, z_star, want)
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION], ids=["sc", "se"])
+def test_window_refuses_every_bad_load(scenario):
+    # the engine floors of the scenario table take any load unguarded; the
+    # window built on them still refuses a load outside [0, 1)
+    with pytest.raises(NoInteriorOptimumError):
+        peak_efficiency(1.5, scenario)
+    for g in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            peak_efficiency(g, scenario)
 
 
 def test_stationary_velocity_limit():

@@ -12,8 +12,8 @@ EXPORTED = {
     "adiabaticity", "corner_energies", "heats_and_work", "omega_function",
     "relativistic_factor",
     # otto_rel.high_temperature
-    "ReducedParams", "ScenarioForms", "engine_lower_z_sc", "engine_lower_z_se",
-    "eta", "performance", "qh", "reduced_load", "scenario_forms", "work",
+    "ReducedParams", "ScenarioForms", "eta", "performance", "qh", "reduced_load",
+    "scenario_forms", "work",
     # otto_rel.cubic
     "CubicSolveError", "MonicCubic", "principal_trig_root",
     # otto_rel.oracle
@@ -29,7 +29,7 @@ EXPORTED = {
 
 
 def test_exported_surface_is_exactly_the_listed_names():
-    assert len(otto_rel.__all__) == len(set(otto_rel.__all__)) == len(EXPORTED) == 47
+    assert len(otto_rel.__all__) == len(set(otto_rel.__all__)) == len(EXPORTED) == 45
     assert set(otto_rel.__all__) == EXPORTED
     # a raster expands to cells only in the tests (tests/_scaffold.py)
     assert not hasattr(otto_rel.PhaseMap, "cells")
