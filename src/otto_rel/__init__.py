@@ -7,21 +7,40 @@ trade-off optima in closed form with independent numeric verification,
 classifies operational modes, and ships a CLI (`otto-rel`) that emits
 reproducible CSV/JSON.
 
-Every name a module lists in its ``__all__`` is re-exported here.
+``__all__`` below is the package's whole surface: the paper's quantities
+and the records, errors and enums they take, return or raise.  The
+machinery behind them is imported from its module, for example
+``from otto_rel.cubic import principal_trig_root``.
 """
 
-from . import core, cubic, high_temperature, optima, oracle, phase_diagram
-from .core import *  # noqa: F401,F403
-from .cubic import *  # noqa: F401,F403
-from .high_temperature import *  # noqa: F401,F403
-from .optima import *  # noqa: F401,F403
-from .oracle import *  # noqa: F401,F403
-from .phase_diagram import *  # noqa: F401,F403
+# perfbench/tracer.py finds oracle.maximize only once otto_rel.oracle is imported
+from . import oracle  # noqa: F401
+from .core import (
+    SUDDEN_COMPRESSION, SUDDEN_EXPANSION, CycleParams, PerformanceRecord,
+    heats_and_work, omega_function, relativistic_factor,
+)
+from .cubic import CubicSolveError
+from .high_temperature import ReducedParams, performance, reduced_load
+from .optima import (
+    NoInteriorOptimumError, Objective, OptimumReport, eta_omega_sc, eta_omega_se,
+    optimize, peak_efficiency,
+)
+from .phase_diagram import OperationalMode, PhaseMap, mode_fractions, rasterize
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name
-    for module in (core, high_temperature, cubic, oracle, optima, phase_diagram)
-    for name in module.__all__
+__all__ = [
+    "__version__",
+    # otto_rel.core
+    "SUDDEN_COMPRESSION", "SUDDEN_EXPANSION", "CycleParams", "PerformanceRecord",
+    "heats_and_work", "omega_function", "relativistic_factor",
+    # otto_rel.cubic
+    "CubicSolveError",
+    # otto_rel.high_temperature
+    "ReducedParams", "performance", "reduced_load",
+    # otto_rel.optima
+    "NoInteriorOptimumError", "Objective", "OptimumReport", "eta_omega_sc", "eta_omega_se",
+    "optimize", "peak_efficiency",
+    # otto_rel.phase_diagram
+    "OperationalMode", "PhaseMap", "mode_fractions", "rasterize",
 ]

@@ -47,23 +47,6 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple, Optional
 
-__all__ = [
-    "StrokeProtocol",
-    "Scenario",
-    "SUDDEN_COMPRESSION",
-    "SUDDEN_EXPANSION",
-    "BOTH_ADIABATIC",
-    "BOTH_SUDDEN",
-    "CycleParams",
-    "EnergyBook",
-    "PerformanceRecord",
-    "relativistic_factor",
-    "adiabaticity",
-    "corner_energies",
-    "heats_and_work",
-    "omega_function",
-]
-
 
 class _Validated:
     """Base of a validating namedtuple: _make, and so _replace, call __new__."""
@@ -98,10 +81,6 @@ class Scenario(NamedTuple):
 SUDDEN_COMPRESSION = Scenario(StrokeProtocol.SUDDEN, StrokeProtocol.ADIABATIC)
 #: Adiabatic compression stroke, sudden expansion stroke.
 SUDDEN_EXPANSION = Scenario(StrokeProtocol.ADIABATIC, StrokeProtocol.SUDDEN)
-#: Fully quasistatic cycle.
-BOTH_ADIABATIC = Scenario(StrokeProtocol.ADIABATIC, StrokeProtocol.ADIABATIC)
-#: Both strokes quenched.
-BOTH_SUDDEN = Scenario(StrokeProtocol.SUDDEN, StrokeProtocol.SUDDEN)
 
 
 class CycleParams(_Validated, namedtuple("CycleParams", "v beta_c beta_h omega_c omega_h")):
@@ -113,10 +92,10 @@ class CycleParams(_Validated, namedtuple("CycleParams", "v beta_c beta_h omega_c
         Oscillator velocity relative to the cold bath, 0 < v < 1.
     beta_c, beta_h:
         Inverse temperatures of the cold bath and of the effective hot
-        bath, both positive.
+        bath, both positive and finite.
     omega_c, omega_h:
         Oscillator frequencies on the cold and hot isochores, with
-        0 < omega_c <= omega_h.
+        0 < omega_c <= omega_h < inf.
     """
 
     __slots__ = ()
@@ -137,7 +116,12 @@ class CycleParams(_Validated, namedtuple("CycleParams", "v beta_c beta_h omega_c
                 f"frequencies must satisfy omega_c <= omega_h, got "
                 f"omega_c={omega_c}, omega_h={omega_h}"
             )
-        return tuple.__new__(cls, (v, beta_c, beta_h, omega_c, omega_h))
+        fields = (v, beta_c, beta_h, omega_c, omega_h)
+        # only +inf passes the checks above, and the exact path has no form for it
+        for name, value in zip(cls._fields, fields):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        return tuple.__new__(cls, fields)
 
     @property
     def z(self) -> float:

@@ -34,12 +34,6 @@ from collections import namedtuple
 
 from .core import _Validated
 
-__all__ = [
-    "MonicCubic",
-    "CubicSolveError",
-    "principal_trig_root",
-]
-
 #: Half-width of the band around |x| = 1 inside which the arccos argument
 #: is clamped instead of switching to the hyperbolic branch.
 CLAMP_EPS = 1e-12

@@ -49,17 +49,6 @@ from .core import (
 )
 from .cubic import MonicCubic
 
-__all__ = [
-    "reduced_load",
-    "ReducedParams",
-    "ScenarioForms",
-    "scenario_forms",
-    "qh",
-    "work",
-    "eta",
-    "performance",
-]
-
 
 def reduced_load(tau: float, v: float) -> float:
     """Reduced load g = tau * f(v) for tau in (0, 1) and v in f's domain [0, 1)."""

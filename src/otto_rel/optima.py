@@ -36,7 +36,8 @@ efficiency root, every candidate and probe read it, and the trade-off
 optimum shares its window with its eta_max.  The window refuses a zero load
 (a tau*f(v) that underflows, or peak_efficiency(0.0, ...)) with
 NoInteriorOptimumError: it puts the efficiency root at z = 0, which is no
-interior optimum rather than bad input.  Since f(v) <= 1, the load is at
+interior optimum rather than bad input.  A negative or non-finite load is
+bad input and raises ValueError.  Since f(v) <= 1, the load is at
 most tau < 1, so the window is never inverted; where its floor rounds to 1
 it is empty, and every candidate is refused.
 """
@@ -59,19 +60,6 @@ from .core import (
 )
 from .cubic import principal_trig_root
 from .high_temperature import reduced_load, scenario_forms
-
-__all__ = [
-    "ORACLE_AGREEMENT_TOL",
-    "Objective",
-    "OptimumReport",
-    "NoInteriorOptimumError",
-    "eta_max_sc",
-    "eta_max_se",
-    "peak_efficiency",
-    "eta_omega_sc",
-    "eta_omega_se",
-    "optimize",
-]
 
 #: Largest gap in z allowed between a closed form and the true argmax;
 #: also the step of the two probes of the closed-form certificate.
@@ -108,6 +96,8 @@ class _Window:
     """Closed forms and engine window (lo, 1) of one optimum at load g."""
 
     def __init__(self, g: float, scenario: Scenario) -> None:
+        if not 0.0 <= g < math.inf:
+            raise ValueError(f"reduced load g must be finite and non-negative, got {g}")
         self.g = g
         self.forms = scenario_forms(scenario)
         # a zero load puts the efficiency root at z = 0

@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = [
-    "OracleFailure",
-    "maximize",
-]
-
 #: Samples of the coarse scan, placed uniformly on [lo, hi] with both ends.
 GRID_POINTS = 2048
 #: Bracket width at which the golden-section refinement stops.

@@ -19,16 +19,6 @@ from typing import Optional
 from .core import Scenario, _Validated, relativistic_factor
 from .high_temperature import ReducedParams, performance, scenario_forms
 
-__all__ = [
-    "BOUNDARY_EPS",
-    "OperationalMode",
-    "PhaseMap",
-    "classify_signs",
-    "classify_by_signs",
-    "rasterize",
-    "mode_fractions",
-]
-
 BOUNDARY_EPS = 1e-9
 
 
@@ -113,6 +103,8 @@ class PhaseMap(_Validated, namedtuple("PhaseMap", "v axis runs")):
         cls, v: float, axis: tuple[float, ...], runs: tuple[tuple[_Run, ...], ...]
     ) -> PhaseMap:
         size = len(axis)
+        if not size:
+            raise ValueError("axis must hold at least one cell")
         if len(runs) != size:
             raise ValueError("runs column count must match axis length")
         for column in runs:

@@ -3,6 +3,9 @@
 None of these is needed to compute a result, so they live here rather than
 in otto_rel:
 
+* BOTH_ADIABATIC / BOTH_SUDDEN -- the two symmetric scenarios: references
+  for the asymmetric ones on the exact path, and inputs the hot-limit
+  layers must refuse;
 * classify_by_table -- the operational mode read from the closed-form
   mode edges in z, against which the sign classifier is checked;
 * derivative_check / DerivativeReport -- a Richardson-extrapolated central
@@ -16,9 +19,14 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from otto_rel import phase_diagram
-from otto_rel.core import Scenario
+from otto_rel.core import Scenario, StrokeProtocol
 from otto_rel.high_temperature import ReducedParams
 from otto_rel.phase_diagram import OperationalMode, PhaseMap
+
+#: Fully quasistatic cycle.
+BOTH_ADIABATIC = Scenario(StrokeProtocol.ADIABATIC, StrokeProtocol.ADIABATIC)
+#: Both strokes quenched.
+BOTH_SUDDEN = Scenario(StrokeProtocol.SUDDEN, StrokeProtocol.SUDDEN)
 
 
 def classify_by_table(r: ReducedParams, scenario: Scenario) -> OperationalMode:

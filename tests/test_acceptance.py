@@ -11,34 +11,28 @@ import time
 from contextlib import contextmanager
 
 from otto_rel import (
-    BOTH_ADIABATIC,
-    BOTH_SUDDEN,
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
     CycleParams,
-    MonicCubic,
     Objective,
     PerformanceRecord,
     ReducedParams,
-    classify_by_signs,
-    eta,
     eta_omega_sc,
     eta_omega_se,
     heats_and_work,
-    maximize,
     optimize,
     performance,
-    principal_trig_root,
     reduced_load,
     relativistic_factor,
-    scenario_forms,
-    work,
 )
+from otto_rel.cubic import MonicCubic, principal_trig_root
+from otto_rel.high_temperature import eta, scenario_forms, work
+from otto_rel.oracle import maximize
+from otto_rel.phase_diagram import OperationalMode, classify_by_signs
 from otto_rel import cli
-from otto_rel.phase_diagram import OperationalMode
 from _printed_forms import printed_omega_maximizer_sc, printed_omega_maximizer_se
 from _reference import REFERENCE
-from _scaffold import classify_by_table
+from _scaffold import BOTH_ADIABATIC, BOTH_SUDDEN, classify_by_table
 
 ASYMMETRIC = (SUDDEN_COMPRESSION, SUDDEN_EXPANSION)
 ALL_SCENARIOS = ASYMMETRIC + (BOTH_ADIABATIC, BOTH_SUDDEN)

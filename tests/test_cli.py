@@ -24,11 +24,11 @@ from otto_rel import (
     NoInteriorOptimumError,
     Objective,
     ReducedParams,
-    eta_max_sc,
     optimize,
     performance,
     reduced_load,
 )
+from otto_rel.optima import eta_max_sc
 from otto_rel import cli
 from _reference import REFERENCE
 

@@ -9,20 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otto_rel import (
-    BOTH_ADIABATIC,
-    BOTH_SUDDEN,
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
     CycleParams,
     PerformanceRecord,
-    StrokeProtocol,
-    adiabaticity,
-    corner_energies,
     heats_and_work,
     omega_function,
     relativistic_factor,
 )
+from otto_rel.core import StrokeProtocol, adiabaticity, corner_energies
 from _reference import REFERENCE
+from _scaffold import BOTH_ADIABATIC, BOTH_SUDDEN
 
 ALL_SCENARIOS = (SUDDEN_COMPRESSION, SUDDEN_EXPANSION, BOTH_ADIABATIC, BOTH_SUDDEN)
 

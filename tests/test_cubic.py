@@ -8,14 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from otto_rel import (
-    CubicSolveError,
-    MonicCubic,
-    principal_trig_root,
-    relativistic_factor,
-)
+from otto_rel import SUDDEN_COMPRESSION, SUDDEN_EXPANSION, CubicSolveError, relativistic_factor
 from otto_rel import cubic as cubic_module
-from otto_rel import SUDDEN_COMPRESSION, SUDDEN_EXPANSION, scenario_forms
+from otto_rel.cubic import MonicCubic, principal_trig_root
+from otto_rel.high_temperature import scenario_forms
 from _reference import REFERENCE
 
 

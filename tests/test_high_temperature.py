@@ -13,25 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otto_rel import (
-    BOTH_ADIABATIC,
-    BOTH_SUDDEN,
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
     CycleParams,
     ReducedParams,
-    Scenario,
-    StrokeProtocol,
-    eta,
     heats_and_work,
     performance,
-    qh,
     reduced_load,
     relativistic_factor,
-    scenario_forms,
-    work,
 )
+from otto_rel.core import Scenario, StrokeProtocol
+from otto_rel.high_temperature import eta, qh, scenario_forms, work
 from otto_rel import cli
 from _reference import REFERENCE
+from _scaffold import BOTH_ADIABATIC, BOTH_SUDDEN
 
 SPOT = ReducedParams(z=0.7, g=reduced_load(0.5, 0.5))
 

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 
 import pytest
@@ -10,35 +11,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otto_rel import (
-    BOTH_SUDDEN,
-    ORACLE_AGREEMENT_TOL,
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
     NoInteriorOptimumError,
     Objective,
     OptimumReport,
     ReducedParams,
-    eta,
-    eta_max_sc,
-    eta_max_se,
     eta_omega_sc,
     eta_omega_se,
-    maximize,
     omega_function,
     optimize,
     peak_efficiency,
     performance,
-    principal_trig_root,
-    qh,
     reduced_load,
     relativistic_factor,
-    scenario_forms,
-    work,
 )
+from otto_rel.cubic import principal_trig_root
+from otto_rel.high_temperature import eta, qh, scenario_forms, work
+from otto_rel.optima import ORACLE_AGREEMENT_TOL, eta_max_sc, eta_max_se
+from otto_rel.oracle import maximize
 from otto_rel import cli, optima
 from _printed_forms import printed_omega_maximizer_sc, printed_omega_maximizer_se
 from _reference import REFERENCE
-from _scaffold import derivative_check
+from _scaffold import BOTH_SUDDEN, derivative_check
 
 POINTS = {
     "tau=0.5,v=0.5": (0.5, 0.5),
@@ -557,12 +552,14 @@ def test_subnormal_load_efficiency_root_is_within_4_ulps(scenario):
 @pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION], ids=["sc", "se"])
 def test_window_refuses_every_bad_load(scenario):
     # the engine floors of the scenario table take any load unguarded; the
-    # window built on them still refuses a load outside [0, 1)
+    # window built on them still refuses a load outside [0, 1), a bad one by name
     with pytest.raises(NoInteriorOptimumError):
         peak_efficiency(1.5, scenario)
     for g in (-0.5, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        message = f"reduced load g must be finite and non-negative, got {g}"
+        with pytest.raises(ValueError, match=re.escape(message)) as caught:
             peak_efficiency(g, scenario)
+        assert type(caught.value) is ValueError
 
 
 def test_stationary_velocity_limit():

@@ -7,16 +7,15 @@ import pytest
 from otto_rel import (
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
-    OracleFailure,
     ReducedParams,
-    eta,
-    maximize,
     omega_function,
     peak_efficiency,
     performance,
     reduced_load,
     relativistic_factor,
 )
+from otto_rel.high_temperature import eta
+from otto_rel.oracle import OracleFailure, maximize
 from _reference import REFERENCE
 from _scaffold import derivative_check
 

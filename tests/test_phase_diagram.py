@@ -12,21 +12,18 @@ import otto_rel.phase_diagram as phase_diagram
 from otto_rel import (
     SUDDEN_COMPRESSION,
     SUDDEN_EXPANSION,
-    BOTH_SUDDEN,
     OperationalMode,
     PhaseMap,
     ReducedParams,
-    classify_by_signs,
-    classify_signs,
     mode_fractions,
     performance,
-    qh,
     rasterize,
     reduced_load,
     relativistic_factor,
-    scenario_forms,
 )
-from _scaffold import cells, classify_by_table
+from otto_rel.high_temperature import qh, scenario_forms
+from otto_rel.phase_diagram import classify_by_signs, classify_signs
+from _scaffold import BOTH_SUDDEN, cells, classify_by_table
 
 E = OperationalMode.ENGINE
 R = OperationalMode.REFRIGERATOR
@@ -317,6 +314,9 @@ def test_phase_map_shape_validation():
     for runs in mismatched.values():
         with pytest.raises(ValueError):
             PhaseMap(v=0.5, axis=(0.25, 0.75), runs=runs)
+    # empty axis: a map with no cell, whose mode fractions would divide by zero
+    with pytest.raises(ValueError, match="axis must hold at least one cell"):
+        PhaseMap(v=0.5, axis=(), runs=())
 
 
 def test_phase_map_cells_expand_the_runs():

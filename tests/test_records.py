@@ -1,7 +1,9 @@
 """Record contract: every public record is a validated, immutable namedtuple."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from typing import NamedTuple
 
 import pytest
@@ -9,17 +11,14 @@ import pytest
 import otto_rel
 from otto_rel import (
     CycleParams,
-    EnergyBook,
-    MonicCubic,
     OperationalMode,
     OptimumReport,
     PerformanceRecord,
     PhaseMap,
     ReducedParams,
-    Scenario,
-    StrokeProtocol,
 )
-from otto_rel.core import _Validated
+from otto_rel.core import EnergyBook, Scenario, StrokeProtocol, _Validated
+from otto_rel.cubic import MonicCubic
 from _scaffold import DerivativeReport
 
 SC_TEXT = (
@@ -59,6 +58,9 @@ CASES = [
                 dict(omega_h=0.25),
                 "frequencies must satisfy omega_c <= omega_h, got omega_c=0.5, omega_h=0.25",
             ),
+            # an infinite field would turn the exact corner energies into nan
+            (dict(beta_c=float("inf")), "beta_c must be finite, got inf"),
+            (dict(omega_h=float("inf")), "omega_h must be finite, got inf"),
         ],
     ),
     Case(
@@ -132,17 +134,38 @@ CASES = [
     ),
 ]
 
+
+def _error_ids():
+    # record and field name an error; a repeated field adds its value when that
+    # is a float (CycleParams-beta_c=inf), and pytest numbers the rest (runs0)
+    for case in CASES:
+        seen = set()
+        for override, _ in case.errors:
+            ((name, value),) = override.items()
+            repeat = name in seen and isinstance(value, float)
+            yield f"{case.cls.__name__}-{name}" + (f"={value}" if repeat else "")
+            seen.add(name)
+
+
 BY_NAME = pytest.mark.parametrize("case", CASES, ids=lambda case: case.cls.__name__)
 INVALID = pytest.mark.parametrize(
     "case, override, message",
     [(case, override, message) for case in CASES for override, message in case.errors],
-    ids=[f"{case.cls.__name__}-{next(iter(o))}" for case in CASES for o, _ in case.errors],
+    ids=list(_error_ids()),
 )
 
 
 def test_every_validated_record_is_covered():
+    # from every module, so a record that is not exported is covered too
+    modules = [
+        importlib.import_module(f"otto_rel.{info.name}")
+        for info in pkgutil.iter_modules(otto_rel.__path__)
+    ]
     validated = {
-        obj for obj in vars(otto_rel).values() if isinstance(obj, type) and issubclass(obj, _Validated)
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, _Validated) and obj is not _Validated
     }
     assert validated == {case.cls for case in CASES if case.errors}
     assert len(CASES) == 9
