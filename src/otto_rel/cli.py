@@ -121,38 +121,56 @@ def _cap(g: float, token: str) -> Optional[float]:
         return None
 
 
-def _record(args, z: float, g: float, cap: Optional[float]) -> dict:
-    """One evaluation at load g = tau*f(v) rendered as the fixed-order output mapping."""
+def _evaluator(args) -> tuple:
+    """The (point, record) pair of an evaluate or sweep request.
+
+    The scenario, the units, the load g = tau*f(v) and eta_max are read
+    once here.  point(z) is the validated operating point at ratio z;
+    record(z, point) is its evaluation as the fixed-order output mapping.
+    """
     token, tau, v, beta_h = args.scenario, args.tau, args.v, args.beta_h
     scenario = _SCENARIOS[token]
+    g = reduced_load(tau, v)
+    cap = _cap(g, token)
     if args.exact:
         # the mode reads the energies in units of omega_h
         unit = omega_h = args.omega_h
-        omega_c, beta_c = z * omega_h, beta_h / tau
-        if omega_c == 0.0:
-            raise FloatingPointError(f"omega_c = z*omega_h underflows to 0 at omega-h={omega_h}")
-        if beta_c == math.inf:
-            raise FloatingPointError(f"beta_c = beta_h/tau overflows at beta-h={beta_h}")
-        rec = heats_and_work(CycleParams(v, beta_c, beta_h, omega_c, omega_h), scenario)
-        scale = 1.0
+        beta_c, scale, evaluate = beta_h / tau, 1.0, heats_and_work
+
+        def point(z: float) -> CycleParams:
+            omega_c = z * omega_h
+            if omega_c == 0.0:
+                raise FloatingPointError(
+                    f"omega_c = z*omega_h underflows to 0 at omega-h={omega_h}"
+                )
+            if beta_c == math.inf:
+                raise FloatingPointError(f"beta_c = beta_h/tau overflows at beta-h={beta_h}")
+            return CycleParams(v, beta_c, beta_h, omega_c, omega_h)
+
     else:
         # the mode reads the unit-free forms; the energies print in units of 1/beta_h
-        rec = performance(ReducedParams(z, g), scenario)
-        unit, scale = 1.0, beta_h
-    q_h, q_c, w_ext = rec
-    return {
-        "z": z,
-        "tau": tau,
-        "v": v,
-        "beta_h": beta_h,
-        "scenario": token,
-        "q_h": q_h / scale,
-        "q_c": q_c / scale,
-        "w_ext": w_ext / scale,
-        "eta": rec.eta,
-        "omega": None if cap is None else omega_function(rec, cap) / scale,
-        "mode": _MODE_TOKENS[classify_signs(w_ext / unit, q_h / unit, q_c / unit)],
-    }
+        unit, scale, evaluate = 1.0, beta_h, performance
+
+        def point(z: float) -> ReducedParams:
+            return ReducedParams(z, g)
+
+    def record(z: float, params: tuple) -> dict:
+        q_h, q_c, w_ext = rec = evaluate(params, scenario)
+        return {
+            "z": z,
+            "tau": tau,
+            "v": v,
+            "beta_h": beta_h,
+            "scenario": token,
+            "q_h": q_h / scale,
+            "q_c": q_c / scale,
+            "w_ext": w_ext / scale,
+            "eta": rec.eta,
+            "omega": None if cap is None else omega_function(rec, cap) / scale,
+            "mode": _MODE_TOKENS[classify_signs(w_ext / unit, q_h / unit, q_c / unit)],
+        }
+
+    return point, record
 
 
 def _render_mapping(mapping: dict, fmt: str, output: Optional[str]) -> None:
@@ -164,8 +182,8 @@ def _render_mapping(mapping: dict, fmt: str, output: Optional[str]) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    g = reduced_load(args.tau, args.v)
-    _render_mapping(_record(args, args.z, g, _cap(g, args.scenario)), args.format, args.output)
+    point, record = _evaluator(args)
+    _render_mapping(record(args.z, point(args.z)), args.format, args.output)
     return 0
 
 
@@ -202,6 +220,8 @@ _EVAL_HEADER = (
     "omega",
     "mode",
 )
+# the columns of a sweep row that vary with z
+_ROW_KEYS = ("z", *_EVAL_HEADER[5:])
 
 
 def _cmd_sweep(args) -> int:
@@ -211,11 +231,20 @@ def _cmd_sweep(args) -> int:
         )
     points = 1 if args.z_max == args.z_min else args.points
     grid = _linspace(args.z_min, args.z_max, points)
-    g = reduced_load(args.tau, args.v)
-    cap = _cap(g, args.scenario)
-    rows = [[_record(args, z, g, cap)[key] for key in _EVAL_HEADER] for z in grid]
-    _require_finite(zip(itertools.cycle(_EVAL_HEADER), itertools.chain.from_iterable(rows)))
-    _emit(_csv(_EVAL_HEADER, rows), args.output)
+    point, record = _evaluator(args)
+    rows = []
+    for z in grid:
+        params = point(z)
+        # record runs once per column, not once per row: perfbench/test_perfbench.py
+        # pins 7 * 11 performance calls for a 7-point sweep, and only the
+        # benchmark change (ROADMAP.md item 4) may move that pin.
+        row = [record(z, params)[key] for key in _EVAL_HEADER]
+        del row[1:5]  # the request columns, written once below
+        rows.append(row)
+    # the request columns passed _check_domains; z and the computed cells are checked here
+    _require_finite(zip(itertools.cycle(_ROW_KEYS), itertools.chain.from_iterable(rows)))
+    request = ",".join(map(_fmt, (args.tau, args.v, args.beta_h, args.scenario)))
+    _emit(_csv(_EVAL_HEADER, ((row[0], request, *row[1:]) for row in rows)), args.output)
     return 0
 
 

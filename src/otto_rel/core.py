@@ -95,7 +95,8 @@ class CycleParams(_Validated, namedtuple("CycleParams", "v beta_c beta_h omega_c
         bath, both positive and finite.
     omega_c, omega_h:
         Oscillator frequencies on the cold and hot isochores, with
-        0 < omega_c <= omega_h < inf.
+        0 < omega_c <= omega_h < inf and a ratio omega_c/omega_h that
+        does not underflow to 0.
     """
 
     __slots__ = ()
@@ -121,6 +122,12 @@ class CycleParams(_Validated, namedtuple("CycleParams", "v beta_c beta_h omega_c
         for name, value in zip(cls._fields, fields):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # the stroke factors need z = omega_c/omega_h > 0, which positive fields do not assure
+        if omega_c / omega_h == 0.0:
+            raise ValueError(
+                f"frequency ratio omega_c/omega_h underflows to 0, got "
+                f"omega_c={omega_c}, omega_h={omega_h}"
+            )
         return tuple.__new__(cls, fields)
 
     @property

@@ -163,4 +163,6 @@ def eta(r: ReducedParams, scenario: Scenario) -> Optional[float]:
 def performance(r: ReducedParams, scenario: Scenario) -> PerformanceRecord:
     """The hot-limit performance record at one point, each energy times beta_h."""
     forms = scenario_forms(scenario)
-    return PerformanceRecord(forms.qh(*r), forms.qc(*r), forms.work(*r))
+    z, g = r
+    # tuple.__new__ skips the namedtuple's Python-level constructor; the fields need no check
+    return tuple.__new__(PerformanceRecord, (forms.qh(z, g), forms.qc(z, g), forms.work(z, g)))

@@ -284,6 +284,9 @@ def test_exact_subnormal_sinh_gap_exits_3(capsys, flags):
         pytest.param(("--z", "1e-10", "--omega-h", "1e-320"), "omega_c = z*omega_h", id="omega_c"),
         pytest.param(("--z", "0.5", "--beta-h", "1e308", "--omega-h", "1e10"),
                      "beta_c = beta_h/tau", id="beta_c"),
+        # both leave the doubles; the omega_c underflow is named first
+        pytest.param(("--z", "1e-300", "--omega-h", "1e-300", "--beta-h", "1e308",
+                      "--tau", "1e-10"), "omega_c = z*omega_h", id="omega_c-before-beta_c"),
     ],
 )
 def test_exact_product_that_leaves_the_doubles_exits_3(capsys, argv, product):
@@ -301,6 +304,7 @@ def test_record_runs_no_enum_code(exact):
     args = cli.build_parser().parse_args(
         ["evaluate", "--scenario", "sc", "--z", "0.8", "--tau", "0.5", "--v", "0.5", *exact]
     )
+    point, record = cli._evaluator(args)
     entered = []
 
     def profile(frame, event, arg):
@@ -310,11 +314,11 @@ def test_record_runs_no_enum_code(exact):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        record = cli._record(args, 0.8, reduced_load(0.5, 0.5), 0.2)
+        mapping = record(0.8, point(0.8))
     finally:
         sys.setprofile(previous)
     assert entered == []
-    assert record["mode"] == "engine"
+    assert mapping["mode"] == "engine"
 
 
 _POINT = ("--scenario", "sc", "--tau", "0.5", "--v", "0.5")
@@ -551,6 +555,21 @@ def test_sweep_grid_ends_at_its_bounds():
         assert len(grid) == points
         assert grid[0] == z_min and grid[-1] == z_max, (z_min, z_max, points)
         assert max(grid) == z_max
+
+
+def test_sweep_validates_each_point_once(capsys, monkeypatch):
+    # one ReducedParams per row, however many columns the row reads from it
+    built = []
+    new = ReducedParams.__new__
+
+    def counted(cls, *fields):
+        built.append(fields)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(ReducedParams, "__new__", counted)
+    code, _, err = run(capsys, *_SWEEP, "--points", "7")
+    assert code == 0 and err == ""
+    assert len(built) == 7
 
 
 def test_sweep_validation(capsys):
@@ -796,6 +815,16 @@ FROZEN_OUTPUTS = {
     ("sweep", "--scenario", "se", "--tau", "0.25", "--v", "0.75",
      "--z-min", "0.05", "--z-max", "1", "--points", "25"):
         "e5c890ead07d5721931f7df41266ac8dc4433f2b5133280ff363a3b197a3706a",
+    # the unit flags: beta_h divides every hot-limit energy, omega_h sets the --exact mode unit
+    ("sweep", "--scenario", "sc", "--tau", "0.5", "--v", "0.5",
+     "--z-min", "0.05", "--z-max", "1", "--points", "25", "--beta-h", "2.5"):
+        "6a91831bc782629d4795c00248ce7ab24bd5affdf5377128e0bea4ec72b6cf0b",
+    ("sweep", "--scenario", "se", "--tau", "0.25", "--v", "0.75",
+     "--z-min", "0.05", "--z-max", "1", "--points", "25", "--beta-h", "2.5"):
+        "e28d6667c2abcd6df2c384cbee19ff2db56cc52d825565b77128216f1fc56b21",
+    ("evaluate", "--scenario", "se", "--z", "0.9", "--tau", "0.5", "--v", "0.5",
+     "--exact", "--omega-h", "3", "--format", "csv"):
+        "647e2977b2a0ede78581f3bef74a35149526054731e839b98fa587587099d661",
     # phase-map: (CSV file, JSON summary on stdout)
     ("phase-map", "--scenario", "sc", "--v", "0.35", "--resolution", "9"): (
         "318d301690e8b9d5b455619d294b5590f6e75301c679a06752dcbd6d05df39e6",
@@ -812,7 +841,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv", list(FROZEN_OUTPUTS), ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def _frozen_id(argv):
+    # subcommand and scenario or figure, then any unit flag the pin sets
+    units = [f"{flag[2:]}={value}" for flag, value in zip(argv, argv[1:])
+             if flag in ("--beta-h", "--omega-h")]
+    return "-".join((argv[0], argv[2], *units))
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_OUTPUTS), ids=_frozen_id)
 def test_outputs_match_frozen_digests(capsys, tmp_path, argv):
     if argv[0] == "phase-map":
         path = tmp_path / "map.csv"

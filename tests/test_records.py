@@ -61,6 +61,12 @@ CASES = [
             # an infinite field would turn the exact corner energies into nan
             (dict(beta_c=float("inf")), "beta_c must be finite, got inf"),
             (dict(omega_h=float("inf")), "omega_h must be finite, got inf"),
+            # positive frequencies whose ratio z leaves the doubles
+            (
+                dict(omega_c=1e-200, omega_h=1e200),
+                "frequency ratio omega_c/omega_h underflows to 0, "
+                "got omega_c=1e-200, omega_h=1e+200",
+            ),
         ],
     ),
     Case(
@@ -136,12 +142,13 @@ CASES = [
 
 
 def _error_ids():
-    # record and field name an error; a repeated field adds its value when that
-    # is a float (CycleParams-beta_c=inf), and pytest numbers the rest (runs0)
+    # record and field name an error (fields joined by "/" when several break
+    # it together); a repeated field adds its value when that is a float
+    # (CycleParams-beta_c=inf), and pytest numbers the rest (runs0)
     for case in CASES:
         seen = set()
         for override, _ in case.errors:
-            ((name, value),) = override.items()
+            name, value = "/".join(override), next(iter(override.values()))
             repeat = name in seen and isinstance(value, float)
             yield f"{case.cls.__name__}-{name}" + (f"={value}" if repeat else "")
             seen.add(name)
