@@ -13,12 +13,11 @@ result).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
 import sys
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     SUDDEN_COMPRESSION,
@@ -54,16 +53,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _output(output: Optional[str]) -> contextlib.AbstractContextManager[TextIO]:
-    """The text stream for --output: stdout when None (left open), else the file."""
+def _write(output: Optional[str], chunks: Iterable[str]) -> None:
+    """Write the chunks in order to the --output file, or to stdout when it is None."""
     if output is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(output, "w", encoding="utf-8", newline="\n")
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    with _output(output) as handle:
-        handle.write(text)
+        sys.stdout.writelines(chunks)
+        return
+    with open(output, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(chunks)
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -113,14 +109,6 @@ def _check_domains(args) -> None:
             _check(name, value)
 
 
-def _cap(g: float, token: str) -> Optional[float]:
-    """eta_max at load g for the omega column; None where it cannot be certified."""
-    try:
-        return peak_efficiency(g, _SCENARIOS[token])
-    except NoInteriorOptimumError:
-        return None
-
-
 def _evaluator(args) -> tuple:
     """The (point, record) pair of an evaluate or sweep request.
 
@@ -131,7 +119,10 @@ def _evaluator(args) -> tuple:
     token, tau, v, beta_h = args.scenario, args.tau, args.v, args.beta_h
     scenario = _SCENARIOS[token]
     g = reduced_load(tau, v)
-    cap = _cap(g, token)
+    try:
+        cap = peak_efficiency(g, scenario)
+    except NoInteriorOptimumError:
+        cap = None  # the omega column stays empty where eta_max cannot be certified
     if args.exact:
         # the mode reads the energies in units of omega_h
         unit = omega_h = args.omega_h
@@ -176,9 +167,9 @@ def _evaluator(args) -> tuple:
 def _render_mapping(mapping: dict, fmt: str, output: Optional[str]) -> None:
     _require_finite(mapping.items())
     if fmt == "json":
-        _emit(json.dumps(mapping) + "\n", output)
+        _write(output, [json.dumps(mapping) + "\n"])
     else:
-        _emit(_csv(list(mapping), [list(mapping.values())]), output)
+        _write(output, [_csv(list(mapping), [list(mapping.values())])])
 
 
 def _cmd_evaluate(args) -> int:
@@ -244,20 +235,20 @@ def _cmd_sweep(args) -> int:
     # the request columns passed _check_domains; z and the computed cells are checked here
     _require_finite(zip(itertools.cycle(_ROW_KEYS), itertools.chain.from_iterable(rows)))
     request = ",".join(map(_fmt, (args.tau, args.v, args.beta_h, args.scenario)))
-    _emit(_csv(_EVAL_HEADER, ((row[0], request, *row[1:]) for row in rows)), args.output)
+    _write(args.output, [_csv(_EVAL_HEADER, ((row[0], request, *row[1:]) for row in rows))])
     return 0
 
 
 _RASTER_HEADER = ("z", "tau", "v", "scenario", "mode")
 
 
-def _write_raster(handle: TextIO, token: str, phase_maps: Iterable[PhaseMap]) -> None:
-    """Raster CSV, one write per z row.
+def _raster(token: str, phase_maps: Iterable[PhaseMap]) -> Iterator[str]:
+    """Raster CSV: the header, then one string per z row.
 
     Each column keeps its tail "tau,v,scenario,mode" and changes it only
     where one of its runs starts, so a row is its z joined to the tails.
     """
-    handle.write(_csv(_RASTER_HEADER, ()))
+    yield _csv(_RASTER_HEADER, ())
     for phase_map in phase_maps:
         v, axis = repr(phase_map.v), phase_map.axis
         # z row -> the (column, mode) runs that start there
@@ -270,19 +261,18 @@ def _write_raster(handle: TextIO, token: str, phase_maps: Iterable[PhaseMap]) ->
             for j, mode in due:
                 tails[j] = f"{axis[j]!r},{v},{token},{_MODE_TOKENS[mode]}\n"
             head = repr(z) + ","
-            handle.write(head + head.join(tails))
+            yield head + head.join(tails)
 
 
 def _cmd_phase_map(args) -> int:
     phase_map = rasterize(_SCENARIOS[args.scenario], args.v, args.resolution)
-    with _output(args.output) as handle:
-        _write_raster(handle, args.scenario, [phase_map])
+    _write(args.output, _raster(args.scenario, [phase_map]))
     summary = {
         "mode_fractions": mode_fractions(phase_map),
         "v": args.v,
         "scenario": args.scenario,
     }
-    sys.stdout.write(json.dumps(summary) + "\n")
+    _write(None, [json.dumps(summary) + "\n"])
     return 0
 
 
@@ -345,8 +335,7 @@ def _cmd_figure(args) -> int:
         # v-list and resolution are validated, so no raster raises mid-file
         token = "sc" if args.id == 5 else "se"
         maps = (rasterize(_SCENARIOS[token], v, args.resolution) for v in v_list)
-        with _output(args.output) as handle:
-            _write_raster(handle, token, maps)
+        _write(args.output, _raster(token, maps))
         return 0
     points = (100 if args.id == 2 else 200) if args.points is None else args.points
     if args.id == 2:
@@ -355,7 +344,7 @@ def _cmd_figure(args) -> int:
         default_tau, columns = _Z_FIGURES[args.id]
         tau = default_tau if args.tau is None else args.tau
         text = _figure_z(v_list, tau, points, columns)
-    _emit(text, args.output)
+    _write(args.output, [text])
     return 0
 
 
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("evaluate", help="heats, work, efficiency at one point")
-    p_eval.add_argument("--scenario", choices=("sc", "se"), required=True)
+    p_eval.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
     p_eval.add_argument("--z", type=float, required=True, help="frequency ratio in (0,1]")
     _add_common(p_eval)
     p_eval.add_argument(
@@ -393,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="optimal ratio for one objective")
     p_opt.add_argument("--objective", choices=("eta", "work", "omega"), required=True)
-    p_opt.add_argument("--scenario", choices=("sc", "se"), required=True)
+    p_opt.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
     _add_common(p_opt)
     p_opt.add_argument("--format", choices=("json", "csv"), default="json")
     p_opt.add_argument("--output", default=None, help="file path (default stdout)")
     p_opt.set_defaults(handler=_cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", help="evaluate along a z range")
-    p_sweep.add_argument("--scenario", choices=("sc", "se"), required=True)
+    p_sweep.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
     _add_common(p_sweep)
     p_sweep.add_argument("--z-min", type=float, required=True)
     p_sweep.add_argument("--z-max", type=float, required=True)
@@ -409,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep, exact=False)
 
     p_phase = sub.add_parser("phase-map", help="mode raster plus JSON mode fractions")
-    p_phase.add_argument("--scenario", choices=("sc", "se"), required=True)
+    p_phase.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
     p_phase.add_argument("--v", type=float, required=True)
     p_phase.add_argument("--resolution", type=int, default=200)
     p_phase.add_argument(

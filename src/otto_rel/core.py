@@ -237,7 +237,7 @@ def corner_energies(params: CycleParams, scenario: Scenario) -> EnergyBook:
     the expansion-stroke factor.  <H>_A = (omega_c / 2) * (L / d) with
     d = 2x sinh(s) and L the log-sinh ratio; a d below the smallest
     normal double raises FloatingPointError, as does an x e^(-s) that
-    underflows to 0.
+    underflows to 0 and a corner energy that leaves the doubles.
     """
     lam_ab = adiabaticity(scenario.compression, params.z)
     lam_cd = adiabaticity(scenario.expansion, params.z)
@@ -260,10 +260,16 @@ def corner_energies(params: CycleParams, scenario: Scenario) -> EnergyBook:
     # L/d first, so omega_c * L cannot underflow on the way.
     h_a = 0.5 * omega_c * (_log_sinh_ratio(b, d) / d)
     h_b = (params.omega_h / params.omega_c) * lam_ab * h_a
-    coth_hot = 1.0 / math.tanh(0.5 * params.beta_h * params.omega_h)
+    # below beta_h*omega_h/2 of about 5.6e-309 coth overflows, and at 0 it has its pole
+    tanh_hot = math.tanh(0.5 * params.beta_h * params.omega_h)
+    coth_hot = 1.0 / tanh_hot if tanh_hot else math.inf
     h_c = 0.5 * params.omega_h * coth_hot
     h_d = 0.5 * params.omega_c * lam_cd * coth_hot
-    return EnergyBook(h_a=h_a, h_b=h_b, h_c=h_c, h_d=h_d)
+    book = EnergyBook(h_a=h_a, h_b=h_b, h_c=h_c, h_d=h_d)
+    for corner, energy in zip("ABCD", book):
+        if not math.isfinite(energy):
+            raise FloatingPointError(f"<H>_{corner} = {energy!r} leaves the doubles at {params!r}")
+    return book
 
 
 def heats_and_work(params: CycleParams, scenario: Scenario) -> PerformanceRecord:

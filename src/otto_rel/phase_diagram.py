@@ -76,17 +76,6 @@ def classify_by_signs(r: ReducedParams, scenario: Scenario) -> OperationalMode:
     return classify_signs(rec.w_ext, rec.q_h, rec.q_c)
 
 
-def _edges(g: float, scenario: Scenario) -> tuple[Optional[float], float, float]:
-    """Ascending mode edges (refrigerator top, heater top, engine bottom).
-
-    The refrigerator edge is None for the expansion quench when
-    tau*f(v) <= 1/2: the required z**2 = 2*tau*f(v) - 1 has no real
-    solution and the refrigerator region is absent.
-    """
-    forms = scenario_forms(scenario)
-    return forms.fridge_top(g), forms.heater_top(g), forms.engine_lower_z(g)
-
-
 class PhaseMap(_Validated, namedtuple("PhaseMap", "v axis runs")):
     """Immutable mode raster over the open unit square of (z, tau).
 
@@ -137,9 +126,10 @@ def _column_runs(scenario: Scenario, axis: tuple[float, ...], g: float) -> tuple
     Q_h and Q_c are monotone in z, and W rises up to the maximum-work
     ratio g**(1/3) and falls after it to 0 at z = 1, so each comes near
     zero only at its one sign change (and W also near z = 1): the
-    closed-form edges predict every run end.  The cells on both sides of each predicted edge and the first and
-    last cells are classified exactly from the forms, widening outward
-    while they are Boundary.  No predicted edge lies between two
+    closed-form edges predict every run end.  The cells on both sides of
+    each predicted edge (the refrigerator edge may be absent) and the
+    first and last cells are classified exactly from the forms, widening
+    outward while they are Boundary.  No predicted edge lies between two
     neighbouring classified cells, so their modes must agree; where they
     do not, the whole column is classified cell by cell instead.
     """
@@ -151,7 +141,7 @@ def _column_runs(scenario: Scenario, axis: tuple[float, ...], g: float) -> tuple
 
     last = len(axis) - 1
     pending = [0, last]
-    for edge in _edges(g, scenario):
+    for edge in (forms.fridge_top(g), forms.heater_top(g), forms.engine_lower_z(g)):
         if edge is not None:
             i = bisect_left(axis, edge)
             pending += [i - 1, i]

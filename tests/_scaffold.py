@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from otto_rel import phase_diagram
 from otto_rel.core import Scenario, StrokeProtocol
-from otto_rel.high_temperature import ReducedParams
+from otto_rel.high_temperature import ReducedParams, scenario_forms
 from otto_rel.phase_diagram import OperationalMode, PhaseMap
 
 #: Fully quasistatic cycle.
@@ -36,7 +36,9 @@ def classify_by_table(r: ReducedParams, scenario: Scenario) -> OperationalMode:
     any edge, or of the zero-work line z = 1, report Boundary so ties stay
     deterministic.
     """
-    fridge_top, heater_top, engine_bottom = phase_diagram._edges(r.g, scenario)
+    forms = scenario_forms(scenario)
+    fridge_top, heater_top = forms.fridge_top(r.g), forms.heater_top(r.g)
+    engine_bottom = forms.engine_lower_z(r.g)
     z = r.z
     edges = [heater_top, engine_bottom, 1.0]
     if fridge_top is not None:

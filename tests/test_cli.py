@@ -298,6 +298,17 @@ def test_exact_product_that_leaves_the_doubles_exits_3(capsys, argv, product):
     assert err.startswith(f"otto-rel: error: numeric failure: {product}") and err.count("\n") == 1
 
 
+def test_exact_hot_corner_overflow_exits_3_naming_it(capsys):
+    # every flag and product is in range, but coth(beta_h*omega_h/2) overflows
+    code, out, err = run(
+        capsys, "evaluate", "--scenario", "sc", "--exact", "--z", "0.5", "--tau", "1e-300",
+        "--v", "0.5", "--beta-h", "1e-309",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("otto-rel: error: numeric failure: <H>_C = inf leaves the doubles")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("exact", [(), ("--exact",)], ids=["hot-limit", "exact"])
 def test_record_runs_no_enum_code(exact):
     # Enum.value is Python code in enum.py; the mode token is a dict lookup
@@ -861,6 +872,29 @@ def test_outputs_match_frozen_digests(capsys, tmp_path, argv):
     assert digest == FROZEN_OUTPUTS[argv]
 
 
+# Every pinned stdout output, and optimize in both formats.
+_STDOUT_OUTPUTS = [argv for argv in FROZEN_OUTPUTS if argv[0] != "phase-map"] + [
+    ("optimize", "--objective", "omega", "--scenario", "se", "--tau", "0.5", "--v", "0.5",
+     "--format", fmt)
+    for fmt in ("json", "csv")
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _STDOUT_OUTPUTS,
+    ids=lambda argv: _frozen_id(argv) + "".join(
+        f"-{fmt}" for flag, fmt in zip(argv, argv[1:]) if flag == "--format"
+    ),
+)
+def test_output_file_holds_what_stdout_prints(capsys, tmp_path, argv):
+    code, printed, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
 def test_phase_map_memory_is_not_proportional_to_output(capsys, tmp_path):
     # The raster is written row by row: the traced peak stays far below the
     # size of the CSV it writes, where building the whole text would exceed it.
@@ -1166,9 +1200,19 @@ def test_cli_runtime_is_stdlib_only(cli_import_modules):
     assert not packages - sys.stdlib_module_names - {"otto_rel"}
 
 
+# The choice lists each help text shows, so a dropped or reordered choice fails here.
+_HELP_CHOICES = {
+    (): ("{evaluate,optimize,sweep,phase-map,figure}",),
+    ("evaluate",): ("{sc,se}", "{json,csv}"),
+    ("optimize",): ("{eta,work,omega}", "{sc,se}", "{json,csv}"),
+    ("sweep",): ("{sc,se}",),
+    ("phase-map",): ("{sc,se}",),
+    ("figure",): ("{2,3,4,5,6}",),
+}
+
+
 @pytest.mark.parametrize(
-    "command", [(), ("evaluate",), ("optimize",), ("sweep",), ("phase-map",), ("figure",)],
-    ids=lambda command: command[0] if command else "otto-rel",
+    "command", list(_HELP_CHOICES), ids=lambda command: command[0] if command else "otto-rel"
 )
 def test_help_renders(capsys, command):
     # argparse formats help only when asked, so a bad help string fails here
@@ -1177,3 +1221,5 @@ def test_help_renders(capsys, command):
     out = capsys.readouterr().out
     assert excinfo.value.code == 0
     assert out.startswith("usage: otto-rel")
+    for choices in _HELP_CHOICES[command]:
+        assert choices in out, (choices, out)

@@ -205,6 +205,24 @@ def test_large_arguments_do_not_overflow():
     assert book.h_c == pytest.approx(params.omega_h / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "params, corner",
+    [
+        # coth(beta_h*omega_h/2) overflows
+        pytest.param(CycleParams(0.5, 1.0, 1e-320, 0.5, 1.0), "<H>_C", id="coth-overflow"),
+        # beta_h*omega_h/2 rounds to 0, so tanh of it is 0
+        pytest.param(CycleParams(0.5, 1.0, 5e-324, 0.5, 1.0), "<H>_C", id="coth-pole"),
+        # (omega_h/omega_c) * lambda_AB overflows
+        pytest.param(CycleParams(0.5, 1.0, 1.0, 1e-300, 1.0), "<H>_B", id="h_b-overflow"),
+    ],
+)
+def test_corner_energy_that_leaves_the_doubles_raises_naming_it(params, corner):
+    with pytest.raises(FloatingPointError, match=f"^{corner} = inf leaves the doubles"):
+        corner_energies(params, SUDDEN_COMPRESSION)
+    with pytest.raises(FloatingPointError, match=f"^{corner} "):
+        heats_and_work(params, SUDDEN_COMPRESSION)
+
+
 def test_tiny_velocity_branch_is_continuous():
     # h_a must be smooth in v; a series branch once switched in at v = 1e-5
     base = dict(beta_c=1.0, beta_h=0.5, omega_c=1.0, omega_h=2.0)

@@ -395,15 +395,25 @@ def test_runs_equal_per_cell_classification(request):
 @pytest.mark.parametrize(
     "edges",
     [
-        pytest.param(lambda g, scenario: (None, None, None), id="no-edges"),
-        pytest.param(lambda g, scenario: (None, 0.5 * g, 0.3), id="wrong-edges"),
+        pytest.param(
+            dict(fridge_top=lambda g: None, heater_top=lambda g: None,
+                 engine_lower_z=lambda g: None),
+            id="no-edges",
+        ),
+        pytest.param(
+            dict(fridge_top=lambda g: None, heater_top=lambda g: 0.5 * g,
+                 engine_lower_z=lambda g: 0.3),
+            id="wrong-edges",
+        ),
     ],
 )
 def test_unpredicted_mode_change_rescans_the_column(monkeypatch, scenario, edges):
     # The edges only say where to look: a column whose checked cells
     # disagree across a gap is classified cell by cell, so even wrong edges
     # give the per-cell raster.
-    monkeypatch.setattr(phase_diagram, "_edges", edges)
+    monkeypatch.setitem(
+        high_temperature._FORMS, scenario, scenario_forms(scenario)._replace(**edges)
+    )
     for v in (1e-6, 0.6):
         assert cells(rasterize(scenario, v, 60)) == _per_cell_raster(scenario, v, 60)
 
