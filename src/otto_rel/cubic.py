@@ -67,14 +67,11 @@ class MonicCubic(_Validated, namedtuple("MonicCubic", "a2 a1 a0")):
 
 def _bisect_monotone(cubic: MonicCubic) -> float:
     # A^2 - 3B <= 0 makes the cubic monotone (or its spread underflowed, which
-    # leaves |x| > 1): one real root, inside the Cauchy bound.
+    # leaves |x| > 1): one real root, strictly inside the Cauchy bound; at
+    # either bound |cubic| >= 1 (or inf), so neither end is a root.
     bound = 1.0 + max(abs(cubic.a2), abs(cubic.a1), abs(cubic.a0))
     lo, hi = -bound, bound
     f_lo, f_hi = cubic(lo), cubic(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
     # no fixed cap: a root far below the bound (1e-67, say) needs hundreds of halvings
     while True:
         mid = 0.5 * (lo + hi)

@@ -10,7 +10,9 @@ where tau = beta_h / beta_c in (0, 1) is the inverse-temperature ratio
 and f the velocity reduction factor of v in [0, 1).  tau and v enter
 every closed form only through the load g, which reduced_load forms and
 checks once per request.  The forms are unit-free (beta_h times each
-energy), so no mode, efficiency or optimum depends on the unit of energy:
+energy), so no mode, efficiency or optimum depends on the unit of energy.
+Each scenario's three energies come from one call of its
+ScenarioForms.energies, which performance wraps as a record:
 
     sudden compression (quenched A->B stroke):
         beta_h q_h  = [2 z^2 - g (z^2 + 1)] / (2 z^2)
@@ -43,7 +45,6 @@ from .core import (
     SUDDEN_EXPANSION,
     PerformanceRecord,
     Scenario,
-    _efficiency,
     _Validated,
     relativistic_factor,
 )
@@ -76,9 +77,9 @@ class ReducedParams(_Validated, namedtuple("ReducedParams", "z g")):
 class ScenarioForms(NamedTuple):
     """Every closed form that tells one asymmetric scenario from the other.
 
-    The heats and the work take the fields (z, g) of a ReducedParams,
-    with g = tau * f(v) the reduced load, and return beta_h times the
-    energy; the other forms take g alone.
+    energies(z, g) takes the fields of a ReducedParams, with g = tau * f(v)
+    the reduced load, and returns beta_h times (q_h, q_c, w_ext), the
+    fields of a PerformanceRecord in order; the other forms take g alone.
 
     efficiency_cubic(g, s) gives the MonicCubic in w = s z (s a power of
     two, 1 by default) whose largest real root maximizes the efficiency
@@ -88,21 +89,23 @@ class ScenarioForms(NamedTuple):
     (accelerator/engine).
     """
 
-    qh: Callable[[float, float], float]
-    qc: Callable[[float, float], float]
-    work: Callable[[float, float], float]
+    energies: Callable[[float, float], tuple[float, float, float]]
     engine_lower_z: Callable[[float], float]
     efficiency_cubic: Callable[..., MonicCubic]
     fridge_top: Callable[[float], Optional[float]]
     heater_top: Callable[[float], float]
 
 
+def _sc_energies(z: float, g: float) -> tuple[float, float, float]:
+    two_zz = 2.0 * z * z
+    q_h = (two_zz - g * (z * z + 1.0)) / two_zz
+    return q_h, g - z, (1.0 - z) * (two_zz - g * (1.0 + z)) / two_zz
+
+
 _FORMS = {
     # Quenched A->B stroke.
     SUDDEN_COMPRESSION: ScenarioForms(
-        qh=lambda z, g: (2.0 * z * z - g * (z * z + 1.0)) / (2.0 * z * z),
-        qc=lambda z, g: g - z,
-        work=lambda z, g: (1.0 - z) * (2.0 * z * z - g * (1.0 + z)) / (2.0 * z * z),
+        energies=_sc_energies,
         engine_lower_z=lambda g: 0.25 * (g + math.sqrt(g * (g + 8.0))),
         efficiency_cubic=lambda g, s=1.0: MonicCubic(
             0.0, -3.0 * (g * s * s) / (2.0 - g), 2.0 * (g * s) * (g * s * s) / (2.0 - g)
@@ -115,9 +118,11 @@ _FORMS = {
     # extractable work at any operating point.  The refrigerator edge
     # z**2 = 2g - 1 has no real solution when g <= 1/2.
     SUDDEN_EXPANSION: ScenarioForms(
-        qh=lambda z, g: (z - g) / z,
-        qc=lambda z, g: g - 0.5 * (1.0 + z * z),
-        work=lambda z, g: (1.0 - z) * (z * (1.0 + z) - 2.0 * g) / (2.0 * z),
+        energies=lambda z, g: (
+            (z - g) / z,
+            g - 0.5 * (1.0 + z * z),
+            (1.0 - z) * (z * (1.0 + z) - 2.0 * g) / (2.0 * z),
+        ),
         # not (sqrt(1 + 8g) - 1)/2, whose subtraction cancels at small g
         engine_lower_z=lambda g: 4.0 * g / (math.sqrt(1.0 + 8.0 * g) + 1.0),
         efficiency_cubic=lambda g, s=1.0: MonicCubic(
@@ -146,23 +151,20 @@ def scenario_forms(scenario: Scenario) -> ScenarioForms:
 # perfbench/tracer.py traces qh, work and eta by name; they leave src/ with ROADMAP.md item 4
 def qh(r: ReducedParams, scenario: Scenario) -> float:
     """Hot-bath heat (times beta_h) for either asymmetric scenario."""
-    return scenario_forms(scenario).qh(*r)
+    return performance(r, scenario).q_h
 
 
 def work(r: ReducedParams, scenario: Scenario) -> float:
     """Net extracted work (times beta_h) for either asymmetric scenario."""
-    return scenario_forms(scenario).work(*r)
+    return performance(r, scenario).w_ext
 
 
 def eta(r: ReducedParams, scenario: Scenario) -> Optional[float]:
     """Efficiency work/q_h for either asymmetric scenario, None when q_h <= 0."""
-    forms = scenario_forms(scenario)
-    return _efficiency(forms.work(*r), forms.qh(*r))
+    return performance(r, scenario).eta
 
 
 def performance(r: ReducedParams, scenario: Scenario) -> PerformanceRecord:
     """The hot-limit performance record at one point, each energy times beta_h."""
-    forms = scenario_forms(scenario)
-    z, g = r
     # tuple.__new__ skips the namedtuple's Python-level constructor; the fields need no check
-    return tuple.__new__(PerformanceRecord, (forms.qh(z, g), forms.qc(z, g), forms.work(z, g)))
+    return tuple.__new__(PerformanceRecord, scenario_forms(scenario).energies(*r))

@@ -107,7 +107,8 @@ class _Window:
 
     def eta(self, z: float) -> float:
         """Efficiency at z, a ratio of the unit-free forms."""
-        value = _efficiency(self.forms.work(z, self.g), self.forms.qh(z, self.g))
+        q_h, _, w_ext = self.forms.energies(z, self.g)
+        value = _efficiency(w_ext, q_h)
         # lo < z implies q_h > 0 in exact arithmetic (the engine floor lies above
         # the heater edge), but the two edges can round together as g -> 1
         if value is None:
@@ -191,16 +192,14 @@ def optimize(objective: Objective, scenario: Scenario, tau: float, v: float) -> 
     if objective == Objective.EFFICIENCY:
         z_star, value = w.peak()
     elif objective == Objective.WORK:
-        z_star, value = w.certified(g ** (1.0 / 3.0), lambda z: forms.work(z, g))
+        z_star, value = w.certified(g ** (1.0 / 3.0), lambda z: forms.energies(z, g)[2])
     elif objective == Objective.OMEGA:
         # eta_max is certified on the same window
         _, cap = w.peak()
-
-        def omega(z: float) -> float:
-            record = PerformanceRecord(forms.qh(z, g), forms.qc(z, g), forms.work(z, g))
-            return omega_function(record, cap)
-
-        z_star, value = w.certified((g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0), omega)
+        z_star, value = w.certified(
+            (g * (1.0 - 0.5 * cap)) ** (1.0 / 3.0),
+            lambda z: omega_function(PerformanceRecord(*forms.energies(z, g)), cap),
+        )
     else:
         raise ValueError(f"unknown objective {objective}")
 

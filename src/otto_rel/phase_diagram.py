@@ -136,8 +136,8 @@ def _column_runs(scenario: Scenario, axis: tuple[float, ...], g: float) -> tuple
     forms = scenario_forms(scenario)
 
     def mode_at(i: int) -> OperationalMode:
-        z = axis[i]
-        return classify_signs(forms.work(z, g), forms.qh(z, g), forms.qc(z, g))
+        q_h, q_c, w_ext = forms.energies(axis[i], g)
+        return classify_signs(w_ext, q_h, q_c)
 
     last = len(axis) - 1
     pending = [0, last]

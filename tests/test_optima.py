@@ -577,6 +577,41 @@ def test_stationary_velocity_limit():
     assert eta_omega_sc(0.5, 0.0) == eta_omega_sc(0.5, 1e-12)
 
 
+def test_maximum_work_is_its_closed_form_and_compression_wins():
+    # at z* = c = g**(1/3) the work is (1 - c)**2 (2 + c)/2 (sc) and
+    # (1 - c)**2 (1 + 2c)/2 (se); their difference (1 - c)**3/2 is positive
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        tau, v = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+        c = reduced_load(tau, v) ** (1.0 / 3.0)
+        sc = optimize(Objective.WORK, _SC, tau, v).value_at_opt
+        se = optimize(Objective.WORK, _SE, tau, v).value_at_opt
+        assert sc == pytest.approx((1.0 - c) ** 2 * (2.0 + c) / 2.0, rel=2e-14), (tau, v)
+        assert se == pytest.approx((1.0 - c) ** 2 * (1.0 + 2.0 * c) / 2.0, rel=2e-14), (tau, v)
+        assert sc > se, (tau, v)
+        assert abs((sc - se) - (1.0 - c) ** 3 / 2.0) <= 2e-14 * (sc + se), (tau, v)
+    # c falls as v rises, so the maximum work rises with v
+    for scenario in (_SC, _SE):
+        for tau in (0.2, 0.5, 0.8):
+            values = [
+                optimize(Objective.WORK, scenario, tau, k / 20).value_at_opt for k in range(20)
+            ]
+            assert all(b > a for a, b in zip(values, values[1:])), (scenario, tau)
+
+
+def test_peak_efficiency_tends_to_one_sc_and_to_half_se():
+    # as g = tau f(v) -> 0 (eta_c -> 1 or v -> 1), 1 - eta_max shrinks like
+    # sqrt(27 g / 8) in sudden compression, while eta_max stays below 1/2 in
+    # sudden expansion and closes on it like g**(2/3)
+    sc_before = se_before = 0.0
+    for k in range(1, 16):
+        g = 10.0**-k
+        sc, se = peak_efficiency(g, _SC), peak_efficiency(g, _SE)
+        assert sc_before < sc and 1.0 - sc <= 2.0 * math.sqrt(g), g
+        assert se_before < se <= 0.5 and 0.5 - se <= g ** (2.0 / 3.0), g
+        sc_before, se_before = sc, se
+
+
 def test_work_dominance_swaps_at_crossing():
     tau, v = 0.5, 0.5
     z_cross = math.sqrt(reduced_load(tau, v))

@@ -334,13 +334,12 @@ def _per_cell_raster(scenario, v, resolution):
     axis = tuple((i + 0.5) / resolution for i in range(resolution))
     factor = relativistic_factor(v)
     loads = [tau * factor for tau in axis]
-    return tuple(
-        tuple(
-            classify_signs(forms.work(z, g), forms.qh(z, g), forms.qc(z, g))
-            for g in loads
-        )
-        for z in axis
-    )
+
+    def mode(z, g):
+        q_h, q_c, w_ext = forms.energies(z, g)
+        return classify_signs(w_ext, q_h, q_c)
+
+    return tuple(tuple(mode(z, g) for g in loads) for z in axis)
 
 
 def _velocity_with_factor(target):
@@ -421,30 +420,22 @@ def test_unpredicted_mode_change_rescans_the_column(monkeypatch, scenario, edges
 @pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
 def test_rasterize_evaluates_the_forms_order_resolution_times(monkeypatch, scenario):
     # The work guard that wall-clock bounds cannot give on a loaded host:
-    # a raster of R**2 cells evaluates each form O(R) times, not R**2.
-    calls = Counter()
+    # a raster of R**2 cells evaluates the forms O(R) times, not R**2.
+    calls = []
+    energies = scenario_forms(scenario).energies
 
-    def counted(name, form):
-        def wrapper(*args):
-            calls[name] += 1
-            return form(*args)
+    def counted(z, g):
+        calls.append(z)
+        return energies(z, g)
 
-        return wrapper
-
-    forms = scenario_forms(scenario)
     monkeypatch.setitem(
-        high_temperature._FORMS,
-        scenario,
-        forms._replace(
-            qh=counted("qh", forms.qh), qc=counted("qc", forms.qc), work=counted("work", forms.work)
-        ),
+        high_temperature._FORMS, scenario, scenario_forms(scenario)._replace(energies=counted)
     )
     resolution = 1200
     for v in (1e-6, 0.35, 0.9999):
         calls.clear()
         rasterize(scenario, v, resolution)
-        assert set(calls) == {"qh", "qc", "work"}
-        assert max(calls.values()) <= 40 * resolution, (v, calls)
+        assert 0 < len(calls) <= 40 * resolution, (v, len(calls))
 
 
 def test_mode_fractions_complete_and_normalized():
@@ -477,3 +468,26 @@ def test_engine_share_grows_with_velocity():
             fridge_share.append(fractions["refrigerator"])
         assert all(b >= a for a, b in zip(engine_share, engine_share[1:]))
         assert all(b <= a for a, b in zip(fridge_share, fridge_share[1:]))
+
+
+def test_expansion_refrigerator_vanishes_from_the_half_factor_velocity():
+    # The expansion-quench refrigerator needs q_c > 0, that is
+    # g > (1 + z**2)/2; from the smallest double v* with f(v*) < 1/2 on,
+    # every load tau * f(v) of the unit square lies below 1/2.
+    v_star = _velocity_with_factor(0.5)
+    assert v_star == 0.9746317289058357
+    assert relativistic_factor(v_star) < 0.5 <= relativistic_factor(math.nextafter(v_star, 0.0))
+    resolution = 400
+
+    def fridge(v):
+        return mode_fractions(rasterize(SUDDEN_EXPANSION, v, resolution))["refrigerator"]
+
+    for v in (v_star, math.nextafter(v_star, 1.0), 0.975, 0.98, 0.99, 0.999):
+        assert fridge(v) == 0.0, v
+    # below v*, the fraction is positive and judged by the region's area
+    # (2F - 1)**1.5 / (3F) on the unit square, F = f(v)
+    for v in (0.97, 0.9):
+        factor = relativistic_factor(v)
+        area = (2.0 * factor - 1.0) ** 1.5 / (3.0 * factor)
+        fraction = fridge(v)
+        assert fraction > 0.0 and abs(fraction - area) <= 0.5 / resolution, (v, fraction, area)
