@@ -14,12 +14,11 @@ same formula continues analytically with
 
 which this module applies once |x| exceeds 1 by more than a clamp
 tolerance of 1e-12 (arguments inside the tolerance band are clamped onto
-[-1, 1], covering double roots computed in floating point).  Where |x|
-overflows (A^2 - 3B is tiny, as for a load near 1e-155), cosh(arccosh(|x|) / 3)
-is taken as (2|x|)^{1/3} / 2, which it equals to double precision there.  If
-A^2 - 3B <= 0 (the cubic is monotone, or the spread underflowed to 0, as for
-an expansion-quench load below about 1.5e-162), the root is bracketed by the
-Cauchy bound and bisected until the midpoint rounds onto an endpoint.
+[-1, 1], covering double roots computed in floating point).  The cubic is
+first rescaled by y = 2**k w, exact in binary, so that its coefficients are
+near 1.  Where x is still not a double (A^2 - 3B <= 0, the cubic is
+monotone, or |x| overflows, as for an expansion-quench load below about
+1e-154), the one real root is Cardano's, followed by one Newton step.
 
 Every returned root is validated by back-substitution: the residual must
 not exceed RESIDUAL_TOL * max(1, |A|, |B|, |C|), failing which
@@ -29,7 +28,6 @@ CubicSolveError is raised rather than returning a silently wrong value.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 from .core import _Validated
@@ -65,32 +63,12 @@ class MonicCubic(_Validated, namedtuple("MonicCubic", "a2 a1 a0")):
         return max(1.0, abs(self.a2), abs(self.a1), abs(self.a0))
 
 
-def _bisect_monotone(cubic: MonicCubic) -> float:
-    # A^2 - 3B <= 0 makes the cubic monotone (or its spread underflowed, which
-    # leaves |x| > 1): one real root, strictly inside the Cauchy bound; at
-    # either bound |cubic| >= 1 (or inf), so neither end is a root.
-    bound = 1.0 + max(abs(cubic.a2), abs(cubic.a1), abs(cubic.a0))
-    lo, hi = -bound, bound
-    f_lo, f_hi = cubic(lo), cubic(hi)
-    # no fixed cap: a root far below the bound (1e-67, say) needs hundreds of halvings
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent doubles: keep the smaller residual
-            return lo if abs(f_lo) <= abs(f_hi) else hi
-        f_mid = cubic(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-
-
 def principal_trig_root(cubic: MonicCubic) -> float:
     """Principal real root of the cubic (largest root when three are real).
 
     Uses the trigonometric form with the hyperbolic continuation described
-    in the module docstring, falling back to bisection for monotone cubics.
+    in the module docstring, and Cardano's root where its argument x is not
+    a double.
 
     Raises
     ------
@@ -98,38 +76,45 @@ def principal_trig_root(cubic: MonicCubic) -> float:
         If the back-substituted residual exceeds
         RESIDUAL_TOL * max(1, |a2|, |a1|, |a0|).
     """
-    a2, a1, a0 = cubic.a2, cubic.a1, cubic.a0
+    # y = 2**k w, exact in binary, leaves the coefficients of the cubic in w near 1
+    c2, c1, c0 = cubic
+    k = math.frexp(max(abs(c2), math.sqrt(abs(c1)), abs(c0) ** (1.0 / 3.0)))[1]
+    a2, a1, a0 = math.ldexp(c2, -k), math.ldexp(c1, -2 * k), math.ldexp(c0, -3 * k)
     spread = a2 * a2 - 3.0 * a1
-    if spread <= 0.0:
-        root = _bisect_monotone(cubic)
+    numerator = 2.0 * a2 * a2 * a2 - 9.0 * a2 * a1 + 27.0 * a0
+    half = math.sqrt(spread) if spread > 0.0 else 0.0
+    scale = 2.0 * spread * half
+    x = -numerator / scale if scale > 0.0 else math.inf
+    if math.isinf(x):
+        # x is not a double: Cardano's one real root, whose two terms in t add
+        disc = numerator * numerator - 4.0 * spread * spread * spread
+        t = 0.5 * (numerator + math.copysign(math.sqrt(disc), numerator))
+        c = math.copysign(abs(t) ** (1.0 / 3.0), t)
+        w = -(a2 + c + spread / c) / 3.0 if c else -a2 / 3.0  # c = 0: a triple root
+        value = ((w + a2) * w + a1) * w + a0
+        slope = (3.0 * w + 2.0 * a2) * w + a1
+        if slope:
+            # one Newton step, kept where it lowers the residual: near a triple
+            # root the slope is rounding noise and the step would leap away
+            polished = w - value / slope
+            if abs(((polished + a2) * polished + a1) * polished + a0) <= abs(value):
+                w = polished
     else:
-        half = math.sqrt(spread)
-        numerator = 2.0 * a2 * a2 * a2 - 9.0 * a2 * a1 + 27.0 * a0
-        scale = 2.0 * spread * half
-        if scale < sys.float_info.min:
-            # A subnormal load makes the product underflow (to 0 at worst);
-            # dividing in two steps keeps the ratio, which is O(1).
-            x = -(numerator / spread) / (2.0 * half)
-        else:
-            x = -numerator / scale
         if abs(x) <= 1.0:
             factor = math.cos(math.acos(x) / 3.0)
         elif abs(x) <= 1.0 + CLAMP_EPS:
             # Grazing a double root: the exact argument is +-1 up to rounding.
             factor = math.cos(math.acos(math.copysign(1.0, x)) / 3.0)
-        elif math.isinf(x):
-            # |x| beyond the largest double: cosh(arccosh|x| / 3) = (2|x|)**(1/3) / 2
-            # = cbrt|numerator| / (2 half) to double precision.
-            factor = math.copysign(abs(numerator) ** (1.0 / 3.0), x) / (2.0 * half)
         else:
             factor = math.copysign(math.cosh(math.acosh(abs(x)) / 3.0), x)
-        root = -a2 / 3.0 + (2.0 / 3.0) * half * factor
+        w = -a2 / 3.0 + (2.0 / 3.0) * half * factor
+    root = math.ldexp(w, k)
 
     residual = abs(cubic(root))
     allowed = RESIDUAL_TOL * cubic.coefficient_scale()
     if not residual <= allowed:
         raise CubicSolveError(
-            f"root {root} of y^3 + {a2} y^2 + {a1} y + {a0} has residual "
+            f"root {root} of y^3 + {c2} y^2 + {c1} y + {c0} has residual "
             f"{residual:.3e} above tolerance {allowed:.3e}"
         )
     return root

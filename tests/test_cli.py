@@ -56,12 +56,12 @@ def test_evaluate_json_schema_and_values(capsys):
     ]
     data = dict(pairs)
     rec = performance(ReducedParams(z=0.8, g=reduced_load(0.5, 0.5)), SUDDEN_COMPRESSION)
-    assert data["q_h"] == pytest.approx(rec.q_h, rel=1e-15)
-    assert data["q_c"] == pytest.approx(rec.q_c, rel=1e-15)
-    assert data["w_ext"] == pytest.approx(rec.w_ext, rel=1e-15)
-    assert data["eta"] == pytest.approx(rec.eta, rel=1e-15)
+    assert data["q_h"] == pytest.approx(rec.q_h, rel=1e-15, abs=0)
+    assert data["q_c"] == pytest.approx(rec.q_c, rel=1e-15, abs=0)
+    assert data["w_ext"] == pytest.approx(rec.w_ext, rel=1e-15, abs=0)
+    assert data["eta"] == pytest.approx(rec.eta, rel=1e-15, abs=0)
     cap = eta_max_sc(0.5, 0.5)
-    assert data["omega"] == pytest.approx(2 * rec.w_ext - cap * rec.q_h, rel=1e-12)
+    assert data["omega"] == pytest.approx(2 * rec.w_ext - cap * rec.q_h, rel=1e-12, abs=0)
     assert data["mode"] == "engine"
     assert data["scenario"] == "sc"
 
@@ -93,10 +93,10 @@ def test_evaluate_exact_matches_reference(capsys):
     )
     assert code == 0
     data = json.loads(out)
-    assert data["q_h"] == pytest.approx(want["q_h"], rel=1e-12)
-    assert data["q_c"] == pytest.approx(want["q_c"], rel=1e-12)
-    assert data["w_ext"] == pytest.approx(want["w_ext"], rel=1e-12)
-    assert data["eta"] == pytest.approx(want["eta"], rel=1e-12)
+    assert data["q_h"] == pytest.approx(want["q_h"], rel=1e-12, abs=0)
+    assert data["q_c"] == pytest.approx(want["q_c"], rel=1e-12, abs=0)
+    assert data["w_ext"] == pytest.approx(want["w_ext"], rel=1e-12, abs=0)
+    assert data["eta"] == pytest.approx(want["eta"], rel=1e-12, abs=0)
 
 
 def test_evaluate_csv_format(capsys):
@@ -153,8 +153,8 @@ def test_optimize_closed_form_objectives(capsys):
         "objective", "scenario", "tau", "v", "beta_h", "z_star", "value", "eta", "source",
     ]
     assert data["source"] == "closed-form"
-    assert data["z_star"] == pytest.approx(want["z_eta_se"], rel=1e-12)
-    assert data["value"] == pytest.approx(want["eta_max_se"], rel=1e-12)
+    assert data["z_star"] == pytest.approx(want["z_eta_se"], rel=1e-12, abs=0)
+    assert data["value"] == pytest.approx(want["eta_max_se"], rel=1e-12, abs=0)
     assert data["eta"] == data["value"]
 
     code, out, _ = run(
@@ -163,8 +163,8 @@ def test_optimize_closed_form_objectives(capsys):
     )
     data = json.loads(out)
     assert data["source"] == "closed-form"
-    assert data["z_star"] == pytest.approx(want["z_work"], rel=1e-12)
-    assert data["value"] == pytest.approx(want["work_max_sc"], rel=1e-12)
+    assert data["z_star"] == pytest.approx(want["z_work"], rel=1e-12, abs=0)
+    assert data["value"] == pytest.approx(want["work_max_sc"], rel=1e-12, abs=0)
 
 
 def test_optimize_trade_off_reports_closed_form(capsys):
@@ -176,8 +176,8 @@ def test_optimize_trade_off_reports_closed_form(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["source"] == "closed-form"
-    assert data["z_star"] == pytest.approx(want["z_omega_sc"], rel=1e-13)
-    assert data["value"] == pytest.approx(want["omega_max_sc"], rel=1e-11)
+    assert data["z_star"] == pytest.approx(want["z_omega_sc"], rel=1e-13, abs=0)
+    assert data["value"] == pytest.approx(want["omega_max_sc"], rel=1e-11, abs=0)
 
 
 def test_optimize_domain_error_exits_2(capsys):
@@ -255,7 +255,7 @@ def test_exact_tiny_cold_prefactor_keeps_its_value(capsys):
     )
     assert code == 0 and err == ""
     # 400-digit mpmath value of Q_h
-    assert json.loads(out)["q_h"] == pytest.approx(4999999999.9999915, rel=1e-15)
+    assert json.loads(out)["q_h"] == pytest.approx(4999999999.9999915, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -377,7 +377,7 @@ def test_subnormal_load_optimum_is_certified(capsys):
 
 def test_tiny_expansion_load_optimum_reaches_the_root(capsys):
     # at g below about 1.5e-162 the cubic's spread (3g/2)**2 underflows to 0
-    # and the root, about (g/2)**(1/3), is found by bisection
+    # and the root, about (g/2)**(1/3), is Cardano's
     code, out, err = run(
         capsys, "optimize", "--objective", "eta", "--scenario", "se",
         "--tau", "1e-200", "--v", "0.5",
@@ -1163,7 +1163,7 @@ def test_console_script_round_trip(tmp_path):
     assert proc.stderr == ""
     data = json.loads(proc.stdout)
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]["eta_max_se"]
-    assert data["eta"] == pytest.approx(want, rel=1e-10)
+    assert data["eta"] == pytest.approx(want, rel=1e-10, abs=0)
 
 
 @pytest.fixture(scope="module")

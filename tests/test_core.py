@@ -40,7 +40,7 @@ def test_factor_frozen_values():
     table = REFERENCE["factor"]
     for key, want in table.items():
         got = relativistic_factor(float(key))
-        assert got == pytest.approx(want, rel=1e-14), key
+        assert got == pytest.approx(want, rel=1e-14, abs=0), key
 
 
 def test_factor_series_branch_is_continuous():
@@ -125,7 +125,7 @@ def test_adiabaticity_values():
 def test_sudden_factor_bounds_and_symmetry(z):
     lam = adiabaticity(StrokeProtocol.SUDDEN, z)
     assert lam >= 1.0
-    assert lam == pytest.approx(adiabaticity(StrokeProtocol.SUDDEN, 1.0 / z), rel=1e-12)
+    assert lam == pytest.approx(adiabaticity(StrokeProtocol.SUDDEN, 1.0 / z), rel=1e-12, abs=0)
 
 
 # -- frozen exact records at the reference point ------------------------------
@@ -135,23 +135,23 @@ def test_sudden_factor_bounds_and_symmetry(z):
 def test_exact_records_match_reference(scenario):
     want = REFERENCE["exact_p0"][_SCENARIO_KEY[scenario]]
     book = corner_energies(P0, scenario)
-    assert book.h_a == pytest.approx(want["h_a"], rel=1e-13)
-    assert book.h_b == pytest.approx(want["h_b"], rel=1e-13)
-    assert book.h_c == pytest.approx(want["h_c"], rel=1e-13)
-    assert book.h_d == pytest.approx(want["h_d"], rel=1e-13)
+    assert book.h_a == pytest.approx(want["h_a"], rel=1e-13, abs=0)
+    assert book.h_b == pytest.approx(want["h_b"], rel=1e-13, abs=0)
+    assert book.h_c == pytest.approx(want["h_c"], rel=1e-13, abs=0)
+    assert book.h_d == pytest.approx(want["h_d"], rel=1e-13, abs=0)
     rec = heats_and_work(P0, scenario)
-    assert rec.q_h == pytest.approx(want["q_h"], rel=1e-13)
-    assert rec.q_c == pytest.approx(want["q_c"], rel=1e-13)
-    assert rec.w_ext == pytest.approx(want["w_ext"], rel=1e-13)
+    assert rec.q_h == pytest.approx(want["q_h"], rel=1e-13, abs=0)
+    assert rec.q_c == pytest.approx(want["q_c"], rel=1e-13, abs=0)
+    assert rec.w_ext == pytest.approx(want["w_ext"], rel=1e-13, abs=0)
     if want["eta"] is None:
         assert rec.eta is None
     else:
-        assert rec.eta == pytest.approx(want["eta"], rel=1e-13)
+        assert rec.eta == pytest.approx(want["eta"], rel=1e-13, abs=0)
 
 
 def test_adiabatic_efficiency_is_one_minus_z():
     rec = heats_and_work(P0, BOTH_ADIABATIC)
-    assert rec.eta == pytest.approx(1.0 - P0.z, rel=1e-14)
+    assert rec.eta == pytest.approx(1.0 - P0.z, rel=1e-14, abs=0)
 
 
 def test_sudden_strokes_cost_work():
@@ -201,8 +201,8 @@ def test_large_arguments_do_not_overflow():
             assert math.isfinite(value)
     book = corner_energies(params, BOTH_ADIABATIC)
     # deep quantum regime: corners sit at their ground-state energies
-    assert book.h_a == pytest.approx(params.omega_c / 2.0, rel=1e-9)
-    assert book.h_c == pytest.approx(params.omega_h / 2.0, rel=1e-12)
+    assert book.h_a == pytest.approx(params.omega_c / 2.0, rel=1e-9, abs=0)
+    assert book.h_c == pytest.approx(params.omega_h / 2.0, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -228,7 +228,7 @@ def test_tiny_velocity_branch_is_continuous():
     base = dict(beta_c=1.0, beta_h=0.5, omega_c=1.0, omega_h=2.0)
     below = corner_energies(CycleParams(v=0.999e-5, **base), BOTH_ADIABATIC).h_a
     above = corner_energies(CycleParams(v=1.001e-5, **base), BOTH_ADIABATIC).h_a
-    assert below == pytest.approx(above, rel=1e-9)
+    assert below == pytest.approx(above, rel=1e-9, abs=0)
 
 
 def test_exact_edges_match_reference():

@@ -1,4 +1,4 @@
-"""Monic cubic solver: trig branch, clamp band, hyperbolic continuation."""
+"""Monic cubic solver: trig branch, clamp band, hyperbolic continuation, Cardano root."""
 
 import decimal
 import math
@@ -31,40 +31,46 @@ def acos_argument(cubic):
 
 def test_three_real_roots_returns_largest():
     cubic = from_roots(-2.0, 0.5, 3.0)
-    assert principal_trig_root(cubic) == pytest.approx(3.0, rel=1e-12)
+    assert principal_trig_root(cubic) == pytest.approx(3.0, rel=1e-12, abs=0)
 
 
 def test_single_real_root_positive_branch():
     # real root at 10 plus a complex pair: acos argument exceeds +1
     cubic = MonicCubic(a2=-12.0, a1=21.01, a0=-10.1)
     assert acos_argument(cubic) > 1.0
-    assert principal_trig_root(cubic) == pytest.approx(10.0, rel=1e-12)
+    assert principal_trig_root(cubic) == pytest.approx(10.0, rel=1e-12, abs=0)
 
 
 def test_single_real_root_negative_branch():
     cubic = MonicCubic(a2=12.0, a1=21.01, a0=10.1)
     assert acos_argument(cubic) < -1.0
-    assert principal_trig_root(cubic) == pytest.approx(-10.0, rel=1e-12)
+    assert principal_trig_root(cubic) == pytest.approx(-10.0, rel=1e-12, abs=0)
 
 
 def test_double_root_hits_clamp_band():
     # (y - 1)^2 (y + 2): argument is exactly -1 in exact arithmetic
     cubic = from_roots(1.0, 1.0, -2.0)
     assert acos_argument(cubic) == pytest.approx(-1.0, abs=1e-12)
-    assert principal_trig_root(cubic) == pytest.approx(1.0, rel=1e-7)
+    assert principal_trig_root(cubic) == pytest.approx(1.0, rel=1e-7, abs=0)
     # (y + 1)^2 (y - 2): argument +1, largest root is the simple one
     cubic = from_roots(-1.0, -1.0, 2.0)
-    assert principal_trig_root(cubic) == pytest.approx(2.0, rel=1e-9)
+    assert principal_trig_root(cubic) == pytest.approx(2.0, rel=1e-9, abs=0)
 
 
-def test_monotone_cubic_bisection():
+def test_monotone_cubic_takes_the_cardano_root():
     # y^3 + y - 2 has no stationary points; root at 1
     cubic = MonicCubic(a2=0.0, a1=1.0, a0=-2.0)
     assert cubic.a2**2 - 3 * cubic.a1 < 0
-    assert principal_trig_root(cubic) == pytest.approx(1.0, rel=1e-12)
+    assert principal_trig_root(cubic) == pytest.approx(1.0, rel=1e-12, abs=0)
     # (y + 1)^3 is the degenerate boundary case spread == 0
     cubic = MonicCubic(a2=3.0, a1=3.0, a0=1.0)
     assert principal_trig_root(cubic) == pytest.approx(-1.0, abs=1e-5)
+    # (y - r)^3 with rounded coefficients: at the Cardano root the slope is
+    # rounding noise, so a Newton step there must not leap away
+    rng = random.Random(3)
+    for r in [-4.137938016656564] + [rng.uniform(-10.0, 10.0) for _ in range(500)]:
+        root = principal_trig_root(MonicCubic(a2=-3.0 * r, a1=3.0 * r * r, a0=-r * r * r))
+        assert abs(root - r) <= 1e-4 * max(1.0, abs(r)), r
 
 
 def test_residual_gate_raises(monkeypatch):
@@ -91,7 +97,7 @@ def test_coefficients_must_be_finite():
 def test_callable_and_scale():
     cubic = MonicCubic(a2=2.0, a1=-3.0, a0=0.5)
     y = 1.7
-    assert cubic(y) == pytest.approx(y**3 + 2 * y**2 - 3 * y + 0.5, rel=1e-15)
+    assert cubic(y) == pytest.approx(y**3 + 2 * y**2 - 3 * y + 0.5, rel=1e-15, abs=0)
     assert cubic.coefficient_scale() == 3.0
 
 
@@ -131,9 +137,9 @@ def test_expansion_efficiency_cubic_uses_hyperbolic_branch():
     cubic = scenario_forms(SUDDEN_EXPANSION).efficiency_cubic(g)
     x = acos_argument(cubic)
     assert x > 1.0
-    assert x == pytest.approx((g * g - 4 * g + 2) / (g * g), rel=1e-12)
+    assert x == pytest.approx((g * g - 4 * g + 2) / (g * g), rel=1e-12, abs=0)
     root = principal_trig_root(cubic)
-    assert root == pytest.approx(REFERENCE["optima"]["tau=0.5,v=0.5"]["z_eta_se"], rel=1e-13)
+    assert root == pytest.approx(REFERENCE["optima"]["tau=0.5,v=0.5"]["z_eta_se"], rel=1e-13, abs=0)
 
 
 def test_subnormal_load_keeps_the_principal_root():
@@ -144,22 +150,7 @@ def test_subnormal_load_keeps_the_principal_root():
     spread = cubic.a2 ** 2 - 3.0 * cubic.a1
     assert spread > 0.0 and 2.0 * spread * math.sqrt(spread) == 0.0
     root = principal_trig_root(cubic)
-    assert root == pytest.approx(math.sqrt(3.0 * g / (2.0 - g)), rel=1e-12)
-
-
-@pytest.mark.parametrize("tau", [8.927268066483435e-155, 1e-155, 1.709196365738078e-158, 1e-161])
-def test_overflowing_argument_keeps_the_real_root(tau):
-    # Near g = 1e-155 the expansion quench's spread (3g/2)**2 is subnormal
-    # and the hyperbolic argument overflows to inf, yet the one real root,
-    # (g (1 - 2g) / 2)**(1/3) up to a relative O(g**(2/3)), exists.
-    g = tau * relativistic_factor(0.5)
-    cubic = scenario_forms(SUDDEN_EXPANSION).efficiency_cubic(g)
-    spread = cubic.a2 ** 2 - 3.0 * cubic.a1
-    numerator = 27.0 * cubic.a0 + 2.0 * cubic.a2 ** 3
-    assert 0.0 < spread < sys.float_info.min
-    assert math.isinf(-(numerator / spread) / (2.0 * math.sqrt(spread)))
-    root = principal_trig_root(cubic)
-    assert root == pytest.approx((0.5 * g * (1.0 - 2.0 * g)) ** (1.0 / 3.0), rel=1e-15)
+    assert root == pytest.approx(math.sqrt(3.0 * g / (2.0 - g)), rel=1e-12, abs=0)
 
 
 def _decimal_root(cubic, start):
@@ -176,23 +167,44 @@ def _decimal_root(cubic, start):
         return y
 
 
-def test_underflowed_spread_bisects_to_the_root():
-    # Below g of about 1.5e-162 the expansion quench's spread (3g/2)**2 is 0
-    # in floating point and the root, about (g/2)**(1/3), is bisected from the
-    # Cauchy bound all the way down.
-    for k in range(166, 309):
+def _ulps_from_decimal_root(cubic, root, start):
+    want = _decimal_root(cubic, start)
+    return abs(decimal.Decimal(root) - want) / decimal.Decimal(math.ulp(float(want)))
+
+
+@pytest.mark.parametrize("tau", [8.927268066483435e-155, 1e-155, 1.709196365738078e-158, 1e-161])
+def test_overflowing_argument_keeps_the_real_root(tau):
+    # Near g = 1e-155 the expansion quench's spread (3g/2)**2 is subnormal
+    # and the hyperbolic argument overflows to inf, yet the one real root,
+    # about (g (1 - 2g) / 2)**(1/3), exists and is Cardano's.
+    g = tau * relativistic_factor(0.5)
+    cubic = scenario_forms(SUDDEN_EXPANSION).efficiency_cubic(g)
+    spread = cubic.a2 ** 2 - 3.0 * cubic.a1
+    numerator = 27.0 * cubic.a0 + 2.0 * cubic.a2 ** 3
+    assert 0.0 < spread < sys.float_info.min
+    assert math.isinf(-(numerator / spread) / (2.0 * math.sqrt(spread)))
+    root = principal_trig_root(cubic)
+    start = (0.5 * g * (1.0 - 2.0 * g)) ** (1.0 / 3.0)
+    assert _ulps_from_decimal_root(cubic, root, start) <= 1, (g, root)
+
+
+def test_underflowed_spread_takes_the_cardano_root():
+    # From g of about 1e-154 down, the expansion quench's arccos argument is
+    # not a double, and below about 1.5e-162 its spread (3g/2)**2 is 0 in
+    # floating point; the one real root, about (g/2)**(1/3), is Cardano's.
+    for k in range(155, 309):
         g = float(f"1e-{k}")
         cubic = scenario_forms(SUDDEN_EXPANSION).efficiency_cubic(g)
-        assert cubic.a2 ** 2 - 3.0 * cubic.a1 == 0.0
+        if k >= 166:
+            assert cubic.a2 ** 2 - 3.0 * cubic.a1 == 0.0
         root = principal_trig_root(cubic)
-        want = _decimal_root(cubic, (0.5 * g) ** (1.0 / 3.0))
-        ulps = abs(decimal.Decimal(root) - want) / decimal.Decimal(math.ulp(float(want)))
-        assert ulps <= 2, (g, root, ulps)
+        ulps = _ulps_from_decimal_root(cubic, root, (0.5 * g) ** (1.0 / 3.0))
+        assert ulps <= 1, (g, root, ulps)
 
 
 def test_normal_scale_keeps_the_one_step_division():
-    # Away from underflow the arccos argument is the single division it
-    # always was; dividing in two steps here moves the root by an ulp.
+    # The arccos argument is a single division; dividing in two steps here
+    # moves the root by an ulp.
     cubic = scenario_forms(SUDDEN_COMPRESSION).efficiency_cubic(0.3)
     a2, a1, a0 = cubic.a2, cubic.a1, cubic.a0
     spread = a2 * a2 - 3.0 * a1

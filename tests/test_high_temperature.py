@@ -35,10 +35,10 @@ SPOT = ReducedParams(z=0.7, g=reduced_load(0.5, 0.5))
 def test_frozen_spot_values(scenario, key):
     want = REFERENCE["ht_spot"][key]
     rec = performance(SPOT, scenario)
-    assert rec.q_h == pytest.approx(want["q_h"], rel=1e-14)
-    assert rec.q_c == pytest.approx(want["q_c"], rel=1e-14)
-    assert rec.w_ext == pytest.approx(want["w_ext"], rel=1e-14)
-    assert rec.eta == pytest.approx(want["w_ext"] / want["q_h"], rel=1e-13)
+    assert rec.q_h == pytest.approx(want["q_h"], rel=1e-14, abs=0)
+    assert rec.q_c == pytest.approx(want["q_c"], rel=1e-14, abs=0)
+    assert rec.w_ext == pytest.approx(want["w_ext"], rel=1e-14, abs=0)
+    assert rec.eta == pytest.approx(want["w_ext"] / want["q_h"], rel=1e-13, abs=0)
 
 
 _Z = st.floats(min_value=1e-3, max_value=1.0)
@@ -80,7 +80,7 @@ def test_all_quantities_scale_as_temperature(z, tau, v, beta_h, scenario):
         if full[key] is None:
             assert half[key] is None
         else:
-            assert half[key] == pytest.approx(full[key] / 2.0, rel=1e-12)
+            assert half[key] == pytest.approx(full[key] / 2.0, rel=1e-12, abs=0)
     # efficiency and mode are pure ratios and must not depend on the temperature scale
     assert (half["eta"], half["mode"]) == (full["eta"], full["mode"])
 
@@ -121,8 +121,8 @@ _FLOOR_SE = scenario_forms(SUDDEN_EXPANSION).engine_lower_z
 def test_engine_window_lower_edges():
     opt = REFERENCE["optima"]["tau=0.5,v=0.5"]
     g = 0.5 * relativistic_factor(0.5)
-    assert _FLOOR_SC(g) == pytest.approx(opt["engine_lb_sc"], rel=1e-15)
-    assert _FLOOR_SE(g) == pytest.approx(opt["engine_lb_se"], rel=1e-15)
+    assert _FLOOR_SC(g) == pytest.approx(opt["engine_lb_sc"], rel=1e-15, abs=0)
+    assert _FLOOR_SE(g) == pytest.approx(opt["engine_lb_se"], rel=1e-15, abs=0)
     # the window collapses at full coupling
     assert _FLOOR_SC(1.0) == pytest.approx(1.0)
     assert _FLOOR_SE(1.0) == pytest.approx(1.0)
@@ -237,5 +237,5 @@ def test_agrees_with_exact_cycle_when_hot():
         exact = heats_and_work(params, scenario)
         # the forms are unit-free: beta_h times each energy
         hot = performance(r, scenario)
-        assert beta_h * exact.q_h == pytest.approx(hot.q_h, rel=1e-5)
-        assert beta_h * exact.w_ext == pytest.approx(hot.w_ext, rel=1e-5)
+        assert beta_h * exact.q_h == pytest.approx(hot.q_h, rel=1e-5, abs=0)
+        assert beta_h * exact.w_ext == pytest.approx(hot.w_ext, rel=1e-5, abs=0)

@@ -73,29 +73,29 @@ def test_frozen_closed_form_optima(key):
     want = REFERENCE["optima"][key]
     eta_c = 1.0 - tau
 
-    assert z_eta(tau, v, _SC) == pytest.approx(want["z_eta_sc"], rel=1e-13)
-    assert z_eta(tau, v, _SE) == pytest.approx(want["z_eta_se"], rel=1e-13)
-    assert eta_max_sc(eta_c, v) == pytest.approx(want["eta_max_sc"], rel=1e-13)
-    assert eta_max_se(eta_c, v) == pytest.approx(want["eta_max_se"], rel=1e-13)
+    assert z_eta(tau, v, _SC) == pytest.approx(want["z_eta_sc"], rel=1e-13, abs=0)
+    assert z_eta(tau, v, _SE) == pytest.approx(want["z_eta_se"], rel=1e-13, abs=0)
+    assert eta_max_sc(eta_c, v) == pytest.approx(want["eta_max_sc"], rel=1e-13, abs=0)
+    assert eta_max_se(eta_c, v) == pytest.approx(want["eta_max_se"], rel=1e-13, abs=0)
     for scenario, name in ((SUDDEN_COMPRESSION, "eta_max_sc"), (SUDDEN_EXPANSION, "eta_max_se")):
         cap = peak_efficiency(reduced_load(tau, v), scenario)
-        assert cap == pytest.approx(want[name], rel=1e-13)
+        assert cap == pytest.approx(want[name], rel=1e-13, abs=0)
 
-    assert z_work(tau, v, _SC) == pytest.approx(want["z_work"], rel=1e-15)
-    assert z_work(tau, v, _SE) == pytest.approx(want["z_work"], rel=1e-15)
-    assert eta_mw(tau, v, _SC) == pytest.approx(want["eta_mw_sc"], rel=1e-13)
-    assert eta_mw(tau, v, _SE) == pytest.approx(want["eta_mw_se"], rel=1e-13)
+    assert z_work(tau, v, _SC) == pytest.approx(want["z_work"], rel=1e-15, abs=0)
+    assert z_work(tau, v, _SE) == pytest.approx(want["z_work"], rel=1e-15, abs=0)
+    assert eta_mw(tau, v, _SC) == pytest.approx(want["eta_mw_sc"], rel=1e-13, abs=0)
+    assert eta_mw(tau, v, _SE) == pytest.approx(want["eta_mw_se"], rel=1e-13, abs=0)
 
-    assert math.sqrt(reduced_load(tau, v)) == pytest.approx(want["crossing_z"], rel=1e-15)
-    assert engine_floor(tau, v, _SC) == pytest.approx(want["engine_lb_sc"], rel=1e-15)
-    assert engine_floor(tau, v, _SE) == pytest.approx(want["engine_lb_se"], rel=1e-15)
+    assert math.sqrt(reduced_load(tau, v)) == pytest.approx(want["crossing_z"], rel=1e-15, abs=0)
+    assert engine_floor(tau, v, _SC) == pytest.approx(want["engine_lb_sc"], rel=1e-15, abs=0)
+    assert engine_floor(tau, v, _SE) == pytest.approx(want["engine_lb_se"], rel=1e-15, abs=0)
 
     r = lambda z: ReducedParams(z=z, g=reduced_load(tau, v))
     assert work(r(want["z_work"]), SUDDEN_COMPRESSION) == pytest.approx(
-        want["work_max_sc"], rel=1e-13
+        want["work_max_sc"], rel=1e-13, abs=0
     )
     assert work(r(want["z_work"]), SUDDEN_EXPANSION) == pytest.approx(
-        want["work_max_se"], rel=1e-13
+        want["work_max_se"], rel=1e-13, abs=0
     )
 
 
@@ -105,28 +105,34 @@ def test_frozen_trade_off_optima(key):
     want = REFERENCE["optima"][key]
     eta_c = 1.0 - tau
 
-    assert z_omega(tau, v, _SC) == pytest.approx(want["z_omega_sc"], rel=1e-13)
-    assert z_omega(tau, v, _SE) == pytest.approx(want["z_omega_se"], rel=1e-13)
-    assert eta_omega_sc(eta_c, v) == pytest.approx(want["eta_omega_sc"], rel=1e-13)
-    assert eta_omega_se(eta_c, v) == pytest.approx(want["eta_omega_se"], rel=1e-13)
+    assert z_omega(tau, v, _SC) == pytest.approx(want["z_omega_sc"], rel=1e-13, abs=0)
+    assert z_omega(tau, v, _SE) == pytest.approx(want["z_omega_se"], rel=1e-13, abs=0)
+    assert eta_omega_sc(eta_c, v) == pytest.approx(want["eta_omega_sc"], rel=1e-13, abs=0)
+    assert eta_omega_se(eta_c, v) == pytest.approx(want["eta_omega_se"], rel=1e-13, abs=0)
 
     def omega_at(z, scenario):
         record = performance(ReducedParams(z=z, g=reduced_load(tau, v)), scenario)
         return omega_function(record, peak_efficiency(reduced_load(tau, v), scenario))
 
     assert omega_at(z_omega(tau, v, _SC), SUDDEN_COMPRESSION) == pytest.approx(
-        want["omega_max_sc"], rel=1e-12
+        want["omega_max_sc"], rel=1e-12, abs=0
     )
     assert omega_at(z_omega(tau, v, _SE), SUDDEN_EXPANSION) == pytest.approx(
-        want["omega_max_se"], rel=1e-12
+        want["omega_max_se"], rel=1e-12, abs=0
     )
 
 
 def test_frozen_trade_off_efficiency_spots():
     spots = REFERENCE["trade_off_efficiency"]
-    assert eta_omega_sc(0.99, 0.95) == pytest.approx(spots["sc_eta_c=0.99,v=0.95"], rel=1e-13)
-    assert eta_omega_sc(0.999, 0.95) == pytest.approx(spots["sc_eta_c=0.999,v=0.95"], rel=1e-13)
-    assert eta_omega_se(0.99, 0.95) == pytest.approx(spots["se_eta_c=0.99,v=0.95"], rel=1e-13)
+    assert eta_omega_sc(0.99, 0.95) == pytest.approx(
+        spots["sc_eta_c=0.99,v=0.95"], rel=1e-13, abs=0
+    )
+    assert eta_omega_sc(0.999, 0.95) == pytest.approx(
+        spots["sc_eta_c=0.999,v=0.95"], rel=1e-13, abs=0
+    )
+    assert eta_omega_se(0.99, 0.95) == pytest.approx(
+        spots["se_eta_c=0.99,v=0.95"], rel=1e-13, abs=0
+    )
     # the compression quench escapes the 1/2 ceiling, the expansion one cannot
     assert eta_omega_sc(0.999, 0.95) > 0.9
     assert eta_omega_se(0.99, 0.95) <= 0.5
@@ -140,16 +146,16 @@ def test_peak_efficiency_equals_efficiency_at_peak(tau, v):
     eta_c = 1.0 - tau
     r = lambda z: ReducedParams(z=z, g=reduced_load(tau, v))
     assert eta(r(z_eta(tau, v, _SC)), SUDDEN_COMPRESSION) == pytest.approx(
-        eta_max_sc(eta_c, v), rel=1e-12
+        eta_max_sc(eta_c, v), rel=1e-12, abs=0
     )
     assert eta(r(z_eta(tau, v, _SE)), SUDDEN_EXPANSION) == pytest.approx(
-        eta_max_se(eta_c, v), rel=1e-12
+        eta_max_se(eta_c, v), rel=1e-12, abs=0
     )
     assert eta(r(z_work(tau, v, _SC)), SUDDEN_COMPRESSION) == pytest.approx(
-        eta_mw(tau, v, _SC), rel=1e-12
+        eta_mw(tau, v, _SC), rel=1e-12, abs=0
     )
     assert eta(r(z_work(tau, v, _SE)), SUDDEN_EXPANSION) == pytest.approx(
-        eta_mw(tau, v, _SE), rel=1e-12
+        eta_mw(tau, v, _SE), rel=1e-12, abs=0
     )
 
 
@@ -161,7 +167,7 @@ def test_trade_off_maximizer_satisfies_stationarity_identity(tau, v):
     for scenario, cap_fn in ((_SC, eta_max_sc), (_SE, eta_max_se)):
         z = z_omega(tau, v, scenario)
         cap = cap_fn(1.0 - tau, v)
-        assert z**3 == pytest.approx(g * (2.0 - cap) / 2.0, rel=1e-13)
+        assert z**3 == pytest.approx(g * (2.0 - cap) / 2.0, rel=1e-13, abs=0)
 
 
 def test_figure_of_merit_ordering():
@@ -268,21 +274,21 @@ def test_optimize_efficiency_report():
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
     report = optimize(Objective.EFFICIENCY, SUDDEN_COMPRESSION, 0.5, 0.5)
     assert isinstance(report, OptimumReport)
-    assert report.z_star == pytest.approx(want["z_eta_sc"], rel=1e-13)
+    assert report.z_star == pytest.approx(want["z_eta_sc"], rel=1e-13, abs=0)
     assert report.value_at_opt == report.eta_at_opt
-    assert report.eta_at_opt == pytest.approx(want["eta_max_sc"], rel=1e-12)
+    assert report.eta_at_opt == pytest.approx(want["eta_max_sc"], rel=1e-12, abs=0)
 
 
 def test_optimize_work_report_scales_with_temperature(capsys):
     want = REFERENCE["optima"]["tau=0.3,v=0.75"]
     base = optimize(Objective.WORK, SUDDEN_EXPANSION, 0.3, 0.75)
-    assert base.z_star == pytest.approx(want["z_work"], rel=1e-13)
-    assert base.value_at_opt == pytest.approx(want["work_max_se"], rel=1e-12)
+    assert base.z_star == pytest.approx(want["z_work"], rel=1e-13, abs=0)
+    assert base.value_at_opt == pytest.approx(want["work_max_se"], rel=1e-12, abs=0)
     # optimize is unit-free; the CLI prints the work in units of 1/beta_h
     assert cli.main(["optimize", "--objective", "work", "--scenario", "se",
                      "--tau", "0.3", "--v", "0.75", "--beta-h", "2.0"]) == 0
     colder = json.loads(capsys.readouterr().out)
-    assert colder["value"] == pytest.approx(base.value_at_opt / 2.0, rel=1e-12)
+    assert colder["value"] == pytest.approx(base.value_at_opt / 2.0, rel=1e-12, abs=0)
     assert colder["z_star"] == base.z_star
 
 
@@ -293,8 +299,8 @@ def test_optimize_trade_off_uses_closed_form():
         (SUDDEN_EXPANSION, "z_omega_se", "omega_max_se"),
     ):
         report = optimize(Objective.OMEGA, scenario, 0.5, 0.5)
-        assert report.z_star == pytest.approx(want[z_key], rel=1e-13)
-        assert report.value_at_opt == pytest.approx(want[w_key], rel=1e-12)
+        assert report.z_star == pytest.approx(want[z_key], rel=1e-13, abs=0)
+        assert report.value_at_opt == pytest.approx(want[w_key], rel=1e-12, abs=0)
 
 
 GRID_10 = [0.05 + 0.9 * i / 9 for i in range(10)]
@@ -565,8 +571,8 @@ def test_window_refuses_every_bad_load(scenario):
 def test_stationary_velocity_limit():
     # v = 0 collapses the factor to 1: plain temperature-ratio load
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        assert z_work(0.5, 0.0, scenario) == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
-    assert math.sqrt(reduced_load(0.5, 0.0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert z_work(0.5, 0.0, scenario) == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15, abs=0)
+    assert math.sqrt(reduced_load(0.5, 0.0)) == pytest.approx(math.sqrt(0.5), rel=1e-15, abs=0)
     assert eta_mw(0.5, 0.0, _SC) > 0.0
     # every optimum accepts the v = 0 limit that its domain [0, 1) admits
     for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
@@ -586,8 +592,10 @@ def test_maximum_work_is_its_closed_form_and_compression_wins():
         c = reduced_load(tau, v) ** (1.0 / 3.0)
         sc = optimize(Objective.WORK, _SC, tau, v).value_at_opt
         se = optimize(Objective.WORK, _SE, tau, v).value_at_opt
-        assert sc == pytest.approx((1.0 - c) ** 2 * (2.0 + c) / 2.0, rel=2e-14), (tau, v)
-        assert se == pytest.approx((1.0 - c) ** 2 * (1.0 + 2.0 * c) / 2.0, rel=2e-14), (tau, v)
+        assert sc == pytest.approx((1.0 - c) ** 2 * (2.0 + c) / 2.0, rel=2e-14, abs=0), (tau, v)
+        assert se == pytest.approx(
+            (1.0 - c) ** 2 * (1.0 + 2.0 * c) / 2.0, rel=2e-14, abs=0
+        ), (tau, v)
         assert sc > se, (tau, v)
         assert abs((sc - se) - (1.0 - c) ** 3 / 2.0) <= 2e-14 * (sc + se), (tau, v)
     # c falls as v rises, so the maximum work rises with v

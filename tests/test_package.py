@@ -1,5 +1,10 @@
-"""The package's exported surface: what the CLI and the paper's quantities need."""
+"""The package's exported surface: what the CLI and the paper's quantities need.
 
+Also a convention of the tests themselves: a relative tolerance is enforced.
+"""
+
+import ast
+import pathlib
 import types
 
 import otto_rel
@@ -43,3 +48,19 @@ def test_namespace_holds_only_the_exports_and_submodules():
         and getattr(otto_rel, name).__name__ == f"otto_rel.{name}"
     }
     assert public - submodules == EXPORTED - {"__version__"}
+
+
+def test_every_relative_approx_states_its_absolute_floor():
+    # pytest.approx(x, rel=r) alone checks max(r*|x|, 1e-12): vacuous for tiny
+    # x and thousands of ulps for x near 1, so a relative bound says abs= too
+    offenders = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            keywords = {keyword.arg for keyword in node.keywords}
+            if name == "approx" and "rel" in keywords and "abs" not in keywords:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

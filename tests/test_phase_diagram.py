@@ -356,6 +356,34 @@ def _velocity_with_factor(target):
     return hi
 
 
+def _mode_areas(scenario, top):
+    """Each mode's area on the (z, tau) unit square at f(v) = top, closed form.
+
+    The loads g = tau * f(v) fill (0, top); a mode's area is the mean over
+    them of its length in z, between the edges of scenario_forms.
+    """
+    if scenario == SUDDEN_COMPRESSION:
+        fridge = top / 2.0
+        heater = (2.0 * math.asin(math.sqrt(top / 2.0)) - math.sqrt(top * (2.0 - top))) / top
+        heater -= fridge
+        # the engine floor (g + sqrt(g**2 + 8g))/4, integrated with u = g + 4
+        u = top + 4.0
+        root = math.sqrt(u * u - 16.0)
+        integral = u * root / 2.0 - 8.0 * math.log(u + root) + 8.0 * math.log(4.0)
+        engine = 1.0 - (top * top / 8.0 + integral / 4.0) / top
+    else:
+        fridge = (2.0 * top - 1.0) ** 1.5 / (3.0 * top) if top > 0.5 else 0.0
+        heater = top / 2.0 - fridge
+        engine = 1.0 - (((1.0 + 8.0 * top) ** 1.5 - 1.0) / 24.0 - top / 2.0) / top
+    return {
+        "engine": engine,
+        "refrigerator": fridge,
+        "heater": heater,
+        "accelerator": 1.0 - engine - fridge - heater,
+        "boundary": 0.0,
+    }
+
+
 @st.composite
 def _raster_requests(draw):
     scenario = draw(st.sampled_from((SUDDEN_COMPRESSION, SUDDEN_EXPANSION)))
@@ -487,7 +515,26 @@ def test_expansion_refrigerator_vanishes_from_the_half_factor_velocity():
     # below v*, the fraction is positive and judged by the region's area
     # (2F - 1)**1.5 / (3F) on the unit square, F = f(v)
     for v in (0.97, 0.9):
-        factor = relativistic_factor(v)
-        area = (2.0 * factor - 1.0) ** 1.5 / (3.0 * factor)
+        area = _mode_areas(SUDDEN_EXPANSION, relativistic_factor(v))["refrigerator"]
         fraction = fridge(v)
         assert fraction > 0.0 and abs(fraction - area) <= 0.5 / resolution, (v, fraction, area)
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
+@pytest.mark.parametrize("resolution", [200, 400])
+def test_raster_fractions_converge_to_the_mode_areas(scenario, resolution):
+    for v in (0.1, 0.35, 0.63, 0.75, 0.95):
+        areas = _mode_areas(scenario, relativistic_factor(v))
+        fractions = mode_fractions(rasterize(scenario, v, resolution))
+        for mode, area in areas.items():
+            assert abs(fractions[mode] - area) <= 0.5 / resolution, (v, mode, fractions[mode], area)
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
+def test_engine_area_grows_and_refrigerator_area_shrinks_with_velocity(scenario):
+    # f falls with v, so the loads tau * f(v) fall: the engine floor drops
+    # and the refrigerator edge sinks, for every v rather than three
+    areas = [_mode_areas(scenario, relativistic_factor(k / 1000)) for k in range(1, 1000)]
+    for slower, faster in zip(areas, areas[1:]):
+        assert faster["engine"] > slower["engine"]
+        assert faster["refrigerator"] <= slower["refrigerator"]
