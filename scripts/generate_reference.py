@@ -17,13 +17,13 @@ Run from the repository root:
 from __future__ import annotations
 
 import pathlib
+from collections import namedtuple
 
 import mpmath as mp
 
 mp.mp.dps = 60
 
-HERE = pathlib.Path(__file__).resolve().parent
-TARGET = HERE.parent / "tests" / "_reference.py"
+TARGET = pathlib.Path(__file__).resolve().parents[1] / "tests" / "_reference.py"
 
 TIGHT = mp.mpf(10) ** -45
 
@@ -71,52 +71,12 @@ def exact_record(v, beta_c, beta_h, omega_c, omega_h, sudden_comp, sudden_exp):
     q_c = h_a - h_d
     w = q_h + q_c
     eta = w / q_h if q_h > 0 else None
-    return {
-        "h_a": h_a,
-        "h_b": h_b,
-        "h_c": h_c,
-        "h_d": h_d,
-        "q_h": q_h,
-        "q_c": q_c,
-        "w_ext": w,
-        "eta": eta,
-    }
+    return dict(h_a=h_a, h_b=h_b, h_c=h_c, h_d=h_d, q_h=q_h, q_c=q_c, w_ext=w, eta=eta)
 
 
-def ht_sc(z, tau, v, beta_h=1):
-    z, tau, beta_h = mp.mpf(z), mp.mpf(tau), mp.mpf(beta_h)
-    g = tau * factor(v)
-    q_h = (2 * z * z - g * (z * z + 1)) / (2 * z * z * beta_h)
-    q_c = (g - z) / beta_h
-    w = (1 - z) * (2 * z * z - g * (1 + z)) / (2 * z * z * beta_h)
-    return q_h, q_c, w
-
-
-def ht_se(z, tau, v, beta_h=1):
-    z, tau, beta_h = mp.mpf(z), mp.mpf(tau), mp.mpf(beta_h)
-    g = tau * factor(v)
-    q_h = (z - g) / (z * beta_h)
-    q_c = (g - (1 + z * z) / 2) / beta_h
-    w = (1 - z) * (z * (1 + z) - 2 * g) / (2 * z * beta_h)
-    return q_h, q_c, w
-
-
-def eta_sc(z, tau, v):
-    q_h, _, w = ht_sc(z, tau, v)
-    return w / q_h
-
-
-def eta_se(z, tau, v):
-    q_h, _, w = ht_se(z, tau, v)
-    return w / q_h
-
-
-def engine_lb_sc(g):
-    return (g + mp.sqrt(g * (g + 8))) / 4
-
-
-def engine_lb_se(g):
-    return (mp.sqrt(1 + 8 * g) - 1) / 2
+def load(tau, v):
+    """The reduced load g = tau * factor(v) that every hot-limit form reads."""
+    return mp.mpf(tau) * factor(v)
 
 
 def stationary_max(fn, x0, lo, hi):
@@ -128,23 +88,11 @@ def stationary_max(fn, x0, lo, hi):
     return root
 
 
-def third_cos(argument, multiple=1):
-    """cos(multiple*acos(argument)/3) continued through argument > 1."""
-    value = mp.cos(multiple * mp.acos(mp.mpc(argument)) / 3)
+def third_cos(argument):
+    """cos(acos(argument)/3) continued through argument > 1."""
+    value = mp.cos(mp.acos(mp.mpc(argument)) / 3)
     assert abs(value.imag) < TIGHT, f"unexpected imaginary part {value.imag}"
     return value.real
-
-
-def max_eta_ratio_sc(tau, v):
-    """Trig closed form for the efficiency-optimal ratio (compression)."""
-    b = mp.mpf(tau) * factor(v)
-    return 2 * mp.sqrt(b / (2 - b)) * third_cos(-mp.sqrt(b * (2 - b)))
-
-
-def max_eta_ratio_se(tau, v):
-    """Trig closed form for the efficiency-optimal ratio (expansion)."""
-    b = mp.mpf(tau) * factor(v)
-    return b / 2 * (1 + 2 * third_cos((b * b - 4 * b + 2) / (b * b)))
 
 
 def eta_mw_sc_literal(eta_c, v):
@@ -167,67 +115,93 @@ def eta_mw_se_literal(eta_c, v):
     return (head + 3 * mid + tail) / (2 * (head + mid))
 
 
+# One entry per asymmetric scenario, the only place either is written:
+#   energies(z, g)    hot-limit (q_h, q_c, w) in units of 1/beta_h
+#   engine_floor(g)   lower edge of the engine window in z
+#   max_eta_ratio(g)  trig closed form of the efficiency-optimal ratio
+#   eta_mw(eta_c, v)  termwise transcription of the efficiency at maximum work
+#   sudden            (compression, expansion): the quenched strokes of the
+#                     exact cycle
+Scenario = namedtuple("Scenario", "energies engine_floor max_eta_ratio eta_mw sudden")
+
+SCENARIOS = {
+    "sc": Scenario(
+        energies=lambda z, g: (
+            (2 * z * z - g * (z * z + 1)) / (2 * z * z),
+            g - z,
+            (1 - z) * (2 * z * z - g * (1 + z)) / (2 * z * z),
+        ),
+        engine_floor=lambda g: (g + mp.sqrt(g * (g + 8))) / 4,
+        max_eta_ratio=lambda g: 2 * mp.sqrt(g / (2 - g)) * third_cos(-mp.sqrt(g * (2 - g))),
+        eta_mw=eta_mw_sc_literal,
+        sudden=(True, False),
+    ),
+    "se": Scenario(
+        energies=lambda z, g: (
+            (z - g) / z,
+            g - (1 + z * z) / 2,
+            (1 - z) * (z * (1 + z) - 2 * g) / (2 * z),
+        ),
+        engine_floor=lambda g: (mp.sqrt(1 + 8 * g) - 1) / 2,
+        max_eta_ratio=lambda g: g / 2 * (1 + 2 * third_cos((g * g - 4 * g + 2) / (g * g))),
+        eta_mw=eta_mw_se_literal,
+        sudden=(False, True),
+    ),
+}
+
+
+def eta(scenario, z, g):
+    q_h, _, w = scenario.energies(z, g)
+    return w / q_h
+
+
+def optimum_chain(name, g):
+    """Efficiency optimum of one scenario, then the trade-off optimum it sets.
+
+    The efficiency root is the trig closed form cross-checked by the
+    derivative root; the trade-off root is the derivative root cross-checked
+    by the exact stationarity identity z**3 = g*(2 - eta_max)/2.
+    """
+    scenario = SCENARIOS[name]
+    floor = scenario.engine_floor(g)
+    z_eta_cf = scenario.max_eta_ratio(g)
+    z_eta = stationary_max(lambda z: eta(scenario, z, g), z_eta_cf, floor, 1)
+    check(f"z_eta_{name} closed form", z_eta_cf, z_eta)
+    cap = eta(scenario, z_eta, g)
+
+    def omega(z):
+        q_h, _, w = scenario.energies(z, g)
+        return 2 * w - cap * q_h
+
+    z_om_cf = (g * (2 - cap) / 2) ** mp.mpf("1/3")
+    z_om = stationary_max(omega, z_om_cf, floor, 1)
+    check(f"z_omega_{name} identity", z_om_cf, z_om)
+    return dict(
+        engine_lb=floor, z_eta=z_eta, eta_max=cap,
+        z_omega=z_om, omega_max=omega(z_om), eta_omega=eta(scenario, z_om, g),
+    )
+
+
 def optima_block(tau, v):
-    tau, v = mp.mpf(tau), mp.mpf(v)
-    g = tau * factor(v)
-    lb_sc, lb_se = engine_lb_sc(g), engine_lb_se(g)
+    g = load(tau, v)
+    z_work = g ** mp.mpf("1/3")
+    rows = {}
+    for name, scenario in SCENARIOS.items():
+        row = rows[name] = optimum_chain(name, g)
+        # work optimum: cube-root closed form cross-checked by derivative root
+        z_w = stationary_max(lambda z: scenario.energies(z, g)[2], z_work, row["engine_lb"], 1)
+        check(f"z_work {name}", z_work, z_w)
+        row["work_max"] = scenario.energies(z_work, g)[2]
+        row["eta_mw"] = eta(scenario, z_work, g)
+        check(f"eta_mw_{name} literal", row["eta_mw"], scenario.eta_mw(1 - mp.mpf(tau), v))
 
-    # efficiency optima: trig closed form cross-checked by derivative root
-    z_eta_sc_cf = max_eta_ratio_sc(tau, v)
-    z_eta_sc = stationary_max(lambda z: eta_sc(z, tau, v), z_eta_sc_cf, lb_sc, 1)
-    check("z_eta_sc closed form", z_eta_sc_cf, z_eta_sc)
-    z_eta_se_cf = max_eta_ratio_se(tau, v)
-    z_eta_se = stationary_max(lambda z: eta_se(z, tau, v), z_eta_se_cf, lb_se, 1)
-    check("z_eta_se closed form", z_eta_se_cf, z_eta_se)
-    cap_sc = eta_sc(z_eta_sc, tau, v)
-    cap_se = eta_se(z_eta_se, tau, v)
-
-    # work optimum: cube-root closed form cross-checked by derivative root
-    z_w_cf = g ** mp.mpf("1/3")
-    z_w_sc = stationary_max(lambda z: ht_sc(z, tau, v)[2], z_w_cf, lb_sc, 1)
-    z_w_se = stationary_max(lambda z: ht_se(z, tau, v)[2], z_w_cf, lb_se, 1)
-    check("z_work sc", z_w_cf, z_w_sc)
-    check("z_work se", z_w_cf, z_w_se)
-    emw_sc = eta_sc(z_w_cf, tau, v)
-    emw_se = eta_se(z_w_cf, tau, v)
-    check("eta_mw_sc literal", emw_sc, eta_mw_sc_literal(1 - tau, v))
-    check("eta_mw_se literal", emw_se, eta_mw_se_literal(1 - tau, v))
-
-    # trade-off optima: derivative root cross-checked by the exact
-    # stationarity identity z**3 = g*(2 - eta_max)/2
-    def omega_sc(z):
-        q_h, _, w = ht_sc(z, tau, v)
-        return 2 * w - cap_sc * q_h
-
-    def omega_se(z):
-        q_h, _, w = ht_se(z, tau, v)
-        return 2 * w - cap_se * q_h
-
-    z_om_sc_cf = (g * (2 - cap_sc) / 2) ** mp.mpf("1/3")
-    z_om_sc = stationary_max(omega_sc, z_om_sc_cf, lb_sc, 1)
-    check("z_omega_sc identity", z_om_sc_cf, z_om_sc)
-    z_om_se_cf = (g * (2 - cap_se) / 2) ** mp.mpf("1/3")
-    z_om_se = stationary_max(omega_se, z_om_se_cf, lb_se, 1)
-    check("z_omega_se identity", z_om_se_cf, z_om_se)
+    def each(*keys):
+        """The keys suffixed by each scenario's name, over the table in order."""
+        return {f"{key}_{name}": row[key] for name, row in rows.items() for key in keys}
 
     return {
-        "engine_lb_sc": lb_sc,
-        "engine_lb_se": lb_se,
-        "z_eta_sc": z_eta_sc,
-        "eta_max_sc": cap_sc,
-        "z_eta_se": z_eta_se,
-        "eta_max_se": cap_se,
-        "z_work": z_w_cf,
-        "work_max_sc": ht_sc(z_w_cf, tau, v)[2],
-        "work_max_se": ht_se(z_w_cf, tau, v)[2],
-        "eta_mw_sc": emw_sc,
-        "eta_mw_se": emw_se,
-        "z_omega_sc": z_om_sc,
-        "omega_max_sc": omega_sc(z_om_sc),
-        "eta_omega_sc": eta_sc(z_om_sc, tau, v),
-        "z_omega_se": z_om_se,
-        "omega_max_se": omega_se(z_om_se),
-        "eta_omega_se": eta_se(z_om_se, tau, v),
+        **each("engine_lb"), **each("z_eta", "eta_max"), "z_work": z_work,
+        **each("work_max"), **each("eta_mw"), **each("z_omega", "omega_max", "eta_omega"),
         "crossing_z": mp.sqrt(g),
     }
 
@@ -254,28 +228,9 @@ def factor_edges():
     return {repr(v): factor(mp.mpf(v)) for v in velocities}
 
 
-def eta_omega_point(tau, v, compression: bool):
-    tau, v = mp.mpf(tau), mp.mpf(v)
-    g = tau * factor(v)
-    if compression:
-        cap = eta_sc(
-            stationary_max(
-                lambda z: eta_sc(z, tau, v), max_eta_ratio_sc(tau, v), engine_lb_sc(g), 1
-            ),
-            tau,
-            v,
-        )
-        z_om = (g * (2 - cap) / 2) ** mp.mpf("1/3")
-        return eta_sc(z_om, tau, v)
-    cap = eta_se(
-        stationary_max(
-            lambda z: eta_se(z, tau, v), max_eta_ratio_se(tau, v), engine_lb_se(g), 1
-        ),
-        tau,
-        v,
-    )
-    z_om = (g * (2 - cap) / 2) ** mp.mpf("1/3")
-    return eta_se(z_om, tau, v)
+def eta_omega_point(tau, v, name):
+    """Efficiency at the trade-off optimum of one scenario."""
+    return optimum_chain(name, load(tau, v))["eta_omega"]
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +248,10 @@ def verify_series_coefficients() -> None:
 
 
 def verify_first_law_spot() -> None:
-    rec = exact_record("0.5", 1, "0.5", 1, 2, True, False)
-    check("first law", rec["w_ext"], rec["q_h"] + rec["q_c"])
-    assert rec["h_a"] > mp.mpf("0.5"), "cold corner energy below ground level"
+    for name, scenario in SCENARIOS.items():
+        rec = exact_record("0.5", 1, "0.5", 1, 2, *scenario.sudden)
+        check(f"first law {name}", rec["w_ext"], rec["q_h"] + rec["q_c"])
+        assert rec["h_a"] > mp.mpf("0.5"), "cold corner energy below ground level"
     adiabatic = exact_record("0.5", 1, "0.5", 1, 2, False, False)
     check("adiabatic efficiency is 1 - z", adiabatic["eta"], mp.mpf("0.5"))
 
@@ -305,22 +261,19 @@ def verify_first_law_spot() -> None:
 # ----------------------------------------------------------------------
 
 
-def as_float(x):
-    if x is None:
-        return None
-    return float(x)
-
-
 def freeze(node):
+    """The nearest doubles to a nested dict of mpf values (None stays None)."""
     if isinstance(node, dict):
         return {key: freeze(value) for key, value in node.items()}
-    return as_float(node)
+    return None if node is None else float(node)
 
 
-def main() -> None:
+def render() -> str:
+    """Run every consistency gate, then return the text of tests/_reference.py."""
     verify_series_coefficients()
     verify_first_law_spot()
 
+    spot = mp.mpf("0.7"), load("0.5", "0.5")
     reference = {
         "factor": {
             "0.35": factor("0.35"),
@@ -332,24 +285,26 @@ def main() -> None:
         },
         # v=0.5, beta_c=1, beta_h=0.5, omega_c=1, omega_h=2 (z=0.5, tau=0.5)
         "exact_p0": {
-            "sc": exact_record("0.5", 1, "0.5", 1, 2, True, False),
-            "se": exact_record("0.5", 1, "0.5", 1, 2, False, True),
+            **{
+                name: exact_record("0.5", 1, "0.5", 1, 2, *scenario.sudden)
+                for name, scenario in SCENARIOS.items()
+            },
             "adiabatic": exact_record("0.5", 1, "0.5", 1, 2, False, False),
             "sudden": exact_record("0.5", 1, "0.5", 1, 2, True, True),
         },
         # z=0.7, tau=0.5, v=0.5, beta_h=1
         "ht_spot": {
-            "sc": dict(zip(("q_h", "q_c", "w_ext"), ht_sc("0.7", "0.5", "0.5"))),
-            "se": dict(zip(("q_h", "q_c", "w_ext"), ht_se("0.7", "0.5", "0.5"))),
+            name: dict(zip(("q_h", "q_c", "w_ext"), scenario.energies(*spot)))
+            for name, scenario in SCENARIOS.items()
         },
         "optima": {
             "tau=0.5,v=0.5": optima_block("0.5", "0.5"),
             "tau=0.3,v=0.75": optima_block("0.3", "0.75"),
         },
         "trade_off_efficiency": {
-            "sc_eta_c=0.99,v=0.95": eta_omega_point("0.01", "0.95", True),
-            "sc_eta_c=0.999,v=0.95": eta_omega_point("0.001", "0.95", True),
-            "se_eta_c=0.99,v=0.95": eta_omega_point("0.01", "0.95", False),
+            "sc_eta_c=0.99,v=0.95": eta_omega_point("0.01", "0.95", "sc"),
+            "sc_eta_c=0.999,v=0.95": eta_omega_point("0.001", "0.95", "sc"),
+            "se_eta_c=0.99,v=0.95": eta_omega_point("0.01", "0.95", "se"),
         },
         # h_a keyed by repr(v), then repr(x) with x = beta_c omega_c / 2
         "exact_edges": exact_edges(),
@@ -357,9 +312,8 @@ def main() -> None:
         "factor_edges": factor_edges(),
     }
 
-    frozen = freeze(reference)
-    body = repr(frozen).replace("}, ", "},\n ")
-    text = (
+    body = repr(freeze(reference)).replace("}, ", "},\n ")
+    return (
         '"""Frozen reference values (nearest doubles to 60-digit results).\n'
         "\n"
         "Generated by scripts/generate_reference.py; regenerate with\n"
@@ -368,8 +322,11 @@ def main() -> None:
         "\n"
         f"REFERENCE = {body}\n"
     )
+
+
+def main() -> None:
     TARGET.parent.mkdir(parents=True, exist_ok=True)
-    TARGET.write_text(text, encoding="utf-8")
+    TARGET.write_text(render(), encoding="utf-8")
     print(f"wrote {TARGET}")
 
 

@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(handler=_cmd_evaluate)
 
     p_opt = sub.add_parser("optimize", help="optimal ratio for one objective")
-    p_opt.add_argument("--objective", choices=("eta", "work", "omega"), required=True)
+    p_opt.add_argument("--objective", choices=[o.value for o in Objective], required=True)
     p_opt.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
     _add_common(p_opt)
     p_opt.add_argument("--format", choices=("json", "csv"), default="json")
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_phase = sub.add_parser("phase-map", help="mode raster plus JSON mode fractions")
     p_phase.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
-    p_phase.add_argument("--v", type=float, required=True)
+    p_phase.add_argument("--v", type=float, required=True, help="oscillator velocity in (0,1)")
     p_phase.add_argument("--resolution", type=int, default=200)
     p_phase.add_argument(
         "--output",

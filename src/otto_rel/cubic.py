@@ -100,11 +100,10 @@ def principal_trig_root(cubic: MonicCubic) -> float:
             if abs(((polished + a2) * polished + a1) * polished + a0) <= abs(value):
                 w = polished
     else:
-        if abs(x) <= 1.0:
-            factor = math.cos(math.acos(x) / 3.0)
-        elif abs(x) <= 1.0 + CLAMP_EPS:
-            # Grazing a double root: the exact argument is +-1 up to rounding.
-            factor = math.cos(math.acos(math.copysign(1.0, x)) / 3.0)
+        if abs(x) <= 1.0 + CLAMP_EPS:
+            # Past 1 inside the band, x grazes a double root: the exact argument
+            # is +-1 up to rounding, so it is clamped onto [-1, 1].
+            factor = math.cos(math.acos(max(-1.0, min(1.0, x))) / 3.0)
         else:
             factor = math.copysign(math.cosh(math.acosh(abs(x)) / 3.0), x)
         w = -a2 / 3.0 + (2.0 / 3.0) * half * factor

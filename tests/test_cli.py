@@ -1200,13 +1200,15 @@ def test_cli_runtime_is_stdlib_only(cli_import_modules):
     assert not packages - sys.stdlib_module_names - {"otto_rel"}
 
 
-# The choice lists each help text shows, so a dropped or reordered choice fails here.
+# The choice lists each help text shows, so a dropped or reordered choice fails
+# here, and the help of --v, which every subcommand that takes it shows.
+_V_HELP = "oscillator velocity in (0,1)"
 _HELP_CHOICES = {
     (): ("{evaluate,optimize,sweep,phase-map,figure}",),
-    ("evaluate",): ("{sc,se}", "{json,csv}"),
-    ("optimize",): ("{eta,work,omega}", "{sc,se}", "{json,csv}"),
-    ("sweep",): ("{sc,se}",),
-    ("phase-map",): ("{sc,se}",),
+    ("evaluate",): ("{sc,se}", "{json,csv}", _V_HELP),
+    ("optimize",): ("{eta,work,omega}", "{sc,se}", "{json,csv}", _V_HELP),
+    ("sweep",): ("{sc,se}", _V_HELP),
+    ("phase-map",): ("{sc,se}", _V_HELP),
     ("figure",): ("{2,3,4,5,6}",),
 }
 
