@@ -80,18 +80,39 @@ _OPEN = (lambda x: 0.0 < x < 1.0, "lie in (0,1)")
 _RATIO = (lambda x: 0.0 < x <= 1.0, "lie in (0,1]")
 _POSITIVE = (lambda x: x > 0.0, "be positive")
 
-# The domain of every numeric flag, checked even where a subcommand or figure ignores it.
-_DOMAINS = {
-    "tau": _OPEN,
-    "v": _OPEN,
-    "beta_h": _POSITIVE,
-    "omega_h": _POSITIVE,
-    "z": _RATIO,
-    "z_min": _RATIO,
-    "z_max": _RATIO,
-    "points": (lambda n: 1 <= n <= 10_000, "lie in [1, 10000]"),
-    "resolution": (lambda n: 2 <= n <= 10_000, "lie in [2, 10000]"),
+# Every flag once: its domain (numeric flags only) and its argparse keywords.
+_FLAGS = {
+    "objective": (None, dict(choices=[o.value for o in Objective], required=True)),
+    "scenario": (None, dict(choices=tuple(_SCENARIOS), required=True)),
+    "z": (_RATIO, dict(type=float, required=True, help="frequency ratio in (0,1]")),
+    "tau": (_OPEN, dict(type=float, required=True, help="beta_h/beta_c in (0,1)")),
+    "v": (_OPEN, dict(type=float, required=True, help="oscillator velocity in (0,1)")),
+    "beta-h": (
+        _POSITIVE, dict(type=float, default=1.0, help="hot inverse temperature (default 1)")
+    ),
+    "exact": (None, dict(
+        action="store_true",
+        help="use the exact cycle energetics instead of the high-temperature forms",
+    )),
+    "omega-h": (_POSITIVE, dict(
+        type=float, default=1.0,
+        help="hot-side frequency for --exact (default 1); beta_c is beta_h/tau",
+    )),
+    "z-min": (_RATIO, dict(type=float, required=True)),
+    "z-max": (_RATIO, dict(type=float, required=True)),
+    "points": ((lambda n: 1 <= n <= 10_000, "lie in [1, 10000]"), dict(type=int, default=101)),
+    "resolution": ((lambda n: 2 <= n <= 10_000, "lie in [2, 10000]"), dict(type=int, default=200)),
+    "id": (None, dict(type=int, choices=(2, 3, 4, 5, 6), required=True)),
+    "v-list": (None, dict(
+        default="0.35,0.75,0.95", help="comma-separated velocities (default 0.35,0.75,0.95)"
+    )),
+    "format": (None, dict(choices=("json", "csv"), default="json")),
+    "output": (None, dict(default=None, help="file path (default stdout)")),
 }
+
+# The domain of each numeric flag by its dest, checked even where a subcommand
+# or figure ignores the value.
+_DOMAINS = {name.replace("-", "_"): domain for name, (domain, _) in _FLAGS.items() if domain}
 
 
 def _check(name: str, value) -> None:
@@ -348,10 +369,28 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--tau", type=float, required=True, help="beta_h/beta_c in (0,1)")
-    parser.add_argument("--v", type=float, required=True, help="oscillator velocity in (0,1)")
-    parser.add_argument("--beta-h", type=float, default=1.0, help="hot inverse temperature (default 1)")
+# Each subcommand: its help, its handler and its flags in help order.
+_COMMANDS = {
+    "evaluate": ("heats, work, efficiency at one point", _cmd_evaluate,
+                 "scenario z tau v beta-h exact omega-h format output"),
+    "optimize": ("optimal ratio for one objective", _cmd_optimize,
+                 "objective scenario tau v beta-h format output"),
+    "sweep": ("evaluate along a z range", _cmd_sweep,
+              "scenario tau v beta-h z-min z-max points output"),
+    "phase-map": ("mode raster plus JSON mode fractions", _cmd_phase_map,
+                  "scenario v resolution output"),
+    "figure": ("long-format CSV data for figures 2-6", _cmd_figure,
+               "id v-list tau points resolution output"),
+}
+# The flags that mean something else in one subcommand: keywords over the flag's own.
+_OVERRIDES = {
+    ("phase-map", "output"): dict(
+        required=True, help="CSV path for the raster; the JSON summary goes to stdout"
+    ),
+    ("figure", "tau"): dict(required=False, default=None, help="figures 3 and 4 only"),
+    ("figure", "points"): dict(default=None, help="axis resolution, figures 2-4"),
+    ("figure", "resolution"): dict(help="grid size, figures 5-6"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,67 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Asymmetric relativistic quantum Otto cycle calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("evaluate", help="heats, work, efficiency at one point")
-    p_eval.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
-    p_eval.add_argument("--z", type=float, required=True, help="frequency ratio in (0,1]")
-    _add_common(p_eval)
-    p_eval.add_argument(
-        "--exact",
-        action="store_true",
-        help="use the exact cycle energetics instead of the high-temperature forms",
-    )
-    p_eval.add_argument(
-        "--omega-h",
-        type=float,
-        default=1.0,
-        help="hot-side frequency for --exact (default 1); beta_c is beta_h/tau",
-    )
-    p_eval.add_argument("--format", choices=("json", "csv"), default="json")
-    p_eval.add_argument("--output", default=None, help="file path (default stdout)")
-    p_eval.set_defaults(handler=_cmd_evaluate)
-
-    p_opt = sub.add_parser("optimize", help="optimal ratio for one objective")
-    p_opt.add_argument("--objective", choices=[o.value for o in Objective], required=True)
-    p_opt.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
-    _add_common(p_opt)
-    p_opt.add_argument("--format", choices=("json", "csv"), default="json")
-    p_opt.add_argument("--output", default=None, help="file path (default stdout)")
-    p_opt.set_defaults(handler=_cmd_optimize)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate along a z range")
-    p_sweep.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
-    _add_common(p_sweep)
-    p_sweep.add_argument("--z-min", type=float, required=True)
-    p_sweep.add_argument("--z-max", type=float, required=True)
-    p_sweep.add_argument("--points", type=int, default=101)
-    p_sweep.add_argument("--output", default=None, help="file path (default stdout)")
-    p_sweep.set_defaults(handler=_cmd_sweep, exact=False)
-
-    p_phase = sub.add_parser("phase-map", help="mode raster plus JSON mode fractions")
-    p_phase.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
-    p_phase.add_argument("--v", type=float, required=True, help="oscillator velocity in (0,1)")
-    p_phase.add_argument("--resolution", type=int, default=200)
-    p_phase.add_argument(
-        "--output",
-        required=True,
-        help="CSV path for the raster; the JSON summary goes to stdout",
-    )
-    p_phase.set_defaults(handler=_cmd_phase_map)
-
-    p_fig = sub.add_parser("figure", help="long-format CSV data for figures 2-6")
-    p_fig.add_argument("--id", type=int, choices=(2, 3, 4, 5, 6), required=True)
-    p_fig.add_argument(
-        "--v-list",
-        default="0.35,0.75,0.95",
-        help="comma-separated velocities (default 0.35,0.75,0.95)",
-    )
-    p_fig.add_argument("--tau", type=float, default=None, help="figures 3 and 4 only")
-    p_fig.add_argument("--points", type=int, default=None, help="axis resolution, figures 2-4")
-    p_fig.add_argument("--resolution", type=int, default=200, help="grid size, figures 5-6")
-    p_fig.add_argument("--output", default=None, help="file path (default stdout)")
-    p_fig.set_defaults(handler=_cmd_figure)
-
+    for command, (help_text, handler, flags) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_text)
+        for name in flags.split():
+            keywords = {**_FLAGS[name][1], **_OVERRIDES.get((command, name), {})}
+            p_command.add_argument(f"--{name}", **keywords)
+        # a subcommand without --exact reads the hot-limit forms
+        p_command.set_defaults(handler=handler, exact=False)
     return parser
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, reproducibility."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.metadata
@@ -1225,3 +1226,17 @@ def test_help_renders(capsys, command):
     assert out.startswith("usage: otto-rel")
     for choices in _HELP_CHOICES[command]:
         assert choices in out, (choices, out)
+
+
+def test_every_numeric_flag_has_a_domain():
+    # a float or int flag without choices and without a domain would be
+    # checked for finiteness only
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    numeric = set()
+    for command, subparser in commands.choices.items():
+        for action in subparser._actions:
+            if action.type in (float, int) and action.choices is None:
+                assert action.dest in cli._DOMAINS, (command, action.option_strings)
+                numeric.add(action.dest)
+    assert numeric == set(cli._DOMAINS)

@@ -342,7 +342,7 @@ def inject_work_candidate(monkeypatch, candidate):
     monkeypatch.setattr(optima, "_Window", Injected)
 
 
-def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
+def test_optimize_refuses_a_candidate_that_is_not_a_maximum(monkeypatch):
     want = REFERENCE["optima"]["tau=0.5,v=0.5"]
     lo = engine_floor(0.5, 0.5, _SC)
     # inside the window, but on the rising flank below the true maximizer
@@ -352,12 +352,22 @@ def test_optimize_falls_back_when_candidate_is_not_a_maximum(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", ["below-window", 1.5, math.nan, math.inf])
-def test_optimize_falls_back_when_candidate_leaves_window(monkeypatch, bad):
+def test_optimize_refuses_a_candidate_outside_the_window(monkeypatch, bad):
     lo = engine_floor(0.5, 0.5, _SE)
     candidate = 0.5 * lo if bad == "below-window" else bad
     inject_work_candidate(monkeypatch, candidate)
     with pytest.raises(NoInteriorOptimumError, match="is outside the engine window"):
         optimize(Objective.WORK, SUDDEN_EXPANSION, 0.5, 0.5)
+
+
+def test_optimize_names_an_unknown_objective():
+    with pytest.raises(ValueError, match="unknown objective bogus"):
+        optimize("bogus", SUDDEN_COMPRESSION, 0.5, 0.5)
+    # Objective is a str enum, so its plain value selects the same optimum
+    for objective in Objective:
+        for scenario in (_SC, _SE):
+            plain = optimize(objective.value, scenario, 0.5, 0.5)
+            assert plain == optimize(objective, scenario, 0.5, 0.5), (objective, scenario)
 
 
 def test_peak_efficiency_refuses_uncertified_root(monkeypatch):
@@ -529,14 +539,16 @@ def _decimal_efficiency_root(g: float, scenario) -> Decimal:
 
             z = (3 * d_g / 2).sqrt()
         else:
-            # z^3 - (3/2) g z^2 - g (1 - 2g)/2, the root near (g/2)^(1/3)
+            # z^3 - (3/2) g z^2 - g (1 - 2g)/2, the root near (g/2)^(1/3); above
+            # g = 1/2 the cubic is positive, rising and convex from 3g/2 on, so
+            # Newton from there falls to the largest root, not the middle one
             def f(z):
                 return z**3 - Decimal("1.5") * d_g * z * z - d_g * (1 - 2 * d_g) / 2
 
             def df(z):
                 return 3 * z * z - 3 * d_g * z
 
-            z = (d_g / 2) ** (Decimal(1) / 3)
+            z = max((d_g / 2) ** (Decimal(1) / 3), Decimal("1.5") * d_g)
         for _ in range(100):
             step = f(z) / df(z)
             z -= step
@@ -553,6 +565,38 @@ def test_subnormal_load_efficiency_root_is_within_4_ulps(scenario):
         z_star = optimize(Objective.EFFICIENCY, scenario, g, 0.0).z_star
         want = _decimal_efficiency_root(g, scenario)
         assert abs(Decimal(z_star) - want) <= 4 * Decimal(math.ulp(z_star)), (g, z_star, want)
+
+
+@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION], ids=["sc", "se"])
+def test_peak_efficiency_closed_forms(scenario):
+    # At the stationary ratio z* the cubic turns eta into 1 - z*^3/g in both
+    # scenarios: (2 + g - 3 z*)/(2 - g) in sc, which tends to 1 as g -> 0, and
+    # 1/2 + g - (3/2) z*^2 in se, which is below 1/2 exactly when z*^2 > 2g/3.
+    sc = scenario == SUDDEN_COMPRESSION
+    for g in (1e-300, 1e-100, 1e-12, 1e-3, 0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9):
+        z = _decimal_efficiency_root(g, scenario)
+        # the maximizing root, not another root of the cubic
+        z_star = optimize(Objective.EFFICIENCY, scenario, g, 0.0).z_star
+        assert float(z) == pytest.approx(z_star, rel=1e-12, abs=0), g
+        with localcontext() as ctx:
+            ctx.prec = 80
+            d_g = Decimal(g)
+            if sc:
+                eta_z = (1 - z) * (2 * z * z - d_g * (1 + z)) / (2 * z * z - d_g * (z * z + 1))
+                form = (2 + d_g - 3 * z) / (2 - d_g)
+            else:
+                eta_z = (1 - z) * (z * (1 + z) - 2 * d_g) / (2 * (z - d_g))
+                form = Decimal("0.5") + d_g - Decimal("1.5") * z * z
+                assert z * z > 2 * d_g / 3, g
+            for closed in (1 - z**3 / d_g, form):
+                assert abs(eta_z - closed) <= Decimal("1e-70") * eta_z, (g, eta_z, closed)
+    # the double optimum obeys the same identity across the whole load range
+    rng = random.Random(20261021)
+    for _ in range(4000):
+        g = 10.0 ** rng.uniform(-300.0, math.log10(0.9))
+        z_star = optimize(Objective.EFFICIENCY, scenario, g, 0.0).z_star
+        want = 1.0 - z_star**3 / g
+        assert peak_efficiency(g, scenario) == pytest.approx(want, rel=1e-12, abs=0), g
 
 
 @pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION], ids=["sc", "se"])
