@@ -1,7 +1,7 @@
 """Shared test helpers.
 
 Keeps the frozen reference table importable regardless of how pytest was
-invoked, and provides a couple of tolerance helpers used across modules.
+invoked, and provides the factor_calls fixture.
 """
 
 import os
@@ -32,8 +32,3 @@ def factor_calls(monkeypatch):
         if name.split(".")[0] == "otto_rel" and vars(module).get("relativistic_factor") is real:
             monkeypatch.setattr(module, "relativistic_factor", counted)
     return calls
-
-
-def rel_gap(got: float, want: float) -> float:
-    """Relative difference with a floor of 1 on the denominator."""
-    return abs(got - want) / max(1.0, abs(want))
