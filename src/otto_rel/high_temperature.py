@@ -98,6 +98,8 @@ class ScenarioForms(NamedTuple):
 
 def _sc_energies(z: float, g: float) -> tuple[float, float, float]:
     two_zz = 2.0 * z * z
+    if two_zz == 0.0:
+        raise FloatingPointError(f"2z^2 underflows to 0 at z={z}")
     q_h = (two_zz - g * (z * z + 1.0)) / two_zz
     return q_h, g - z, (1.0 - z) * (two_zz - g * (1.0 + z)) / two_zz
 

@@ -572,16 +572,6 @@ def test_figure_phase_ids(capsys):
     assert all(line.split(",")[3] == "se" for line in out.splitlines()[2:])
 
 
-def test_figure_outputs_are_reproducible(capsys, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path in (a, b):
-        code, _, _ = run(
-            capsys, "figure", "--id", "3", "--points", "64", "--output", str(path)
-        )
-        assert code == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 # Frozen SHA-256 of small figure and sweep outputs.  Criterion 9 compares two
 # runs of one tree; these pins catch a bit that moves across a refactor.
 FROZEN_OUTPUTS = {
@@ -822,9 +812,9 @@ REFUSALS = {
      "--tau", "0.9999999819051079", "--v", "1e-190"): (3, *_OUTSIDE),
     ("optimize", "--objective", "eta", "--scenario", "sc", "--tau", "0.999999999", "--v", "1e-6"):
         (3, *_OUTSIDE),
-    # z**2 underflows to zero inside the hot-bath heat
+    # 2z**2 underflows to zero inside the hot-bath heat
     (*_EVALUATE_SC, "--z", "1e-300", "--tau", "0.5", "--v", "0.5"):
-        (3, "numeric failure: ", "division by zero"),
+        (3, "numeric failure: 2z^2 underflows to 0 at z=1e-300"),
     # 1/beta_h overflows, so the heats are infinite
     (*_TINY_BETA, "--format", "json"): (3, "numeric failure: q_h is not finite (inf)"),
     (*_TINY_BETA, "--format", "csv"): (3, "numeric failure: q_h is not finite (inf)"),

@@ -22,19 +22,25 @@ from otto_rel import (
     reduced_load,
     relativistic_factor,
 )
-from otto_rel.core import Scenario, StrokeProtocol
-from otto_rel.high_temperature import eta, qh, scenario_forms, work
+from otto_rel.core import Scenario
+from otto_rel.high_temperature import _FORMS, eta, qh, scenario_forms, work
 from otto_rel import cli
 from _reference import REFERENCE
-from _scaffold import BOTH_ADIABATIC, BOTH_SUDDEN
+from _scaffold import BOTH_ADIABATIC, BOTH_SUDDEN, SCENARIOS, each_scenario
 
 SPOT = ReducedParams(z=0.7, g=reduced_load(0.5, 0.5))
 
 
-@pytest.mark.parametrize("scenario,key", [(SUDDEN_COMPRESSION, "sc"), (SUDDEN_EXPANSION, "se")])
-def test_frozen_spot_values(scenario, key):
-    want = REFERENCE["ht_spot"][key]
-    rec = performance(SPOT, scenario)
+def test_scenario_table_is_the_packages():
+    # the tests' table covers the package's scenarios, each under its CLI token
+    assert {case.scenario for case in SCENARIOS.values()} == set(_FORMS)
+    assert {token: case.scenario for token, case in SCENARIOS.items()} == cli._SCENARIOS
+
+
+@each_scenario
+def test_frozen_spot_values(case):
+    want = REFERENCE["ht_spot"][case.token]
+    rec = performance(SPOT, case.scenario)
     assert rec.q_h == pytest.approx(want["q_h"], rel=1e-14, abs=0)
     assert rec.q_c == pytest.approx(want["q_c"], rel=1e-14, abs=0)
     assert rec.w_ext == pytest.approx(want["w_ext"], rel=1e-14, abs=0)
@@ -49,9 +55,8 @@ _reduced_strategy = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(r=_reduced_strategy, sudden_compression=st.booleans())
-def test_first_law_from_independent_formulas(r, sudden_compression):
-    scenario = SUDDEN_COMPRESSION if sudden_compression else SUDDEN_EXPANSION
+@given(r=_reduced_strategy, scenario=st.sampled_from([c.scenario for c in SCENARIOS.values()]))
+def test_first_law_from_independent_formulas(r, scenario):
     w = work(r, scenario)
     total = qh(r, scenario) + performance(r, scenario).q_c
     scale = max(1.0, abs(w), abs(total))
@@ -69,7 +74,7 @@ def _evaluate(*argv: str) -> dict:
 @given(
     z=_Z, tau=_RATIO, v=_RATIO,
     beta_h=st.floats(min_value=0.01, max_value=100.0),
-    scenario=st.sampled_from(("sc", "se")),
+    scenario=st.sampled_from(tuple(SCENARIOS)),
 )
 def test_all_quantities_scale_as_temperature(z, tau, v, beta_h, scenario):
     # the library is unit-free; the CLI prints energies in units of 1/beta_h
@@ -108,57 +113,37 @@ def test_eta_none_when_no_heat_uptake():
     assert eta(r, SUDDEN_COMPRESSION) is None
 
 
-def test_unit_ratio_gives_zero_work():
+@each_scenario
+def test_unit_ratio_gives_zero_work(case):
     r = ReducedParams(z=1.0, g=reduced_load(0.5, 0.5))
-    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        assert work(r, scenario) == pytest.approx(0.0, abs=1e-15)
+    assert work(r, case.scenario) == pytest.approx(0.0, abs=1e-15)
 
 
-_FLOOR_SC = scenario_forms(SUDDEN_COMPRESSION).engine_lower_z
-_FLOOR_SE = scenario_forms(SUDDEN_EXPANSION).engine_lower_z
-
-
-def test_engine_window_lower_edges():
-    opt = REFERENCE["optima"]["tau=0.5,v=0.5"]
-    g = 0.5 * relativistic_factor(0.5)
-    assert _FLOOR_SC(g) == pytest.approx(opt["engine_lb_sc"], rel=1e-15, abs=0)
-    assert _FLOOR_SE(g) == pytest.approx(opt["engine_lb_se"], rel=1e-15, abs=0)
-    # the window collapses at full coupling
-    assert _FLOOR_SC(1.0) == pytest.approx(1.0)
-    assert _FLOOR_SE(1.0) == pytest.approx(1.0)
-
-
-def _decimal_floors(g: float) -> tuple[Decimal, Decimal]:
-    """Both engine floors from the textbook root formulas, with every digit of g kept."""
-    with localcontext() as ctx:
-        # (sqrt(1 + 8g) - 1)/2 cancels about -log10(g) digits
-        ctx.prec = 40 + max(0, -math.floor(math.log10(g)))
-        d_g, one = Decimal(g), Decimal(1)
-        sc = (d_g + (d_g * (d_g + 8)).sqrt()) / 4
-        se = ((one + 8 * d_g).sqrt() - one) / 2
-        return sc, se
-
-
-def test_engine_floors_keep_their_digits():
+@each_scenario
+def test_engine_floors_keep_their_digits(case):
+    floor = scenario_forms(case.scenario).engine_lower_z
     for k in range(321):
         g = float(f"1e-{k}")
-        want_sc, want_se = _decimal_floors(g)
-        for got, want in ((_FLOOR_SC(g), want_sc), (_FLOOR_SE(g), want_se)):
-            assert abs(Decimal(got) - want) <= 4 * Decimal(math.ulp(got)), (g, got, want)
+        with localcontext() as ctx:
+            # the textbook root formula with every digit of g kept; the se
+            # form cancels about -log10(g) digits
+            ctx.prec = 40 + max(0, -math.floor(math.log10(g)))
+            want = case.engine_floor(Decimal(g))
+        got = floor(g)
+        assert abs(Decimal(got) - want) <= 4 * Decimal(math.ulp(got)), (g, got, want)
 
 
-@pytest.mark.parametrize(
-    "edge_fn,scenario",
-    [(_FLOOR_SC, SUDDEN_COMPRESSION), (_FLOOR_SE, SUDDEN_EXPANSION)],
-    ids=["engine_lower_z_sc-scenario0", "engine_lower_z_se-scenario1"],
-)
-def test_work_changes_sign_at_window_edge(edge_fn, scenario):
+@each_scenario
+def test_work_changes_sign_at_window_edge(case):
+    floor = scenario_forms(case.scenario).engine_lower_z
+    # the window collapses at full coupling
+    assert floor(1.0) == pytest.approx(1.0)
     for tau, v in ((0.5, 0.5), (0.3, 0.75), (0.8, 0.2)):
         g = reduced_load(tau, v)
-        z_edge = edge_fn(g)
+        z_edge = floor(g)
         below = ReducedParams(z=z_edge - 1e-4, g=g)
         above = ReducedParams(z=z_edge + 1e-4, g=g)
-        assert work(below, scenario) < 0.0 < work(above, scenario)
+        assert work(below, case.scenario) < 0.0 < work(above, case.scenario)
 
 
 def test_symmetric_scenarios_are_rejected():
@@ -168,14 +153,14 @@ def test_symmetric_scenarios_are_rejected():
                 call(scenario)
 
 
-def test_rebuilt_and_unpickled_scenarios_find_their_forms():
-    rebuilt = Scenario(StrokeProtocol.SUDDEN, StrokeProtocol.ADIABATIC)
-    assert scenario_forms(rebuilt) is scenario_forms(SUDDEN_COMPRESSION)
-    assert performance(SPOT, rebuilt) == performance(SPOT, SUDDEN_COMPRESSION)
-    restored = pickle.loads(pickle.dumps(SUDDEN_EXPANSION))
-    assert restored == SUDDEN_EXPANSION
-    assert scenario_forms(restored) is scenario_forms(SUDDEN_EXPANSION)
-    assert eta(SPOT, restored) == eta(SPOT, SUDDEN_EXPANSION)
+@each_scenario
+def test_rebuilt_and_unpickled_scenarios_find_their_forms(case):
+    scenario = case.scenario
+    for copy in (Scenario(*scenario), pickle.loads(pickle.dumps(scenario))):
+        assert copy == scenario
+        assert scenario_forms(copy) is scenario_forms(scenario)
+        assert performance(SPOT, copy) == performance(SPOT, scenario)
+        assert eta(SPOT, copy) == eta(SPOT, scenario)
 
 
 def test_hot_limit_forms_run_no_enum_code():
@@ -226,16 +211,16 @@ def test_reduced_load_is_tau_times_factor():
             reduced_load(0.5, v)
 
 
-def test_agrees_with_exact_cycle_when_hot():
+@each_scenario
+def test_agrees_with_exact_cycle_when_hot(case):
     # beta_h * omega_h = 1e-3 sits deep in the hot regime; leading order
     # should match the full cycle to a few parts in 1e6
     beta_h, omega_h, z, tau, v = 1e-3, 1.0, 0.7, 0.5, 0.5
     params = CycleParams(v=v, beta_c=beta_h / tau, beta_h=beta_h,
                          omega_c=z * omega_h, omega_h=omega_h)
     r = ReducedParams(z=z, g=reduced_load(tau, v))
-    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        exact = heats_and_work(params, scenario)
-        # the forms are unit-free: beta_h times each energy
-        hot = performance(r, scenario)
-        assert beta_h * exact.q_h == pytest.approx(hot.q_h, rel=1e-5, abs=0)
-        assert beta_h * exact.w_ext == pytest.approx(hot.w_ext, rel=1e-5, abs=0)
+    exact = heats_and_work(params, case.scenario)
+    # the forms are unit-free: beta_h times each energy
+    hot = performance(r, case.scenario)
+    assert beta_h * exact.q_h == pytest.approx(hot.q_h, rel=1e-5, abs=0)
+    assert beta_h * exact.w_ext == pytest.approx(hot.w_ext, rel=1e-5, abs=0)

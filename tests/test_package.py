@@ -1,6 +1,7 @@
 """The package's exported surface: what the CLI and the paper's quantities need.
 
-Also a convention of the tests themselves: a relative tolerance is enforced.
+Also conventions of the code and its tests: a relative tolerance states its
+absolute floor, and no code branches on which scenario it was given.
 """
 
 import ast
@@ -63,4 +64,28 @@ def test_every_relative_approx_states_its_absolute_floor():
             keywords = {keyword.arg for keyword in node.keywords}
             if name == "approx" and "rel" in keywords and "abs" not in keywords:
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_code_branches_on_a_scenario_constant():
+    # what differs between the scenarios lives in one table per layer
+    # (high_temperature._FORMS, tests/_scaffold.SCENARIOS); an assert may
+    # still compare a scenario with a constant
+    root = pathlib.Path(__file__).resolve().parent.parent
+    constants = {"SUDDEN_COMPRESSION", "SUDDEN_EXPANSION"}
+    offenders = []
+    for path in sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserted = {id(node) for a in ast.walk(tree) if isinstance(a, ast.Assert)
+                    for node in ast.walk(a)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare) or id(node) in asserted:
+                continue
+            names = {
+                getattr(operand, "attr", getattr(operand, "id", None))
+                for operand in (node.left, *node.comparators)
+            }
+            equality = (ast.Eq, ast.NotEq, ast.Is, ast.IsNot)
+            if names & constants and any(isinstance(op, equality) for op in node.ops):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
     assert offenders == []

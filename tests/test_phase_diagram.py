@@ -23,7 +23,7 @@ from otto_rel import (
 )
 from otto_rel.high_temperature import qh, scenario_forms
 from otto_rel.phase_diagram import classify_by_signs, classify_signs
-from _scaffold import BOTH_SUDDEN, cells, classify_by_table
+from _scaffold import BOTH_SUDDEN, SCENARIOS, cells, classify_by_table, each_scenario
 
 E = OperationalMode.ENGINE
 R = OperationalMode.REFRIGERATOR
@@ -163,22 +163,20 @@ def test_classify_signs_agrees_with_sign_by_sign(inputs):
     assert got == _outcome(_reference_classify_signs, *inputs)
 
 
-def test_known_mode_points_compression():
+KNOWN_MODES = {
     # tau=0.5, v=0.5 puts the edges near 0.476, 0.559, 0.621
-    pts = {0.3: R, 0.5: H, 0.59: T, 0.8: E, 0.9: E}
-    for z, want in pts.items():
-        r = ReducedParams(z=z, g=reduced_load(0.5, 0.5))
-        assert classify_by_signs(r, SUDDEN_COMPRESSION) is want
-        assert classify_by_table(r, SUDDEN_COMPRESSION) is want
-
-
-def test_known_mode_points_expansion():
+    "sc": {0.3: R, 0.5: H, 0.59: T, 0.8: E, 0.9: E},
     # same loading: no refrigerator interval, edges near 0.476 and 0.596
-    pts = {0.2: H, 0.3: H, 0.5: T, 0.7: E}
-    for z, want in pts.items():
+    "se": {0.2: H, 0.3: H, 0.5: T, 0.7: E},
+}
+
+
+@each_scenario
+def test_known_mode_points(case):
+    for z, want in KNOWN_MODES[case.token].items():
         r = ReducedParams(z=z, g=reduced_load(0.5, 0.5))
-        assert classify_by_signs(r, SUDDEN_EXPANSION) is want
-        assert classify_by_table(r, SUDDEN_EXPANSION) is want
+        assert classify_by_signs(r, case.scenario) is want
+        assert classify_by_table(r, case.scenario) is want
 
 
 def test_engine_example_point():
@@ -192,9 +190,10 @@ def test_unit_ratio_is_boundary():
     assert classify_by_table(r, SUDDEN_COMPRESSION) is B
 
 
-@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
 @pytest.mark.parametrize("v", [0.35, 0.75])
-def test_classifiers_agree_away_from_edges(scenario, v):
+@each_scenario
+def test_classifiers_agree_away_from_edges(case, v):
+    scenario = case.scenario
     n = 60
     disagreements = 0
     for i in range(n):
@@ -209,20 +208,20 @@ def test_classifiers_agree_away_from_edges(scenario, v):
     assert disagreements == 0
 
 
-def test_stage_progression_is_monotone_in_z():
+@each_scenario
+def test_stage_progression_is_monotone_in_z(case):
     # sweeping z upward must walk R -> H -> T -> E without backtracking
     rank = {R: 0, H: 1, T: 2, E: 3}
-    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        for tau in (0.2, 0.5, 0.8):
-            seen = -1
-            for i in range(1, 199):
-                r = ReducedParams(z=i / 200, g=reduced_load(tau, 0.5))
-                mode = classify_by_signs(r, scenario)
-                if mode is B:
-                    continue
-                assert rank[mode] >= seen
-                seen = rank[mode]
-            assert seen == 3
+    for tau in (0.2, 0.5, 0.8):
+        seen = -1
+        for i in range(1, 199):
+            r = ReducedParams(z=i / 200, g=reduced_load(tau, 0.5))
+            mode = classify_by_signs(r, case.scenario)
+            if mode is B:
+                continue
+            assert rank[mode] >= seen
+            seen = rank[mode]
+        assert seen == 3
 
 
 def test_tightening_eps_only_reclassifies_boundary_cells(monkeypatch):
@@ -250,18 +249,19 @@ def test_tightening_eps_only_reclassifies_boundary_cells(monkeypatch):
             assert w2 is B
 
 
-def test_boundary_curves_match_sign_changes():
-    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        forms = scenario_forms(scenario)
-        for tau in (0.4, 0.7):
-            g = reduced_load(tau, 0.6)
-            z_qh = forms.heater_top(g)
-            assert qh(ReducedParams(z=z_qh - 1e-6, g=g), scenario) < 0
-            assert qh(ReducedParams(z=z_qh + 1e-6, g=g), scenario) > 0
-            z_qc = forms.fridge_top(g)
-            if z_qc is not None:
-                assert performance(ReducedParams(z=z_qc - 1e-6, g=g), scenario).q_c > 0
-                assert performance(ReducedParams(z=z_qc + 1e-6, g=g), scenario).q_c < 0
+@each_scenario
+def test_boundary_curves_match_sign_changes(case):
+    scenario = case.scenario
+    forms = scenario_forms(scenario)
+    for tau in (0.4, 0.7):
+        g = reduced_load(tau, 0.6)
+        z_qh = forms.heater_top(g)
+        assert qh(ReducedParams(z=z_qh - 1e-6, g=g), scenario) < 0
+        assert qh(ReducedParams(z=z_qh + 1e-6, g=g), scenario) > 0
+        z_qc = forms.fridge_top(g)
+        if z_qc is not None:
+            assert performance(ReducedParams(z=z_qc - 1e-6, g=g), scenario).q_c > 0
+            assert performance(ReducedParams(z=z_qc + 1e-6, g=g), scenario).q_c < 0
 
 
 def test_expansion_refrigerator_vanishes_at_low_load():
@@ -293,13 +293,14 @@ def test_rasterize_layout_and_determinism():
         rasterize(BOTH_SUDDEN, 0.5, resolution=24)
 
 
-@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
 @pytest.mark.parametrize("v", [0.35, 0.95])
-def test_rasterize_matches_per_point_classifier(scenario, v):
-    pm = rasterize(scenario, v, resolution=40)
+@each_scenario
+def test_rasterize_matches_per_point_classifier(case, v):
+    pm = rasterize(case.scenario, v, resolution=40)
     for z, row in zip(pm.axis, cells(pm)):
         for tau, mode in zip(pm.axis, row):
-            assert mode is classify_by_signs(ReducedParams(z=z, g=reduced_load(tau, v)), scenario)
+            r = ReducedParams(z=z, g=reduced_load(tau, v))
+            assert mode is classify_by_signs(r, case.scenario)
 
 
 def test_phase_map_shape_validation():
@@ -356,37 +357,8 @@ def _velocity_with_factor(target):
     return hi
 
 
-def _mode_areas(scenario, top):
-    """Each mode's area on the (z, tau) unit square at f(v) = top, closed form.
-
-    The loads g = tau * f(v) fill (0, top); a mode's area is the mean over
-    them of its length in z, between the edges of scenario_forms.
-    """
-    if scenario == SUDDEN_COMPRESSION:
-        fridge = top / 2.0
-        heater = (2.0 * math.asin(math.sqrt(top / 2.0)) - math.sqrt(top * (2.0 - top))) / top
-        heater -= fridge
-        # the engine floor (g + sqrt(g**2 + 8g))/4, integrated with u = g + 4
-        u = top + 4.0
-        root = math.sqrt(u * u - 16.0)
-        integral = u * root / 2.0 - 8.0 * math.log(u + root) + 8.0 * math.log(4.0)
-        engine = 1.0 - (top * top / 8.0 + integral / 4.0) / top
-    else:
-        fridge = (2.0 * top - 1.0) ** 1.5 / (3.0 * top) if top > 0.5 else 0.0
-        heater = top / 2.0 - fridge
-        engine = 1.0 - (((1.0 + 8.0 * top) ** 1.5 - 1.0) / 24.0 - top / 2.0) / top
-    return {
-        "engine": engine,
-        "refrigerator": fridge,
-        "heater": heater,
-        "accelerator": 1.0 - engine - fridge - heater,
-        "boundary": 0.0,
-    }
-
-
 @st.composite
 def _raster_requests(draw):
-    scenario = draw(st.sampled_from((SUDDEN_COMPRESSION, SUDDEN_EXPANSION)))
     resolution = draw(st.integers(min_value=2, max_value=300))
     kind = draw(st.sampled_from(("any", "slow", "fast", "half-load")))
     if kind == "any":
@@ -402,23 +374,22 @@ def _raster_requests(draw):
         tau = (j + 0.5) / resolution
         shift = draw(st.floats(min_value=-1e-9, max_value=1e-9))
         v = _velocity_with_factor((0.5 + shift) / tau)
-    return scenario, v, resolution
+    return v, resolution
 
 
 @settings(max_examples=100, deadline=None)
 @given(request=_raster_requests())
-@example(request=(SUDDEN_COMPRESSION, 1e-6, 300))
-@example(request=(SUDDEN_EXPANSION, 1e-6, 300))
-@example(request=(SUDDEN_COMPRESSION, 1e-6, 97))
-@example(request=(SUDDEN_EXPANSION, 1e-6, 97))
-def test_runs_equal_per_cell_classification(request):
+@example(request=(1e-6, 300))
+@example(request=(1e-6, 97))
+@each_scenario
+def test_runs_equal_per_cell_classification(case, request):
     # At v = 1e-6, f(v) is 1 to 1e-13: the diagonal cells tau = z sit on a
     # heat's zero and come out Boundary in the middle of a column.
-    scenario, v, resolution = request
-    assert cells(rasterize(scenario, v, resolution)) == _per_cell_raster(scenario, v, resolution)
+    v, resolution = request
+    raster = rasterize(case.scenario, v, resolution)
+    assert cells(raster) == _per_cell_raster(case.scenario, v, resolution)
 
 
-@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
 @pytest.mark.parametrize(
     "edges",
     [
@@ -434,10 +405,12 @@ def test_runs_equal_per_cell_classification(request):
         ),
     ],
 )
-def test_unpredicted_mode_change_rescans_the_column(monkeypatch, scenario, edges):
+@each_scenario
+def test_unpredicted_mode_change_rescans_the_column(monkeypatch, case, edges):
     # The edges only say where to look: a column whose checked cells
     # disagree across a gap is classified cell by cell, so even wrong edges
     # give the per-cell raster.
+    scenario = case.scenario
     monkeypatch.setitem(
         high_temperature._FORMS, scenario, scenario_forms(scenario)._replace(**edges)
     )
@@ -445,10 +418,11 @@ def test_unpredicted_mode_change_rescans_the_column(monkeypatch, scenario, edges
         assert cells(rasterize(scenario, v, 60)) == _per_cell_raster(scenario, v, 60)
 
 
-@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
-def test_rasterize_evaluates_the_forms_order_resolution_times(monkeypatch, scenario):
+@each_scenario
+def test_rasterize_evaluates_the_forms_order_resolution_times(monkeypatch, case):
     # The work guard that wall-clock bounds cannot give on a loaded host:
     # a raster of R**2 cells evaluates the forms O(R) times, not R**2.
+    scenario = case.scenario
     calls = []
     energies = scenario_forms(scenario).energies
 
@@ -475,10 +449,10 @@ def test_mode_fractions_complete_and_normalized():
     assert fractions["boundary"] <= 0.01
 
 
-@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
 @pytest.mark.parametrize("v,resolution", [(0.05, 17), (0.35, 40), (0.75, 33), (0.95, 64)])
-def test_mode_fractions_equal_per_cell_count(scenario, v, resolution):
-    pm = rasterize(scenario, v, resolution=resolution)
+@each_scenario
+def test_mode_fractions_equal_per_cell_count(case, v, resolution):
+    pm = rasterize(case.scenario, v, resolution=resolution)
     counts = Counter(mode for row in cells(pm) for mode in row)
     want = {mode.value: counts[mode] / resolution**2 for mode in OperationalMode}
     fractions = mode_fractions(pm)
@@ -486,16 +460,16 @@ def test_mode_fractions_equal_per_cell_count(scenario, v, resolution):
     assert list(fractions) == [mode.value for mode in OperationalMode]
 
 
-def test_engine_share_grows_with_velocity():
-    for scenario in (SUDDEN_COMPRESSION, SUDDEN_EXPANSION):
-        engine_share = []
-        fridge_share = []
-        for k in range(1, 10):
-            fractions = mode_fractions(rasterize(scenario, k / 10, resolution=50))
-            engine_share.append(fractions["engine"])
-            fridge_share.append(fractions["refrigerator"])
-        assert all(b >= a for a, b in zip(engine_share, engine_share[1:]))
-        assert all(b <= a for a, b in zip(fridge_share, fridge_share[1:]))
+@each_scenario
+def test_engine_share_grows_with_velocity(case):
+    engine_share = []
+    fridge_share = []
+    for k in range(1, 10):
+        fractions = mode_fractions(rasterize(case.scenario, k / 10, resolution=50))
+        engine_share.append(fractions["engine"])
+        fridge_share.append(fractions["refrigerator"])
+    assert all(b >= a for a, b in zip(engine_share, engine_share[1:]))
+    assert all(b <= a for a, b in zip(fridge_share, fridge_share[1:]))
 
 
 def test_expansion_refrigerator_vanishes_from_the_half_factor_velocity():
@@ -515,26 +489,27 @@ def test_expansion_refrigerator_vanishes_from_the_half_factor_velocity():
     # below v*, the fraction is positive and judged by the region's area
     # (2F - 1)**1.5 / (3F) on the unit square, F = f(v)
     for v in (0.97, 0.9):
-        area = _mode_areas(SUDDEN_EXPANSION, relativistic_factor(v))["refrigerator"]
+        area = SCENARIOS["se"].mode_areas(relativistic_factor(v))["refrigerator"]
         fraction = fridge(v)
         assert fraction > 0.0 and abs(fraction - area) <= 0.5 / resolution, (v, fraction, area)
 
 
-@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
 @pytest.mark.parametrize("resolution", [200, 400])
-def test_raster_fractions_converge_to_the_mode_areas(scenario, resolution):
+@each_scenario
+def test_raster_fractions_converge_to_the_mode_areas(case, resolution):
+    # each mode's closed-form area on the (z, tau) unit square, at f(v)
     for v in (0.1, 0.35, 0.63, 0.75, 0.95):
-        areas = _mode_areas(scenario, relativistic_factor(v))
-        fractions = mode_fractions(rasterize(scenario, v, resolution))
+        areas = case.mode_areas(relativistic_factor(v))
+        fractions = mode_fractions(rasterize(case.scenario, v, resolution))
         for mode, area in areas.items():
             assert abs(fractions[mode] - area) <= 0.5 / resolution, (v, mode, fractions[mode], area)
 
 
-@pytest.mark.parametrize("scenario", [SUDDEN_COMPRESSION, SUDDEN_EXPANSION])
-def test_engine_area_grows_and_refrigerator_area_shrinks_with_velocity(scenario):
+@each_scenario
+def test_engine_area_grows_and_refrigerator_area_shrinks_with_velocity(case):
     # f falls with v, so the loads tau * f(v) fall: the engine floor drops
     # and the refrigerator edge sinks, for every v rather than three
-    areas = [_mode_areas(scenario, relativistic_factor(k / 1000)) for k in range(1, 1000)]
+    areas = [case.mode_areas(relativistic_factor(k / 1000)) for k in range(1, 1000)]
     for slower, faster in zip(areas, areas[1:]):
         assert faster["engine"] > slower["engine"]
         assert faster["refrigerator"] <= slower["refrigerator"]

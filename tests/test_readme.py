@@ -50,3 +50,13 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
                 assert text.startswith(value[:-3]), (key, value, text)
             else:
                 assert text == value, (key, value, text)
+
+
+def test_cited_tests_exist():
+    # a renamed or deleted test leaves no dangling citation behind
+    cited = re.findall(r"tests/(\w+\.py)::(\w+)", TEXT)
+    assert cited
+    tests = README.parent / "tests"
+    for name, function in cited:
+        source = (tests / name).read_text(encoding="utf-8")
+        assert re.search(rf"^def {function}\(", source, re.MULTILINE), (name, function)
