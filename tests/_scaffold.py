@@ -5,21 +5,22 @@ in otto_rel:
 
 * SCENARIOS / each_scenario -- per asymmetric scenario, keyed by its CLI
   token, everything in which its checks differ from the other's;
+* POINTS -- the operating points (tau, v) of the 60-digit optimum
+  fixtures, keyed as REFERENCE["optima"] is;
 * BOTH_ADIABATIC / BOTH_SUDDEN -- the two symmetric scenarios: references
   for the asymmetric ones on the exact path, and inputs the hot-limit
   layers must refuse;
 * classify_by_table -- the operational mode read from the closed-form
   mode edges in z, against which the sign classifier is checked;
-* derivative_check / DerivativeReport -- a Richardson-extrapolated central
-  difference for stationarity checks of the closed-form optima;
+* decimal_newton -- an 80-digit Newton root, the judge of the cubic roots;
 * cells -- a PhaseMap's runs expanded to one mode per cell.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
-from typing import Callable, NamedTuple, Sequence
+from decimal import Decimal, localcontext
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -28,6 +29,12 @@ from otto_rel.core import Scenario, StrokeProtocol
 from otto_rel.high_temperature import ReducedParams, scenario_forms
 from otto_rel.optima import eta_max_sc, eta_max_se, eta_omega_sc, eta_omega_se
 from otto_rel.phase_diagram import OperationalMode, PhaseMap
+
+#: The operating points (tau, v) of the 60-digit optimum fixtures.
+POINTS = {
+    "tau=0.5,v=0.5": (0.5, 0.5),
+    "tau=0.3,v=0.75": (0.3, 0.75),
+}
 
 #: Fully quasistatic cycle.
 BOTH_ADIABATIC = Scenario(StrokeProtocol.ADIABATIC, StrokeProtocol.ADIABATIC)
@@ -166,56 +173,22 @@ def cells(phase_map: PhaseMap) -> tuple[tuple[OperationalMode, ...], ...]:
     return tuple(zip(*columns))
 
 
-class DerivativeReport(NamedTuple):
-    """Result of a finite-difference derivative check.
+def decimal_newton(
+    f_df: Callable[[Decimal], tuple[Decimal, Decimal]], start: Decimal | float
+) -> Decimal:
+    """The root of f that Newton's method reaches from start, at 80 digits.
 
-    value is the Richardson extrapolation of the two finest central
-    differences; order estimates the observed convergence rate (about 2
-    for a smooth integrand); converged is False when the samples neither
-    follow a power law nor sit at rounding level, in which case value
-    should be treated with suspicion.
+    f_df(z) is (f(z), f'(z)), evaluated in the 80-digit context.  Newton
+    stops once a step is at most 1e-75 of the iterate, and raises if that
+    takes more than 100 steps.
     """
-
-    value: float
-    order: float
-    samples: tuple[float, ...]
-    converged: bool
-
-
-def derivative_check(
-    f: Callable[[float], float],
-    x: float,
-    h_schedule: Sequence[float] = (1e-4, 1e-5, 1e-6),
-) -> DerivativeReport:
-    """Central-difference derivative of f at x with Richardson extrapolation.
-
-    h_schedule must list at least two strictly decreasing positive steps.
-    """
-    steps = tuple(h_schedule)
-    if len(steps) < 2:
-        raise ValueError("h_schedule needs at least two step sizes")
-    if any(h <= 0.0 for h in steps) or any(
-        steps[i] <= steps[i + 1] for i in range(len(steps) - 1)
-    ):
-        raise ValueError(f"h_schedule must be strictly decreasing and positive: {steps}")
-
-    samples = tuple((f(x + h) - f(x - h)) / (2.0 * h) for h in steps)
-
-    h1, h2 = steps[-2], steps[-1]
-    d1, d2 = samples[-2], samples[-1]
-    weight = (h2 * h2) / (h1 * h1 - h2 * h2)
-    value = d2 + (d2 - d1) * weight
-
-    scale = max(1.0, abs(value))
-    gaps = [abs(samples[i] - samples[i + 1]) for i in range(len(samples) - 1)]
-    if gaps[-1] <= 1e-12 * scale:
-        # Finest differences at rounding level: already converged, order moot.
-        return DerivativeReport(value=value, order=math.inf, samples=samples, converged=True)
-    order = 0.0
-    converged = False
-    if len(gaps) >= 2 and gaps[-2] > 0.0 and gaps[-1] > 0.0:
-        # Error ~ C h^p gives gap(h_i, h_{i+1}) ~ C h_i^p, so the gap
-        # ratio recovers p against the matching step ratio.
-        order = math.log(gaps[-2] / gaps[-1]) / math.log(steps[-3] / steps[-2])
-        converged = 0.5 <= order <= 4.0
-    return DerivativeReport(value=value, order=order, samples=samples, converged=converged)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        z = Decimal(start)
+        for _ in range(100):
+            f, df = f_df(z)
+            step = f / df
+            z -= step
+            if abs(step) <= abs(z) * Decimal("1e-75"):
+                return z
+    raise AssertionError(f"Newton from {start} did not converge in 100 steps")

@@ -1,15 +1,22 @@
 """Shared test helpers.
 
 Keeps the frozen reference table importable regardless of how pytest was
-invoked, and provides the factor_calls fixture.
+invoked, loads the suite's Hypothesis profile, and provides the
+factor_calls fixture.
 """
 
 import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Every property test draws the same examples on every run, and a slow
+# example is not a failure; each test sets only its max_examples.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

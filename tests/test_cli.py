@@ -416,7 +416,7 @@ def _main(*argv: str) -> tuple[int, str, str]:
 _RATIO = st.floats(min_value=1e-3, max_value=0.999)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     scenario=st.sampled_from(("sc", "se")),
     z=st.floats(min_value=1e-3, max_value=1.0),
@@ -433,7 +433,7 @@ def test_hot_limit_mode_and_eta_do_not_depend_on_beta_h(scenario, z, tau, v, exp
     assert (scaled["mode"], scaled["eta"]) == (unit["mode"], unit["eta"])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     scenario=st.sampled_from(("sc", "se")),
     z=st.floats(min_value=0.05, max_value=1.0),
@@ -936,7 +936,7 @@ def _assert_finite_csv(text: str) -> None:
             assert math.isfinite(value), line
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(argv=_cli_argv())
 # Inputs that once printed a traceback or non-finite numbers with exit 0.
 @example(argv=["evaluate", "--scenario=sc", "--v=0.5", "--tau=0.5", "--z=1e-300"])

@@ -83,7 +83,7 @@ def _decimal_factor(v: float) -> Decimal:
         return ((one - d_v) * (one + d_v)).sqrt() * ((one + d_v) / (one - d_v)).ln() / (2 * d_v)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     v=st.one_of(
         st.floats(min_value=1.0, max_value=320.0).map(lambda k: 10.0**-k),
@@ -173,7 +173,7 @@ _params_strategy = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(params=_params_strategy, idx=st.integers(min_value=0, max_value=3))
 def test_first_law_closes_exactly(params, idx):
     scenario = ALL_SCENARIOS[idx]
@@ -182,7 +182,7 @@ def test_first_law_closes_exactly(params, idx):
     assert abs(rec.w_ext - (rec.q_h + rec.q_c)) <= 1e-12 * scale
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(params=_params_strategy, idx=st.integers(min_value=0, max_value=3))
 def test_corner_energies_respect_ground_state(params, idx):
     book = corner_energies(params, ALL_SCENARIOS[idx])
@@ -267,7 +267,7 @@ _cold_betas = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(v=_velocities, x=st.floats(min_value=5e-4, max_value=300.0), beta_c=_cold_betas)
 def test_cold_corner_energy_keeps_its_digits(v, x, beta_c):
     # h_a scales as 1/beta_c at fixed x; 2*beta_c*v may leave the normal range

@@ -54,7 +54,7 @@ _reduced_strategy = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(r=_reduced_strategy, scenario=st.sampled_from([c.scenario for c in SCENARIOS.values()]))
 def test_first_law_from_independent_formulas(r, scenario):
     w = work(r, scenario)
@@ -70,7 +70,7 @@ def _evaluate(*argv: str) -> dict:
     return json.loads(out.getvalue())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     z=_Z, tau=_RATIO, v=_RATIO,
     beta_h=st.floats(min_value=0.01, max_value=100.0),

@@ -1,12 +1,17 @@
 """The package's exported surface: what the CLI and the paper's quantities need.
 
 Also conventions of the code and its tests: a relative tolerance states its
-absolute floor, and no code branches on which scenario it was given.
+absolute floor, no code branches on which scenario it was given, and the
+tests need nothing beyond the standard library, pytest and hypothesis and
+draw the same examples on every run.
 """
 
 import ast
 import pathlib
+import sys
 import types
+
+from hypothesis import settings
 
 import otto_rel
 
@@ -65,6 +70,35 @@ def test_every_relative_approx_states_its_absolute_floor():
             if name == "approx" and "rel" in keywords and "abs" not in keywords:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_the_tests_import_only_the_standard_library_and_their_tools():
+    # the suite runs from a plain checkout with pytest and hypothesis alone,
+    # so every judge in it is stdlib code
+    here = pathlib.Path(__file__).parent
+    allowed = {*sys.stdlib_module_names, "pytest", "hypothesis", "otto_rel"}
+    allowed |= {path.stem for path in here.glob("_*.py")}
+    offenders = []
+    for path in sorted(here.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert offenders == []
+
+
+def test_property_tests_draw_the_same_examples_on_every_run():
+    # conftest loads one profile, so a failing example recurs on a rerun
+    assert settings.default.derandomize is True
+    assert settings.default.deadline is None
 
 
 def test_no_code_branches_on_a_scenario_constant():

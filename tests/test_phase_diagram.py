@@ -148,7 +148,7 @@ def _sign_inputs(draw):
     return draw(quantity), draw(quantity), draw(quantity), eps
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(inputs=_sign_inputs())
 @example(inputs=(1.0, 2.0, -1.0, 1e-9))
 @example(inputs=(-1.0, -2.0, math.nan, 1e-9))
@@ -377,7 +377,7 @@ def _raster_requests(draw):
     return v, resolution
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(request=_raster_requests())
 @example(request=(1e-6, 300))
 @example(request=(1e-6, 97))

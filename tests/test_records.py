@@ -19,7 +19,6 @@ from otto_rel import (
 )
 from otto_rel.core import EnergyBook, Scenario, StrokeProtocol, _Validated
 from otto_rel.cubic import MonicCubic
-from _scaffold import DerivativeReport
 
 SC_TEXT = (
     "Scenario(compression=<StrokeProtocol.SUDDEN: 'sudden'>, "
@@ -111,14 +110,6 @@ CASES = [
         "OptimumReport(z_star=0.5, value_at_opt=0.125, eta_at_opt=0.25)",
         [(dict(z_star=1.0), "z_star must lie in (0, 1), got 1.0")],
     ),
-    # the tests' derivative probe record (tests/_scaffold.py) keeps the same contract
-    Case(
-        DerivativeReport,
-        dict(value=1.0, order=2.0, samples=(1.0, 1.0), converged=True),
-        dict(converged=False),
-        "DerivativeReport(value=1.0, order=2.0, samples=(1.0, 1.0), converged=True)",
-        [],
-    ),
     Case(
         PhaseMap,
         dict(v=0.5, axis=(0.25, 0.75), runs=(((0, HEATER), (1, ENGINE)), ((0, ENGINE),))),
@@ -175,7 +166,7 @@ def test_every_validated_record_is_covered():
         if isinstance(obj, type) and issubclass(obj, _Validated) and obj is not _Validated
     }
     assert validated == {case.cls for case in CASES if case.errors}
-    assert len(CASES) == 9
+    assert len(CASES) == 8
 
 
 @BY_NAME

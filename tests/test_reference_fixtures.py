@@ -2,7 +2,7 @@
 
 scripts/generate_reference.py is the suite's independent judge, so it must
 not import the package it judges, and its output must be the committed file
-byte for byte.
+byte for byte, rendered with every warning an error.
 """
 
 import ast
@@ -44,7 +44,7 @@ def test_generator_is_independent_of_the_package():
 def test_fixtures_are_what_the_generator_writes():
     pytest.importorskip("mpmath")
     proc = subprocess.run(
-        [sys.executable, "-c", RENDER, str(GENERATOR)],
+        [sys.executable, "-W", "error", "-c", RENDER, str(GENERATOR)],
         capture_output=True,
         cwd=ROOT,
         timeout=300,
